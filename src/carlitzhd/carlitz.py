@@ -395,22 +395,29 @@ def _inv_jet_numerators(a_jet: Jet) -> list[Poly]:
 
 
 def _ratio_theta_jet(num_jet: Jet, den_jet: Jet) -> Jet:
-    """Jet of num/den with every finished coefficient substituted at t = theta.
+    """Jet of num/den, substituted at t = theta.
 
     Inputs are jets of polynomials under one derivation (num may involve t,
-    den likewise); coefficient k of the output is
+    den likewise).  Every input coefficient is substituted at t = theta
+    first, once; the recurrence then runs on univariate polynomials.  This
+    gives the same jet as substituting the finished bivariate coefficients,
+    because evaluation at t = theta is a ring homomorphism, the recurrence
+    uses only ring operations, and RatFunc.make returns the canonical form.
+    With D = den(theta), N_a = num_a(theta) and n_b the inverse-jet
+    numerators of the substituted den jet, coefficient k of the output is
 
-        sum_{a+b=k} num_a|_theta * n_b|_theta * den(theta)^{k-b} / den(theta)^{k+1}
+        sum_{a+b=k} N_a * n_b * D^a / D^{k+1}.
 
-    with n_b the inverse-jet numerators of den.  Substitution happens only on
-    finished jet coefficients; den(theta) must be nonzero.
+    D must be nonzero.
     """
     if num_jet.order != den_jet.order:
         raise ConstraintViolated("numerator and denominator jets differ in order")
-    ns = _inv_jet_numerators(den_jet)
-    dth = den_jet[0].eval_t_at_theta()
+    nth = [c.eval_t_at_theta() for c in num_jet.coeffs]
+    dth_jet = Jet([c.eval_t_at_theta() for c in den_jet.coeffs])
+    dth = dth_jet[0]
     if dth.is_zero():
         raise PoleAtTheta("denominator vanishes at t = theta")
+    ns = _inv_jet_numerators(dth_jet)
     field = dth.field
     order = num_jet.order
     dpows = [Poly.one(field, VARS_T)]
@@ -420,10 +427,10 @@ def _ratio_theta_jet(num_jet: Jet, den_jet: Jet) -> Jet:
     for k in range(order + 1):
         acc = None
         for b in range(k + 1):
-            na, nb = num_jet[k - b], ns[b]
+            na, nb = nth[k - b], ns[b]
             if na.is_zero() or nb.is_zero():
                 continue
-            term = na.eval_t_at_theta() * nb.eval_t_at_theta() * dpows[k - b]
+            term = na * nb * dpows[k - b]
             acc = term if acc is None else acc + term
         out.append(RatFunc.zero(field) if acc is None
                    else RatFunc.make(acc, dpows[k + 1]))
@@ -514,11 +521,18 @@ def at_poly(field: Field, n: int) -> tuple[Poly, Poly]:
     The recursion produces alpha_n/Gamma_n as a fraction over products of
     D_j; multiplying by Gamma_n must divide out exactly, and that exact
     division IS the integrality check (a non-polynomial ratio would raise).
+
+    The recursion reads the indices n - q^j, and j = 0 steps down by one, so
+    n reaches every index in 1..n-1.  Those are filled first, in ascending
+    order, so each lookup below is a cache hit and the call depth stays the
+    same for every n.
     """
     if n < 1:
         raise ConstraintViolated(f"alpha_n is defined for n >= 1, got {n}")
     if n == 1:
         return Poly.one(field, VARS_TT), Poly.one(field, VARS_T)
+    for m in range(2, n):
+        at_poly(field, m)
     q = field.q
     num = Poly.zero(field, VARS_TT)
     den = Poly.one(field, VARS_T)
@@ -1225,6 +1239,20 @@ def verify_suite(ctx: CarlitzCtx, which="all", *, n: int | None = None,
     t_terms = (ctx.cutoff + 1) if t_terms is None else t_terms
     if n < 1:
         raise ConstraintViolated(f"the suite needs n >= 1, got {n}")
+    # a cell over an empty range, or a run with no cells, would pass without
+    # checking anything
+    if not names:
+        raise ConstraintViolated("no selector given; the suite would run no cells")
+    if ("omega" in names or "b_transfer" in names) and t_terms < 1:
+        raise ConstraintViolated(f"t_terms must be >= 1, got {t_terms}")
+    if "b_transfer" in names and jmax < 1:
+        raise ConstraintViolated(f"the transfer cells need jmax >= 1, got {jmax}")
+    if "eta_quotient" in names and lmax < 0:
+        raise ConstraintViolated(f"the eta quotient cells need lmax >= 0, got {lmax}")
+    if "eta_sum" in names and sum_order < 2:
+        raise ConstraintViolated(
+            f"the eta sum needs sum_order >= 2 (mod s^1 it holds trivially), "
+            f"got {sum_order}")
 
     field = ctx.field
     cells: list[CheckCell] = []

@@ -376,17 +376,6 @@ def useries_diff_witness(a: USeries, b: USeries):
     return None
 
 
-def useries_arith(a: USeries, b: USeries | None, op: str) -> USeries:
-    """Dispatcher over the three core operations: add, mul, inv."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise ConstraintViolated(f"unknown op {op!r}; expected add, mul, or inv")
-
-
 # -- the embedding of K = F_q(theta) ------------------------------------------
 
 def theta_series(field: Field) -> USeries:

@@ -1,6 +1,7 @@
 """Period objects, transfer coefficients, factorial combinatorics, routes."""
 
 import random
+import sys
 
 import pytest
 
@@ -315,6 +316,37 @@ def test_at_poly_elementary_properties():
 def test_at_poly_rejects_nonpositive():
     with pytest.raises(ConstraintViolated):
         at_poly(field_new(2), 0)
+
+
+@pytest.mark.parametrize("which,kw", [
+    ((), {}),
+    ("eta_quotient", {"lmax": -1}),
+    ("omega", {"t_terms": 0}),
+    ("b_transfer", {"t_terms": -3}),
+    ("b_transfer", {"jmax": 0}),
+    ("eta_sum", {"sum_order": 1}),
+])
+def test_verify_suite_rejects_vacuous_ranges(which, kw):
+    ctx = CarlitzCtx(field_new(2), uprec=20, jet_order=2)
+    with pytest.raises(ConstraintViolated):
+        verify_suite(ctx, which, **kw)
+
+
+def test_at_poly_call_depth_does_not_grow_with_n():
+    # a recursion one frame per index would need about 120 frames here
+    f = field_new(7)
+    at_poly.cache_clear()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        alpha, gam = at_poly(f, 120)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert alpha.eval_t_at_theta() == gam == Gamma_poly(f, 120)
+    assert at_poly.cache_info().currsize == 120
 
 
 # -- coordinate routes ----------------------------------------------------------------

@@ -280,6 +280,21 @@ def test_cli_verify_extension_field_modulus(capsys):
     assert "[fail]" not in out
 
 
+@pytest.mark.parametrize("args", [
+    ["--identity", "eta_quotient", "--lmax", "-1"],
+    ["--identity", "omega", "--t-terms", "0"],
+    ["--identity", "omega", "--t-terms", "-3"],
+    ["--identity", "eta_sum", "--sum-order", "1"],
+])
+def test_cli_verify_rejects_vacuous_runs(capsys, args):
+    # each of these would run no cell, or a cell over an empty range
+    assert main(["verify", "--q", "2", "--n", "2", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_verify_single_identity(capsys):
     code = main(["verify", "--q", "2", "--n", "2", "--identity", "alpha",
                  "--json"])
