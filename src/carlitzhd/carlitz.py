@@ -581,23 +581,8 @@ def eta_sjet(field: Field, l: int, M: int) -> SJet:
         raise ConstraintViolated(f"s-order must be >= 1, got {M}")
     if l < 0:
         raise ConstraintViolated(f"eta_l needs l >= 0, got {l}")
-    q = field.q
-    if q ** l < M:
-        raise InsufficientL(f"q^l = {q ** l} < {M}; increase l")
-    out = SJet.constant(field, M, 1)
-    one = RatFunc.one(field, VARS_T)
-    zero = RatFunc.zero(field, VARS_T)
-    for m in range(1, l + 1):
-        e = q ** m
-        if e >= M:
-            break
-        c = RatFunc.make(Poly.one(field, VARS_T),
-                         Poly.monomial(field, (e,)) - Poly.monomial(field, (1,)))
-        coeffs = [zero] * M
-        coeffs[0] = one
-        coeffs[e] = c
-        out = out * SJet(field, coeffs)
-    return out
+    # binom(1, k) vanishes for k >= 2, so each factor keeps only its s^{q^m} term
+    return _eta_inv_pow_sjet(field, l, M, -1)
 
 
 def eta(field: Field, l: int, form: str = "rational", M: int | None = None):

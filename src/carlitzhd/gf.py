@@ -345,25 +345,3 @@ class FqElem:
         if self.field.e == 1:
             return str(self.idx)
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
-
-
-# Thin functional aliases matching the operation-style surface.
-
-def fq_add(a: FqElem, b: FqElem) -> FqElem:
-    return a + b
-
-
-def fq_mul(a: FqElem, b: FqElem) -> FqElem:
-    return a * b
-
-
-def fq_inv(a: FqElem) -> FqElem:
-    return a.inverse()
-
-
-def fq_pow(a: FqElem, k: int) -> FqElem:
-    return a ** k
-
-
-def frobenius(a: FqElem, k: int = 1) -> FqElem:
-    return a.frobenius(k)

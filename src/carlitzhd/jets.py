@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from math import comb
 
-from .binomials import binom_mod_p
 from .errors import (
     ConstraintViolated,
     DegreeMismatch,
@@ -28,8 +27,17 @@ from .errors import (
     NonPrimeCharacteristic,
     NonUnitConstantTerm,
 )
-from .gf import FqElem, _is_prime
-from .rings import Poly, RatFunc, VARS_T
+from .gf import _is_prime
+from .rings import (
+    VARS_T,
+    Poly,
+    RatFunc,
+    _poly_hasse,
+    pow_base_p,
+    series_frobenius,
+    series_inverse,
+    series_mul,
+)
 
 
 class PadicInt:
@@ -99,6 +107,9 @@ class Jet:
 
     Works over any coefficient ring whose elements support +, -, *, and
     (for inversion) .inverse().  Operands must share the same order.
+    Products, inverses and powers come from the series algebra in rings,
+    which skips a term only when a factor is an exact zero: a USeries
+    coefficient known only as O(u^m) still caps the precision it enters.
     """
 
     __slots__ = ("coeffs",)
@@ -147,20 +158,9 @@ class Jet:
         if not isinstance(other, Jet):
             return self.scale(other)
         self._compat(other)
-        n = len(self.coeffs)
-        out = []
-        for k in range(n):
-            acc = None
-            for i in range(k + 1):
-                a, b = self.coeffs[i], other.coeffs[k - i]
-                if _ring_is_zero(a) or _ring_is_zero(b):
-                    continue
-                term = a * b
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = _ring_zero_like(self.coeffs[0], other.coeffs[0])
-            out.append(acc)
-        return Jet(out)
+        a0, b0 = self.coeffs[0], other.coeffs[0]
+        return Jet(series_mul(self.coeffs, other.coeffs,
+                              lambda: _ring_zero_like(a0, b0)))
 
     def scale(self, c):
         return Jet(a * c for a in self.coeffs)
@@ -172,72 +172,26 @@ class Jet:
             )
         return Jet(self.coeffs[: order + 1])
 
+    def _zero(self):
+        c0 = self.coeffs[0]
+        return _ring_zero_like(c0, c0)
+
     def inverse(self) -> "Jet":
         c0 = self.coeffs[0]
         if _ring_is_zero(c0):
             raise NonUnitConstantTerm("jet inversion needs a unit order-0 part")
-        inv0 = c0.inverse()
-        out = [inv0]
-        for k in range(1, len(self.coeffs)):
-            acc = None
-            for i in range(1, k + 1):
-                ai = self.coeffs[i]
-                if _ring_is_zero(ai):
-                    continue
-                term = ai * out[k - i]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                out.append(_ring_zero_like(c0, c0))
-            else:
-                out.append(-(inv0 * acc))
-        return Jet(out)
+        return Jet(series_inverse(self.coeffs, c0.inverse(), self._zero))
 
     def frobenius_power(self, k: int = 1, p: int | None = None) -> "Jet":
         """self**(p^k) using coefficientwise Frobenius; needs ring support."""
-        c0 = self.coeffs[0]
         if p is None:
-            p = c0.field.p
-        pk = p ** k
-        zero = _ring_zero_like(c0, c0)
-        out = [zero] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if i * pk >= len(out):
-                break
-            if not _ring_is_zero(c):
-                out[i * pk] = c.frobenius_power(k)
-        return Jet(out)
+            p = self.coeffs[0].field.p
+        return Jet(series_frobenius(self.coeffs, k, p, self._zero))
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        if k == 0:
-            one = _ring_one_like(self.coeffs[0])
-            zero = _ring_zero_like(self.coeffs[0], self.coeffs[0])
-            return Jet([one] + [zero] * self.order)
-        if hasattr(self.coeffs[0], "frobenius_power") and hasattr(self.coeffs[0], "field"):
-            p = self.coeffs[0].field.p
-            result = None
-            stage = self
-            while k:
-                d = k % p
-                k //= p
-                if d:
-                    piece = stage
-                    for _ in range(d - 1):
-                        piece = piece * stage
-                    result = piece if result is None else result * piece
-                if k:
-                    stage = stage.frobenius_power(1, p)
-            return result
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        c0 = self.coeffs[0]
+        return pow_base_p(self, k, c0.field.p,
+                          lambda: Jet([c0 ** 0] + [self._zero()] * self.order))
 
     def __eq__(self, other):
         return isinstance(other, Jet) and self.coeffs == other.coeffs
@@ -260,38 +214,7 @@ def _ring_zero_like(a, b):
     return prod - prod
 
 
-def _ring_one_like(x):
-    if isinstance(x, Poly):
-        return Poly.one(x.field, x.vars)
-    if isinstance(x, RatFunc):
-        return RatFunc.one(x.field, x.vars)
-    m = getattr(x, "one_like", None)
-    if m is not None:
-        return m()
-    raise ConstraintViolated(f"no multiplicative identity for {type(x).__name__}")
-
-
 # -- hyperderivative jets on polynomials and rational functions ---------------
-
-def _poly_hasse(f: Poly, var: int, k: int) -> Poly:
-    """The k-th hyperderivative of f in the given variable (0=theta, 1=t)."""
-    if k == 0:
-        return f
-    if var >= len(f.vars):
-        return Poly.zero(f.field, f.vars)
-    p = f.field.p
-    mul = f.field.mul_t
-    out = {}
-    for e, c in f.terms.items():
-        i = e[var]
-        if i >= k:
-            b = binom_mod_p(i, k, p)
-            if b:
-                ne = list(e)
-                ne[var] = i - k
-                out[tuple(ne)] = mul[b][c]
-    return Poly(f.field, f.vars, out)
-
 
 def _jet_of(f, var: int, order: int) -> Jet:
     if isinstance(f, Poly):

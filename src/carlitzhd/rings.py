@@ -6,6 +6,12 @@ denominator coprime, denominator monic under the degree-lexicographic order
 with theta > t.  SJet is a truncated expansion in s = t - theta with exact
 coefficients in K = F_q(theta).
 
+series_mul, series_inverse, series_frobenius and pow_base_p are the one
+truncated-series algebra behind SJet, jets.Jet, useries.TPoly and
+useries.USeries.  They skip a term only when a factor is an exact zero, so
+a coefficient that is zero only up to its precision still caps the
+precision of every term it enters.
+
 The gcd is a primitive polynomial-remainder-sequence Euclidean algorithm on
 the univariate-in-main-variable view; bivariate content is split off
 recursively via univariate gcds.
@@ -37,16 +43,6 @@ def _utrim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _uadd(a: list[int], b: list[int], f: Field) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    add = f.add_t
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = add[out[i]][x]
-    return _utrim(out)
 
 
 def _usub(a: list[int], b: list[int], f: Field) -> list[int]:
@@ -857,6 +853,106 @@ def eval_t_at_theta(f):
     return f.eval_t_at_theta()
 
 
+# -- truncated power series over any coefficient ring -------------------------
+#
+# A series is the list (c_0, ..., c_{n-1}) of its coefficients modulo X^n.
+# Coefficients need +, -, * and, where named, inverse() or frobenius_power();
+# None stands for an absent (exactly zero) coefficient.  ``zero`` is a
+# callable that makes the zero of an empty slot, so the cost of building it
+# is paid only when some slot has no term.
+
+def _exact_zero(x) -> bool:
+    """The zero rule: only an exact zero may be skipped."""
+    if x is None:
+        return True
+    test = getattr(x, "is_zero", None)
+    if test is None or not test():
+        return False
+    exact = getattr(x, "is_exact_zero", None)
+    return exact is None or exact()
+
+
+def _support(a) -> list:
+    """Indices of the coefficients that are not exact zeros, ascending."""
+    return [i for i, x in enumerate(a) if not _exact_zero(x)]
+
+
+def _convolve(a, b, a_support, b_support, k: int):
+    """sum of a_i * b_(k-i) over i in a_support, k-i in b_support; None if empty."""
+    acc = None
+    for i in a_support:
+        if i > k:
+            break
+        if k - i in b_support:
+            term = a[i] * b[k - i]
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def _fill(out: list, zero) -> list:
+    """Put one zero, made only if needed, into every empty (None) slot."""
+    if all(c is not None for c in out):
+        return out
+    z = zero()
+    return [z if c is None else c for c in out]
+
+
+def series_mul(a, b, zero) -> list:
+    """Truncated product of two coefficient lists of equal length."""
+    a_support, b_support = _support(a), set(_support(b))
+    return _fill([_convolve(a, b, a_support, b_support, k) for k in range(len(a))],
+                 zero)
+
+
+def series_inverse(a, inv0, zero) -> list:
+    """1/(sum a_i X^i) modulo X^len(a), given inv0 = 1/a_0."""
+    a_support = [i for i in _support(a) if i]
+    out, out_support = [inv0], {0}
+    for k in range(1, len(a)):
+        acc = _convolve(a, out, a_support, out_support, k)
+        out.append(None if acc is None else -(inv0 * acc))
+        if not _exact_zero(out[k]):
+            out_support.add(k)
+    return _fill(out, zero)
+
+
+def series_frobenius(a, k: int, p: int, zero) -> list:
+    """(sum a_i X^i)^(p^k) modulo X^len(a): a_i^(p^k) moves to slot i*p^k."""
+    pk = p ** k
+    out = [None] * len(a)
+    for i in range(0, len(a), pk):
+        c = a[i // pk]
+        if not _exact_zero(c):
+            out[i] = c.frobenius_power(k)
+    return _fill(out, zero)
+
+
+def pow_base_p(x, k: int, p: int, one):
+    """x**k in characteristic p from the base-p digits of k.
+
+    x**k is the product over the digits d_i of (x^(p^i))^d_i, and each
+    x^(p^i) is a Frobenius power of the one before.  x needs *, inverse()
+    and frobenius_power(1); ``one`` makes the identity for k = 0.
+    """
+    if k < 0:
+        x, k = x.inverse(), -k
+    if k == 0:
+        return one()
+    result = None
+    stage = x
+    while k:
+        d = k % p
+        k //= p
+        if d:
+            piece = stage
+            for _ in range(d - 1):
+                piece = piece * stage
+            result = piece if result is None else result * piece
+        if k:
+            stage = stage.frobenius_power(1)
+    return result
+
+
 # -- truncated expansions in s = t - theta ------------------------------------
 
 class SJet:
@@ -898,6 +994,9 @@ class SJet:
                 f"sjet orders differ: {self.order} vs {other.order}"
             )
 
+    def _zero(self) -> RatFunc:
+        return RatFunc.zero(self.field, self.coeffs[0].vars)
+
     def __add__(self, other):
         if not isinstance(other, SJet):
             return NotImplemented
@@ -919,17 +1018,7 @@ class SJet:
         if not isinstance(other, SJet):
             return NotImplemented
         self._compat(other)
-        m = self.order
-        zero = RatFunc.zero(self.field, self.coeffs[0].vars)
-        out = [zero] * m
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(m - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return SJet(self.field, out)
+        return SJet(self.field, series_mul(self.coeffs, other.coeffs, self._zero))
 
     __rmul__ = __mul__
 
@@ -944,54 +1033,16 @@ class SJet:
         c0 = self.coeffs[0]
         if c0.is_zero():
             raise NonUnitConstantTerm("sjet inversion needs a unit constant term")
-        inv0 = c0.inverse()
-        out = [inv0]
-        for k in range(1, self.order):
-            acc = None
-            for i in range(1, k + 1):
-                ai = self.coeffs[i]
-                if ai.is_zero():
-                    continue
-                term = ai * out[k - i]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                out.append(RatFunc.zero(self.field, c0.vars))
-            else:
-                out.append(-(inv0 * acc))
-        return SJet(self.field, out)
+        return SJet(self.field, series_inverse(self.coeffs, c0.inverse(), self._zero))
 
     def frobenius_power(self, k: int = 1) -> "SJet":
         """self**(p^k), exact via the Frobenius homomorphism."""
-        pk = self.field.p ** k
-        zero = RatFunc.zero(self.field, self.coeffs[0].vars)
-        out = [zero] * self.order
-        for i, c in enumerate(self.coeffs):
-            if i * pk >= self.order:
-                break
-            if not c.is_zero():
-                out[i * pk] = c.frobenius_power(k)
-        return SJet(self.field, out)
+        return SJet(self.field,
+                    series_frobenius(self.coeffs, k, self.field.p, self._zero))
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        if k == 0:
-            return SJet.constant(self.field, self.order, RatFunc.one(self.field, self.coeffs[0].vars))
-        # base-p decomposition: small powers times iterated Frobenius powers
-        p = self.field.p
-        result = None
-        stage = self
-        while k:
-            d = k % p
-            k //= p
-            if d:
-                piece = stage
-                for _ in range(d - 1):
-                    piece = piece * stage
-                result = piece if result is None else result * piece
-            if k:
-                stage = stage.frobenius_power(1)
-        return result
+        return pow_base_p(self, k, self.field.p, lambda: SJet.constant(
+            self.field, self.order, self.coeffs[0] ** 0))
 
     def __eq__(self, other):
         return (
@@ -1008,35 +1059,33 @@ class SJet:
         return " + ".join(bits) if bits else "0"
 
 
+def _poly_hasse(f: Poly, var: int, k: int) -> Poly:
+    """The k-th hyperderivative of f in the given variable (0=theta, 1=t)."""
+    if k == 0:
+        return f
+    if var >= len(f.vars):
+        return Poly.zero(f.field, f.vars)
+    p = f.field.p
+    mul = f.field.mul_t
+    out = {}
+    for e, c in f.terms.items():
+        i = e[var]
+        if i >= k:
+            b = binom_mod_p(i, k, p)
+            if b:
+                ne = list(e)
+                ne[var] = i - k
+                out[tuple(ne)] = mul[b][c]
+    return Poly(f.field, f.vars, out)
+
+
 def taylor_shift(f: Poly, order: int) -> SJet:
     """Expand a polynomial in t around t = theta: coefficients of s = t - theta.
 
     Exact for any polynomial degree; coefficient k is d_t^k(f) |_{t=theta}.
     """
-    field = f.field
-    p = field.p
-    rows: list[dict] = [dict() for _ in range(order)]
-    add = field.add_t
-    if f.vars == VARS_T:
-        for (i,), c in f.terms.items():
-            k = (i,)
-            rows[0][k] = add[rows[0].get(k, 0)][c]
-    else:
-        for (i, j), c in f.terms.items():
-            for k in range(min(j, order - 1) + 1):
-                b = binom_mod_p(j, k, p)
-                if b:
-                    e = (i + j - k,)
-                    v = add[rows[k].get(e, 0)][field.mul_t[b][c]]
-                    if v:
-                        rows[k][e] = v
-                    else:
-                        rows[k].pop(e, None)
-    coeffs = [
-        RatFunc.from_poly(Poly(field, VARS_T, {e: c for e, c in row.items() if c}))
-        for row in rows
-    ]
-    return SJet(field, coeffs)
+    return SJet(f.field, [RatFunc.from_poly(_poly_hasse(f, 1, k).eval_t_at_theta())
+                          for k in range(order)])
 
 
 def sjet_from_ratfunc(f: RatFunc, order: int) -> SJet:

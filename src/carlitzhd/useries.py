@@ -30,7 +30,7 @@ from .errors import (
 )
 from .gf import Field, FqElem
 from .jets import Jet, PadicInt, padic_binom
-from .rings import Poly, RatFunc
+from .rings import Poly, RatFunc, pow_base_p, series_inverse, series_mul
 
 INF_PREC = math.inf
 
@@ -107,9 +107,6 @@ class USeries:
         for e, c in m.items():
             dense[e - lo] = field.elem(c).idx
         return cls(field, lo, dense, abs_prec)
-
-    def one_like(self) -> "USeries":
-        return USeries.one(self.field)
 
     # -- views -----------------------------------------------------------------
 
@@ -303,24 +300,7 @@ class USeries:
         return USeries(self.field, self.min_exp * pk, out, self.abs_prec * pk)
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        if k == 0:
-            return USeries.one(self.field)
-        p = self.field.p
-        result = None
-        stage = self
-        while k:
-            d = k % p
-            k //= p
-            if d:
-                piece = stage
-                for _ in range(d - 1):
-                    piece = piece * stage
-                result = piece if result is None else result * piece
-            if k:
-                stage = stage.frobenius_power(1)
-        return result
+        return pow_base_p(self, k, self.field.p, lambda: USeries.one(self.field))
 
     def __eq__(self, other):
         return (
@@ -527,7 +507,7 @@ class TPoly:
         for k, v in coeffs.items():
             if t_prec is not None and k >= t_prec:
                 continue
-            if v.is_exact_zero():
+            if v is None or v.is_exact_zero():
                 continue
             clean[k] = v
         object.__setattr__(self, "field", field)
@@ -558,6 +538,10 @@ class TPoly:
                 f"t^{k} coefficient beyond t-truncation {self.t_prec}"
             )
         return self.coeffs.get(k, USeries.zero(self.field))
+
+    def _dense(self, n: int) -> list:
+        """Coefficients of t^0 .. t^(n-1); None where absent (exactly zero)."""
+        return [self.coeffs.get(k) for k in range(n)]
 
     def is_exact(self) -> bool:
         return self.t_prec is None and all(c.is_exact() for c in self.coeffs.values())
@@ -613,15 +597,11 @@ class TPoly:
                 v = self.t_valuation()
                 cands.append(other.t_prec + (v if v != INF_PREC else 0))
             tp = min(cands)
-        out: dict = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                if tp is not None and k >= tp:
-                    continue
-                prod = a * b
-                out[k] = out[k] + prod if k in out else prod
-        return TPoly(self.field, out, tp)
+        n = self.tdegree() + other.tdegree() + 1
+        if tp is not None:
+            n = min(n, tp)
+        out = series_mul(self._dense(n), other._dense(n), lambda: None)
+        return TPoly(self.field, dict(enumerate(out)), tp)
 
     __rmul__ = __mul__
 
@@ -685,18 +665,8 @@ class TPoly:
         if c0 is None:
             raise DivisionByZero("t-series inverse needs a nonzero constant term")
         g0 = c0.inverse(u_target) if u_target is not None else c0.inverse()
-        out = {0: g0}
-        for k in range(1, t_terms):
-            acc = None
-            for i in range(1, k + 1):
-                ci = self.coeffs.get(i)
-                if ci is None:
-                    continue
-                term = ci * out[k - i]
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                out[k] = -(g0 * acc)
-        return TPoly(self.field, out, t_terms)
+        out = series_inverse(self._dense(t_terms), g0, lambda: None)
+        return TPoly(self.field, dict(enumerate(out)), t_terms)
 
     def with_uprec(self, cap) -> "TPoly":
         """Cap each coefficient's abs_prec; cap may be a value or fn(k)."""

@@ -14,7 +14,6 @@ from carlitzhd import (
     binom_mod_p,
     field_new,
 )
-from carlitzhd.gf import fq_add, fq_inv, fq_mul, fq_pow, frobenius
 
 SEED = 1729
 
@@ -121,16 +120,6 @@ def test_frobenius_is_field_automorphism(field):
         assert a.frobenius() == a ** p
         assert a.frobenius(field.e) == a  # p^e-th power is the identity
         assert a.frobenius(2) == a.frobenius().frobenius()
-
-
-def test_function_wrappers_match_methods():
-    f = field_new(3, 2)
-    a, b = f.from_index(4), f.from_index(7)
-    assert fq_add(a, b) == a + b
-    assert fq_mul(a, b) == a * b
-    assert fq_inv(a) == a.inverse()
-    assert fq_pow(a, 5) == a ** 5
-    assert frobenius(a, 2) == a.frobenius(2)
 
 
 def test_pow_handles_negative_exponents():

@@ -14,6 +14,7 @@ from carlitzhd import (
     Poly,
     RatFunc,
     RhoMatrix,
+    USeries,
     VARS_TT,
     binom_mod_p,
     compose_substitute,
@@ -164,6 +165,19 @@ def test_jet_frobenius_power_matches_pow():
         a = rand_poly(rng, f)
         j = d_theta_jet(a, 4)
         assert j.frobenius_power(1) == j ** 3
+
+
+def test_inexact_zero_coefficient_caps_precision():
+    # O(u^5) is zero only up to u^5: skipping it would claim precision
+    # that the operands do not have
+    f = field_new(3)
+    one, lo = USeries.one(f), USeries.zero(f, 5)
+    prod = Jet([one, lo]) * Jet([one, USeries.monomial(f, 1).with_prec(100)])
+    assert prod[1].abs_prec == 5
+    inv = Jet([one, lo]).inverse()
+    assert not inv[1].is_exact_zero() and inv[1].abs_prec == 5
+    frob = Jet([one, lo, lo, lo]).frobenius_power(1)
+    assert frob[3].abs_prec == 15
 
 
 # -- derivation exchange and substitution ---------------------------------------

@@ -186,9 +186,9 @@ def test_theta_series_value():
 
 
 def test_embed_k_theta_and_polynomials_exact():
+    for q in (2, 3):
+        assert embed_k(Poly.monomial(field_new(q), (1,)), 50) == theta_series(field_new(q))
     f = field_new(3)
-    th = Poly.monomial(f, (1,))
-    assert embed_k(th, 50) == theta_series(f)
     p = Poly.from_items(f, [((2,), 1), ((0,), 2)])
     s = embed_k(p, 50)
     assert s.is_exact()
@@ -442,6 +442,14 @@ def test_tpoly_inverse_tseries_geometric():
     assert useries_agree(prod.coeff(0), USeries.one(f))
     for k in range(1, 6):
         assert useries_agree(prod.coeff(k), USeries.zero(f))
+
+
+def test_tpoly_inverse_tseries_with_absent_degrees():
+    # (1 + t^2)^{-1} = 1 - t^2 + t^4 mod t^6: degrees 1, 3, 5 stay absent
+    f = field_new(3)
+    one = USeries.one(f)
+    inv = TPoly(f, {0: one, 2: one}).inverse_tseries(6)
+    assert inv == TPoly(f, {0: one, 2: -one, 4: one}, 6)
 
 
 def test_tpoly_agree_and_witness():
