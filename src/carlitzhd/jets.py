@@ -32,6 +32,7 @@ from .rings import (
     VARS_T,
     Poly,
     RatFunc,
+    _exact_zero,
     _poly_hasse,
     pow_base_p,
     series_frobenius,
@@ -214,6 +215,12 @@ def _ring_zero_like(a, b):
     return prod - prod
 
 
+def _ring_exact_zero(a):
+    """The exact zero of a's ring (a ** 0 is the exact identity)."""
+    one = a ** 0
+    return one - one
+
+
 # -- hyperderivative jets on polynomials and rational functions ---------------
 
 def _jet_of(f, var: int, order: int) -> Jet:
@@ -285,7 +292,7 @@ class RhoMatrix:
     @classmethod
     def from_jet(cls, jet: Jet) -> "RhoMatrix":
         n = len(jet.coeffs)
-        zero = _ring_zero_like(jet[0], jet[0])
+        zero = _ring_exact_zero(jet[0])
         rows = []
         for i in range(n):
             rows.append([zero] * i + list(jet.coeffs[: n - i]))
@@ -304,6 +311,10 @@ class RhoMatrix:
         n = self.size
         if n != other.size:
             raise DegreeMismatch("matrix sizes differ")
+        # the series zero rule: skip a term only for an exact-zero factor, so
+        # an entry known only up to precision caps every entry it enters;
+        # a sum with no term left is exactly zero
+        zero = None
         rows = []
         for i in range(n):
             row = []
@@ -311,12 +322,14 @@ class RhoMatrix:
                 acc = None
                 for k in range(n):
                     a, b = self.entries[i][k], other.entries[k][j]
-                    if _ring_is_zero(a) or _ring_is_zero(b):
+                    if _exact_zero(a) or _exact_zero(b):
                         continue
                     term = a * b
                     acc = term if acc is None else acc + term
                 if acc is None:
-                    acc = _ring_zero_like(self.entries[0][0], other.entries[0][0])
+                    if zero is None:
+                        zero = _ring_exact_zero(self.entries[0][0])
+                    acc = zero
                 row.append(acc)
             rows.append(row)
         return RhoMatrix(rows)

@@ -53,18 +53,74 @@ def _usub(a: list[int], b: list[int], f: Field) -> list[int]:
     return _utrim(out)
 
 
-def _umul(a: list[int], b: list[int], f: Field) -> list[int]:
+def _umul(a, b, f: Field, n: int | None = None) -> list[int]:
+    """The first n coefficients of a*b (all of them by default), trimmed.
+
+    Over a prime field a product that the cost model (_packs) favours takes
+    one big-int multiply; extension fields and short or sparse operands keep
+    the table loop, which stops at n too.
+    """
     if not a or not b:
         return []
+    if len(a) > len(b):
+        a, b = b, a
+    if n is None or n >= len(a) + len(b) - 1:
+        n = len(a) + len(b) - 1
+    if f.e == 1 and len(a) * len(b) >= _PACK_MIN_PAIRS and _packs(a, b, n):
+        out = _packed_dense_mul(a, b, n, f.p)
+        if out is not None:
+            return _utrim(out)
     add, mul = f.add_t, f.mul_t
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+    out = [0] * n
+    for i, x in enumerate(a if n >= len(a) else a[:n]):
         if x:
             row = mul[x]
-            for j, y in enumerate(b):
+            for j, y in enumerate(b if n - i >= len(b) else b[:n - i], i):
                 if y:
-                    out[i + j] = add[out[i + j]][row[y]]
+                    out[j] = add[out[j]][row[y]]
     return _utrim(out)
+
+
+# Cost model of _uinverse, measured over F_2, F_3 and F_257 with 16 to 4096
+# terms and 2 to 1024 terms of g: Newton doubling from a 16-term recurrence
+# beats the whole recurrence once that would take 512 table pairs, and ties
+# with it just below (n = 32, len(g) = 8; n = 64, len(g) = 4).
+_NEWTON_BASE = 16
+_NEWTON_MIN_PAIRS = 512
+
+
+def _uinverse(g, n: int, f: Field) -> list[int]:
+    """The first n coefficients of 1/g, for g with a unit constant term.
+
+    g may hold fewer than n terms; the missing ones are zero.  The
+    recurrence costs about n * min(len(g), n) table pairs.  Over a prime
+    field, from _NEWTON_MIN_PAIRS of them on, Newton doubling
+    h <- h + h(1 - g h) mod x^2k takes over, with both products on _umul
+    (von zur Gathen & Gerhard, Modern Computer Algebra, section 9.1).  It
+    starts from the recurrence's first k terms, where k comes from halving
+    n, rounding up, until k <= _NEWTON_BASE.
+    """
+    k, sizes = n, []
+    if f.e == 1 and n * min(len(g), n) >= _NEWTON_MIN_PAIRS:
+        while k > _NEWTON_BASE:
+            sizes.append(k)
+            k = (k + 1) // 2
+    add, mul, neg = f.add_t, f.mul_t, f.neg_t
+    inv0 = f.inv_t[g[0]]
+    h = [inv0] + [0] * (k - 1)
+    for j in range(1, k):
+        acc = 0
+        for i in range(1, min(j, len(g) - 1) + 1):
+            if g[i] and h[j - i]:
+                acc = add[acc][mul[g[i]][h[j - i]]]
+        h[j] = mul[neg[acc]][inv0]
+    for m in reversed(sizes):
+        # g h = 1 + x^k e mod x^m, so h - x^k h e = 1/g mod x^m
+        k = len(h)
+        e = _umul(h, g[:m], f, m)[k:]
+        h += [neg[c] for c in _umul(h, e, f, m - k)]
+        h += [0] * (m - len(h))
+    return h
 
 
 def _uscale(a: list[int], c: int, f: Field) -> list[int]:
@@ -131,6 +187,72 @@ _SLOT_TYPECODES = sorted((array(code).itemsize, code) for code in "BHIQ")
 _BYTEORDER = sys.byteorder
 
 
+def _slot_type(n: int, p: int):
+    """(byte width, array typecode) of the narrowest slot that holds a sum of
+    n products of residues below p; None when that needs more than 64 bits.
+    """
+    bound = n * (p - 1) ** 2
+    for width, code in _SLOT_TYPECODES:
+        if bound < 1 << (8 * width):
+            return width, code
+    return None
+
+
+def _packs(a, b, n: int) -> bool:
+    """Cost model of _umul: pack when the table loop's pairs reach slots + 48.
+
+    The table loop runs one row per nonzero entry of a (the shorter operand)
+    over at most min(len(b), n) entries of b; the packed product costs about
+    as much per slot (both operands and n result slots), and the same fixed
+    cost as in Poly.__mul__.  Measured on random dense operands over F_2,
+    F_3 and F_257 with 2 to 512 terms.  The nonzero rows are counted only
+    when the dense bound passes, so short products pay one multiply.
+    """
+    rows = min(len(a), n)
+    inner = min(len(b), n)
+    floor = rows + inner + n + _PACK_MIN_PAIRS
+    if rows * inner < floor:
+        return False
+    head = a if rows == len(a) else a[:rows]
+    return (rows - head.count(0)) * inner >= floor
+
+
+def _pack(dense: array) -> int:
+    return int.from_bytes(dense.tobytes(), _BYTEORDER)
+
+
+def _unpack(x: int, slot, n: int) -> array:
+    """The first n slots of a packed integer."""
+    width, code = slot
+    nbytes = width * n
+    if x.bit_length() > 8 * nbytes:
+        x &= (1 << (8 * nbytes)) - 1
+    out = array(code)
+    out.frombytes(x.to_bytes(nbytes, _BYTEORDER))
+    return out
+
+
+def _packed_dense_mul(a, b, n: int, p: int) -> list[int] | None:
+    """The first n coefficients of a*b over F_p by one big-int multiply.
+
+    a and b are dense residue sequences, low degree first, n at most
+    len(a) + len(b) - 1.  Only the first n terms of each operand reach the
+    result, and every result slot sums at most min(len(a), len(b)) of their
+    products, which fixes the slot width.  Returns None when a slot would
+    need more than 64 bits.
+    """
+    if len(a) > n:
+        a = a[:n]
+    if len(b) > n:
+        b = b[:n]
+    slot = _slot_type(min(len(a), len(b)), p)
+    if slot is None:
+        return None
+    code = slot[1]
+    prod = _pack(array(code, a)) * _pack(array(code, b))
+    return [x % p for x in _unpack(prod, slot, n)]
+
+
 def _packed_mul(a: dict, b: dict, nvars: int, p: int) -> dict | None:
     """Product of two sparse term maps over F_p by one big-int multiply.
 
@@ -141,12 +263,10 @@ def _packed_mul(a: dict, b: dict, nvars: int, p: int) -> dict | None:
     a slot would need more than 64 bits.
     """
     # every product slot is a sum of at most len(a) products (p-1)^2
-    bound = len(a) * (p - 1) ** 2
-    for width, code in _SLOT_TYPECODES:
-        if bound < 1 << (8 * width):
-            break
-    else:
+    slot = _slot_type(len(a), p)
+    if slot is None:
         return None
+    width, code = slot
     da = max(e[0] for e in a)
     db = max(e[0] for e in b)
     ta = tb = 0
@@ -166,9 +286,8 @@ def _packed_mul(a: dict, b: dict, nvars: int, p: int) -> dict | None:
         else:
             for (i, j), c in terms.items():
                 dense[i * stride + j] = c
-        packed.append(int.from_bytes(dense.tobytes(), _BYTEORDER))
-    prod = array(code)
-    prod.frombytes((packed[0] * packed[1]).to_bytes(width * slots, _BYTEORDER))
+        packed.append(_pack(dense))
+    prod = _unpack(packed[0] * packed[1], slot, slots)
     if nvars == 1:
         return {(k,): c for k, x in enumerate(prod) if (c := x % p)}
     return {divmod(k, stride): c for k, x in enumerate(prod) if (c := x % p)}
@@ -388,14 +507,17 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ConstraintViolated("negative power of a polynomial")
-        result = Poly.one(self.field, self.vars)
+        if k == 0:
+            return Poly.one(self.field, self.vars)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def frobenius_power(self, k: int = 1) -> "Poly":
         """self**(p^k); exact and cheap in characteristic p."""

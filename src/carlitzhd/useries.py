@@ -30,7 +30,15 @@ from .errors import (
 )
 from .gf import Field, FqElem
 from .jets import Jet, PadicInt, padic_binom
-from .rings import Poly, RatFunc, pow_base_p, series_inverse, series_mul
+from .rings import (
+    Poly,
+    RatFunc,
+    _uinverse,
+    _umul,
+    pow_base_p,
+    series_inverse,
+    series_mul,
+)
 
 INF_PREC = math.inf
 
@@ -210,18 +218,13 @@ class USeries:
         )
         if not self.coeffs or not other.coeffs:
             return USeries.zero(self.field, prec)
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        add, mul = self.field.add_t, self.field.mul_t
-        for i, x in enumerate(a):
-            if x:
-                row = mul[x]
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = add[out[i + j]][row[y]]
-        return USeries(self.field, self.min_exp + other.min_exp, out, prec)
+        lo = self.min_exp + other.min_exp
+        # the constructor keeps only the coefficients below prec
+        need = len(self.coeffs) + len(other.coeffs) - 1
+        if prec != INF_PREC:
+            need = min(need, prec - lo)
+        out = _umul(self.coeffs, other.coeffs, self.field, need)
+        return USeries(self.field, lo, out, prec)
 
     __rmul__ = __mul__
 
@@ -272,16 +275,7 @@ class USeries:
         rel = target + v  # relative terms needed in the unit part's inverse
         if rel <= 0:
             return USeries.zero(self.field, target)
-        add, mul, neg = self.field.add_t, self.field.mul_t, self.field.neg_t
-        g = list(self.coeffs[:rel])
-        inv0 = self.field.inv_t[g[0]]
-        out = [inv0] + [0] * (rel - 1)
-        for k in range(1, rel):
-            acc = 0
-            for i in range(1, min(k, len(g) - 1) + 1):
-                if g[i] and out[k - i]:
-                    acc = add[acc][mul[g[i]][out[k - i]]]
-            out[k] = mul[neg[acc]][inv0]
+        out = _uinverse(self.coeffs[:rel], rel, self.field)
         return USeries(self.field, -v, out, target)
 
     def frobenius_power(self, k: int = 1) -> "USeries":

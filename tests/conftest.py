@@ -1,4 +1,5 @@
-"""Shared test wiring: the end-of-run acceptance summary section.
+"""Shared test wiring: the end-of-run acceptance summary section, and the
+dict-series oracle of the period.
 
 Acceptance tests register one human-readable pass/fail line each; the
 terminal-summary hook replays them after capture ends so the ledger is
@@ -18,3 +19,39 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance summary")
     for line in SUMMARY_LINES:
         terminalreporter.write_line(line)
+
+
+# -- the period by plain dict series, independent of the package ------------
+
+def _dict_series_mul(a, b, p, prec):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if ea + eb < prec:
+                out[ea + eb] = (out.get(ea + eb, 0) + ca * cb) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def _dict_series_inv(a, p, prec):
+    out = {0: 1}  # a[0] == 1
+    for k in range(1, prec):
+        acc = sum(a.get(i, 0) * out.get(k - i, 0) for i in range(1, k + 1)) % p
+        if acc:
+            out[k] = -acc % p
+    return out
+
+
+def oracle_pitilde_prefix(q, nterms):
+    """Coefficients of u^-q .. u^(nterms-q-1) of the period over prime F_q.
+
+    pitilde = -u^{-q} * prod_{j>=1} (1 - theta^{1-q^j})^{-1} with
+    theta^{1-q^j} = (-1)^{1-q^j} u^{(q-1)(q^j-1)}.
+    """
+    prod, j = {0: 1}, 1
+    while (q - 1) * (q ** j - 1) < nterms:
+        c = pow(-1, 1 - q ** j, q)
+        prod = _dict_series_mul(prod, {0: 1, (q - 1) * (q ** j - 1): -c % q},
+                                q, nterms)
+        j += 1
+    inv = _dict_series_inv(prod, q, nterms)
+    return [-inv.get(i, 0) % q for i in range(nterms)]

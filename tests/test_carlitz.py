@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from conftest import oracle_pitilde_prefix
+
 from carlitzhd import (
     CarlitzCtx,
     ConstraintViolated,
@@ -99,47 +101,12 @@ def test_pitilde_frozen_prefix(q):
     assert got == PITILDE_PREFIX[q]
 
 
-def _dict_series_mul(a, b, p, prec):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            if ea + eb < prec:
-                out[ea + eb] = (out.get(ea + eb, 0) + ca * cb) % p
-    return {e: c for e, c in out.items() if c}
-
-
-def _dict_series_inv(a, p, prec):
-    out = {0: 1}  # a[0] == 1
-    for k in range(1, prec):
-        acc = sum(a.get(i, 0) * out.get(k - i, 0) for i in range(1, k + 1)) % p
-        if acc:
-            out[k] = -acc % p
-    return out
-
-
-def _oracle_pitilde_prefix(q, nterms):
-    """Coefficients of u^-q .. u^(nterms-q-1) of the period over prime F_q.
-
-    Plain dict series, independent of the package:
-    pitilde = -u^{-q} * prod_{j>=1} (1 - theta^{1-q^j})^{-1} with
-    theta^{1-q^j} = (-1)^{1-q^j} u^{(q-1)(q^j-1)}.
-    """
-    prod, j = {0: 1}, 1
-    while (q - 1) * (q ** j - 1) < nterms:
-        c = pow(-1, 1 - q ** j, q)
-        prod = _dict_series_mul(prod, {0: 1, (q - 1) * (q ** j - 1): -c % q},
-                                q, nterms)
-        j += 1
-    inv = _dict_series_inv(prod, q, nterms)
-    return [-inv.get(i, 0) % q for i in range(nterms)]
-
-
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_pitilde_matches_dict_series_oracle(q):
     nterms = 200
     pt = pitilde(CarlitzCtx(field_new(q), uprec=nterms - q))
     got = [pt.coeff(e).idx for e in range(-q, nterms - q)]
-    assert got == _oracle_pitilde_prefix(q, nterms)
+    assert got == oracle_pitilde_prefix(q, nterms)
     assert got[:24] == PITILDE_PREFIX[q]
 
 

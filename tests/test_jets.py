@@ -180,6 +180,19 @@ def test_inexact_zero_coefficient_caps_precision():
     assert frob[3].abs_prec == 15
 
 
+def test_rho_matrix_product_keeps_inexact_zero_entries():
+    # the matrix product follows the jet product's zero rule: O(u^5) caps
+    # entry (0, 1) at u^5, and the structural zeros below the diagonal stay
+    # exact
+    f = field_new(3)
+    one, u = USeries.one(f), USeries.monomial(f, 1).with_prec(100)
+    a, b = Jet([one, USeries.zero(f, 5)]), Jet([one, u])
+    prod = to_rho_matrix(a) * to_rho_matrix(b)
+    assert prod.entries[0][1] == (a * b)[1] == u.with_prec(5)
+    assert prod.entries[1][0].is_exact_zero()
+    assert prod == to_rho_matrix(a * b)
+
+
 # -- derivation exchange and substitution ---------------------------------------
 
 def test_derivations_commute():

@@ -2,21 +2,31 @@
 
 The packed product over prime fields and the row-wise exact division are
 checked against a plain dict convolution written here, and poly_gcd /
-poly_divexact against sympy over GF(p) where sympy is installed.
+poly_divexact against sympy over GF(p) where sympy is installed.  Dense
+USeries products and Newton inverses are checked against the table loop
+and the recurrence they replace, and the period against the dict-series
+oracle.
 """
 
 import random
 
 import pytest
 
+from conftest import oracle_pitilde_prefix
+
 from carlitzhd import (
+    INF_PREC,
+    CarlitzCtx,
     ConstraintViolated,
     Poly,
+    USeries,
     VARS_T,
     VARS_TT,
     field_new,
+    pitilde,
     poly_divexact,
     poly_gcd,
+    useries_agree,
 )
 from carlitzhd import rings
 
@@ -164,3 +174,153 @@ def test_gcd_and_divexact_match_sympy(p):
         quo, rem = sympy.div(_to_sympy(sympy, x, g_, p), _to_sympy(sympy, c, g_, p))
         assert rem.is_zero
         assert _to_sympy(sympy, poly_divexact(x, c), g_, p) == quo
+
+
+# -- dense USeries products and inverses -------------------------------------------
+
+
+def rand_series(rng, field, length, min_exp=0, abs_prec=INF_PREC):
+    """A series with exactly length terms from min_exp, both ends nonzero."""
+    inner = [rng.randrange(field.q) for _ in range(length - 2)]
+    ends = [rng.randrange(1, field.q) for _ in range(2)]
+    return USeries(field, min_exp, [ends[0], *inner, ends[1]][:length], abs_prec)
+
+
+def ref_series_mul(a: USeries, b: USeries) -> USeries:
+    """Schoolbook product through FqElem arithmetic; shares no kernel."""
+    f = a.field
+    out = {}
+    for ea, ca in a.coeff_items():
+        for eb, cb in b.coeff_items():
+            out[ea + eb] = out.get(ea + eb, f.zero) + ca * cb
+    prec = min(a.abs_prec + b.valuation(), b.abs_prec + a.valuation())
+    return USeries.from_coeff_map(f, {e: c for e, c in out.items() if e < prec}, prec)
+
+
+def spy(monkeypatch, name):
+    """Record the calls of rings.<name> from here on."""
+    calls, real = [], getattr(rings, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rings, name, wrapper)
+    return calls
+
+
+def on_table_loop(monkeypatch, fn):
+    with monkeypatch.context() as m:
+        m.setattr(rings, "_packs", lambda *args: False)
+        return fn()
+
+
+# (len(a), len(b), packed): the short shapes stay below the cost model
+USERIES_SHAPES = ((2, 3, False), (5, 5, False), (12, 40, True),
+                  (300, 200, True), (900, 700, True))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_packed_useries_products_match_the_table_loop(p, monkeypatch):
+    f = field_new(p)
+    rng = random.Random(SEED + 11 * p)
+    packed = spy(monkeypatch, "_packed_dense_mul")
+    for la, lb, packs in USERIES_SHAPES:
+        for exact in (True, False):
+            va, vb = rng.randrange(-5, 6), rng.randrange(-5, 6)
+            a = rand_series(rng, f, la, va,
+                            INF_PREC if exact else va + la + rng.randrange(3))
+            b = rand_series(rng, f, lb, vb, vb + lb + rng.randrange(3))
+            before = len(packed)
+            got = a * b
+            assert (len(packed) > before) == packs
+            assert got == on_table_loop(monkeypatch, lambda: a * b)
+            assert got == b * a
+        x, y = list(a.coeffs), list(b.coeffs)
+        assert rings._umul(x, y, f) == on_table_loop(
+            monkeypatch, lambda: rings._umul(x, y, f))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packed_useries_slot_width_at_the_8_to_16_bit_boundary(p, monkeypatch):
+    # all-(p-1) operands: below u^(3n) every product slot from n-1 on sums n
+    # products (p-1)^2, which needs a 16-bit slot from n = top + 1 on
+    f = field_new(p)
+    top = 255 // (p - 1) ** 2
+    packed = spy(monkeypatch, "_packed_dense_mul")
+    for n in (top, top + 1):
+        assert rings._slot_type(n, p)[0] == (1 if n == top else 2)
+        a = USeries(f, 0, [p - 1] * n)
+        b = USeries(f, 0, [p - 1] * (3 * n), 3 * n)
+        before = len(packed)
+        prod = a * b
+        assert len(packed) == before + 1
+        assert prod == USeries(f, 0, [min(k + 1, n) % p for k in range(3 * n)], 3 * n)
+        assert prod == on_table_loop(monkeypatch, lambda: a * b)
+
+
+@pytest.mark.parametrize("p", [2, 5, 257])
+def test_truncated_useries_product_equals_the_capped_full_product(p):
+    f = field_new(p)
+    rng = random.Random(SEED + 13 * p)
+    truncated = 0
+    for _ in range(30):
+        la, lb = rng.randrange(2, 400), rng.randrange(2, 400)
+        va, vb = rng.randrange(-20, 20), rng.randrange(-20, 20)
+        a = rand_series(rng, f, la, va, va + la + rng.randrange(4))
+        b = rand_series(rng, f, lb, vb, vb + lb + rng.randrange(4))
+        prec = min(a.abs_prec + b.valuation(), b.abs_prec + a.valuation())
+        full = USeries(f, va, a.coeffs) * USeries(f, vb, b.coeffs)
+        assert a * b == full.with_prec(prec)
+        truncated += prec - va - vb < la + lb - 1
+    assert truncated >= 25
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_newton_inverse_matches_the_recurrence(p, monkeypatch):
+    f = field_new(p)
+    rng = random.Random(SEED + 17 * p)
+    short = list(rand_series(rng, f, 50).coeffs)
+    cases = (
+        (rand_series(rng, f, 600, -3, 597), None),
+        # fewer known terms than the inverse needs: an exact 40-term series,
+        # a series whose last 250 known terms are zero, and 1 + c*u
+        (rand_series(rng, f, 40, 2), 500),
+        (USeries(f, 0, short + [0] * 250, 300), None),
+        (rand_series(rng, f, 2), 2000),
+    )
+    newton = spy(monkeypatch, "_umul")
+    for s, target in cases:
+        before = len(newton)
+        inv = s.inverse(target)
+        assert len(newton) > before
+        with monkeypatch.context() as m:
+            m.setattr(rings, "_NEWTON_MIN_PAIRS", float("inf"))
+            assert inv == s.inverse(target)
+        assert inv.abs_prec == (s.abs_prec - 2 * s.valuation() if target is None
+                                else target)
+        assert useries_agree(s * inv, USeries.one(f))
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 2)])
+def test_extension_field_series_never_reach_the_packed_path(p, e, monkeypatch):
+    f = field_new(p, e)
+    rng = random.Random(SEED + f.q)
+
+    def no_packing(*args):
+        raise AssertionError("the packed product ran over an extension field")
+
+    monkeypatch.setattr(rings, "_packed_dense_mul", no_packing)
+    a = rand_series(rng, f, 300, -2, 298)
+    b = rand_series(rng, f, 250, 1)
+    assert a * b == ref_series_mul(a, b)
+    inv = a.inverse()
+    assert inv.abs_prec == 302
+    assert useries_agree(a * inv, USeries.one(f))
+
+
+def test_pitilde_matches_the_dict_series_oracle_to_1000_terms():
+    nterms = 1000
+    pt = pitilde(CarlitzCtx(field_new(2), uprec=nterms - 2))
+    got = [pt.coeff(e).idx for e in range(-2, nterms - 2)]
+    assert got == oracle_pitilde_prefix(2, nterms)

@@ -102,6 +102,28 @@ def test_poly_pow_matches_repeated_multiplication():
             acc = acc * a
 
 
+def test_poly_pow_makes_only_the_products_it_needs(monkeypatch):
+    # binary powering: one squaring per bit below the top one, and one
+    # product per further set bit; k = 1 is the base itself
+    f = field_new(3)
+    a = Poly(f, VARS_T, {(0,): 1, (1,): 2, (4,): 1})
+    want = [Poly.one(f)]
+    for _ in range(13):
+        want.append(want[-1] * a)
+    calls = []
+    real = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    for k, products in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (13, 5)):
+        calls.clear()
+        assert a ** k == want[k]
+        assert len(calls) == products
+
+
 def test_poly_frobenius_power_is_pth_power():
     for f in (field_new(2), field_new(3), field_new(2, 2)):
         rng = random.Random(SEED)
