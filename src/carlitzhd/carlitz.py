@@ -370,28 +370,34 @@ def carlitz_combinatorics(field: Field, kind: str, index: int) -> Poly:
 # -- jets of quotients, substituted at t = theta --------------------------------
 
 
-def _inv_jet_numerators(a_jet: Jet) -> list[Poly]:
-    """n_k with d^k(A^{-1}) = n_k / A^{k+1}, from the polynomial jet of A.
+def _quotient_jet_numerators(nums: list[Poly], dens: list[Poly]):
+    """(C, pow): C_k = c_k * D^{k+1} for the jet c = N/D, and pow(k) = D^k.
 
-    Recurrence from D(A) * D(A^{-1}) = 1:
-    n_0 = 1 and n_k = -sum_{i=1..k} a_i * n_{k-i} * A^{i-1}.
+    nums and dens are polynomial jets N and D of one derivation, D = dens[0].
+    From c * D = N, one fraction-free recurrence with E_i = D_i * D^{i-1}:
+
+        C_0 = N_0,  C_k = N_k * D^k - sum_{i=1..k} E_i * C_{k-i}.
+
+    A term with an exact-zero factor is skipped; D^k is formed on demand.
     """
-    A = a_jet[0]
-    one = Poly.one(A.field, A.vars)
-    apows = [one]
-    ns = [one]
-    for k in range(1, len(a_jet)):
-        acc = None
+    D = dens[0]
+    dpows = [Poly.one(D.field, D.vars), D]
+
+    def dpow(k):
+        while len(dpows) <= k:
+            dpows.append(dpows[-1] * D)
+        return dpows[k]
+
+    es, cs = [], []
+    for k, nk in enumerate(nums):
+        dk = dens[k]
+        es.append(dk * dpow(k - 1) if k > 1 and not dk.is_zero() else dk)
+        acc = nk * dpow(k) if k and not nk.is_zero() else nk
         for i in range(1, k + 1):
-            ai = a_jet[i]
-            if ai.is_zero() or ns[k - i].is_zero():
-                continue
-            while len(apows) <= i - 1:
-                apows.append(apows[-1] * A)
-            term = ai * ns[k - i] * apows[i - 1]
-            acc = term if acc is None else acc + term
-        ns.append(Poly.zero(A.field, A.vars) if acc is None else -acc)
-    return ns
+            if not (es[i].is_zero() or cs[k - i].is_zero()):
+                acc = acc - es[i] * cs[k - i]
+        cs.append(acc)
+    return cs, dpow
 
 
 def _ratio_theta_jet(num_jet: Jet, den_jet: Jet) -> Jet:
@@ -403,38 +409,19 @@ def _ratio_theta_jet(num_jet: Jet, den_jet: Jet) -> Jet:
     gives the same jet as substituting the finished bivariate coefficients,
     because evaluation at t = theta is a ring homomorphism, the recurrence
     uses only ring operations, and RatFunc.make returns the canonical form.
-    With D = den(theta), N_a = num_a(theta) and n_b the inverse-jet
-    numerators of the substituted den jet, coefficient k of the output is
-
-        sum_{a+b=k} N_a * n_b * D^a / D^{k+1}.
-
-    D must be nonzero.
+    Coefficient k is C_k / D^{k+1} for D = den(theta) and the quotient-jet
+    numerators C_k.  D must be nonzero.
     """
     if num_jet.order != den_jet.order:
         raise ConstraintViolated("numerator and denominator jets differ in order")
     nth = [c.eval_t_at_theta() for c in num_jet.coeffs]
-    dth_jet = Jet([c.eval_t_at_theta() for c in den_jet.coeffs])
-    dth = dth_jet[0]
-    if dth.is_zero():
+    dth = [c.eval_t_at_theta() for c in den_jet.coeffs]
+    D = dth[0]
+    if D.is_zero():
         raise PoleAtTheta("denominator vanishes at t = theta")
-    ns = _inv_jet_numerators(dth_jet)
-    field = dth.field
-    order = num_jet.order
-    dpows = [Poly.one(field, VARS_T)]
-    for _ in range(order + 1):
-        dpows.append(dpows[-1] * dth)
-    out = []
-    for k in range(order + 1):
-        acc = None
-        for b in range(k + 1):
-            na, nb = nth[k - b], ns[b]
-            if na.is_zero() or nb.is_zero():
-                continue
-            term = na * nb * dpows[k - b]
-            acc = term if acc is None else acc + term
-        out.append(RatFunc.zero(field) if acc is None
-                   else RatFunc.make(acc, dpows[k + 1]))
-    return Jet(out)
+    cs, dpow = _quotient_jet_numerators(nth, dth)
+    return Jet([RatFunc.zero(D.field) if c.is_zero() else RatFunc.make(c, dpow(k + 1))
+                for k, c in enumerate(cs)])
 
 
 def _embed_jet(jet: Jet, prec: int) -> Jet:
@@ -457,8 +444,9 @@ def b_rat(field: Field, j: int) -> RatFunc:
 
     The theta-derivative of order j of the inverse Omega t-series equals b_j
     times the inverse itself.  Closed form: with l = ilog_q(j) + 1 and
-    P the degree-(l-1) t-product, b_j = P * d^j(P^{-1}) = n_j / P^j for the
-    inverse-jet numerator n_j.  b_0 = 1 and b_j = 0 for 1 <= j <= q-1.
+    P the degree-(l-1) t-product, b_j = P * d^j(P^{-1}) = n_j / P^j, where
+    n_j is the quotient-jet numerator of 1/P.  b_0 = 1 and b_j = 0 for
+    1 <= j <= q-1.
     """
     if j < 0:
         raise ConstraintViolated(f"b_j needs j >= 0, got {j}")
@@ -470,7 +458,9 @@ def b_rat(field: Field, j: int) -> RatFunc:
         # both products are empty: derivative of the constant 1
         return RatFunc.zero(field, VARS_TT)
     P = curlyL_poly(field, l - 1)
-    num = _inv_jet_numerators(d_theta_jet(P, j))[j]
+    pjet = d_theta_jet(P, j).coeffs
+    ones = [Poly.one(field, VARS_TT)] + [Poly.zero(field, VARS_TT)] * j
+    num = _quotient_jet_numerators(ones, pjet)[0][j]
     if num.is_zero():
         return RatFunc.zero(field, VARS_TT)
     # reduce n_j / P^j by peeling the irreducible factors theta^{q^i} - t
@@ -518,9 +508,10 @@ def _b_theta_jet(field: Field, order: int) -> Jet:
 def at_poly(field: Field, n: int) -> tuple[Poly, Poly]:
     """(alpha_n, Gamma_n): the recursion cleared to an exact polynomial.
 
-    The recursion produces alpha_n/Gamma_n as a fraction over products of
-    D_j; multiplying by Gamma_n must divide out exactly, and that exact
-    division IS the integrality check (a non-polynomial ratio would raise).
+    alpha_n = sum_j gamma_j * alpha_{n-q^j} * Gamma_n / (D_j * Gamma_{n-q^j}).
+    Each cofactor Gamma_n / (D_j * Gamma_{n-q^j}) is a product of brackets
+    [i] = theta^{q^i} - theta, since D_{i+1} = [i+1] * D_i^q, so its exact
+    division IS the integrality check: a non-polynomial cofactor raises.
 
     The recursion reads the indices n - q^j, and j = 0 steps down by one, so
     n reaches every index in 1..n-1.  Those are filled first, in ascending
@@ -534,16 +525,12 @@ def at_poly(field: Field, n: int) -> tuple[Poly, Poly]:
     for m in range(2, n):
         at_poly(field, m)
     q = field.q
-    num = Poly.zero(field, VARS_TT)
-    den = Poly.one(field, VARS_T)
+    gam = Gamma_poly(field, n)
+    alpha = Poly.zero(field, VARS_TT)
     for j in range(_ilog(q, n - 1) + 1):
         a_prev, g_prev = at_poly(field, n - q ** j)
-        t_num = gamma_poly(field, j) * a_prev
-        t_den = D_poly(field, j) * g_prev
-        num = num * t_den.lift_tt() + t_num * den.lift_tt()
-        den = den * t_den
-    gam = Gamma_poly(field, n)
-    alpha = poly_divexact(num * gam.lift_tt(), den.lift_tt())
+        cof = poly_divexact(gam, D_poly(field, j) * g_prev)
+        alpha = alpha + a_prev * (gamma_poly(field, j) * cof.lift_tt())
     return alpha, gam
 
 

@@ -43,7 +43,7 @@ from .carlitz import (
     VERIFY_SELECTORS,
 )
 from .errors import CarlitzhdError, ConstraintViolated, PrecisionExhausted
-from .gf import Field, field_new
+from .gf import MAX_Q, Field, field_new
 from .rings import VARS_T, VARS_TT, Poly, RatFunc, SJet
 from .useries import INF_PREC, TPoly, USeries
 
@@ -56,6 +56,8 @@ COMBINATORIC_KINDS = ("L", "curlyL", "gamma", "D", "Gamma")
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ConstraintViolated(f"q must be a prime power >= 2, got {q}")
+    if q > MAX_Q:
+        raise ConstraintViolated(f"q = {q} exceeds the largest supported q = {MAX_Q}")
     p = 2
     while p * p <= q and q % p:
         p += 1

@@ -4,18 +4,21 @@ An element of F_{p^e} is canonically a vector of e residues in [0, p): the
 coefficients of 1, x, ..., x^{e-1} where x is the class of the modulus
 variable.  Internally each element is stored as a single index
 idx = sum(digit_i * p^i), and all arithmetic is a lookup in tables built once
-per field.  The fields used here are tiny (q <= 25 or so), so the q*q tables
-are negligible and make the series kernels cheap.
+per field.  The q*q tables cost O(q^2) (2.5 s and 54 MB at q = 1021), so
+a field above MAX_Q is refused before any table is built.
 """
 
 from __future__ import annotations
 
 from .errors import (
+    ConstraintViolated,
     DivisionByZero,
     FieldMismatch,
     NonPrimeCharacteristic,
     ReducibleModulus,
 )
+
+MAX_Q = 1024
 
 
 def _is_prime(n: int) -> bool:
@@ -105,10 +108,16 @@ class Field:
     _cache: dict[tuple, "Field"] = {}
 
     def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None):
+        if p > MAX_Q:
+            raise ConstraintViolated(
+                f"characteristic {p} exceeds the largest supported q = {MAX_Q}")
         if not _is_prime(p):
             raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if e < 1:
             raise ReducibleModulus(f"extension degree must be >= 1, got {e}")
+        if e >= MAX_Q.bit_length() or p ** e > MAX_Q:
+            raise ConstraintViolated(
+                f"q = {p}^{e} exceeds the largest supported q = {MAX_Q}")
         if modulus is None:
             modulus = _default_modulus(p, e)
         modulus = tuple(c % p for c in modulus)

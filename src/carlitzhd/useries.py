@@ -64,22 +64,23 @@ class USeries:
 
     def __init__(self, field: Field, min_exp: int, coeffs, abs_prec=INF_PREC):
         abs_prec = _as_prec(abs_prec)
-        coeffs = list(coeffs)
-        if abs_prec != INF_PREC and min_exp + len(coeffs) > abs_prec:
-            coeffs = coeffs[: max(0, abs_prec - min_exp)]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+        coeffs = tuple(coeffs)
+        end = len(coeffs)
+        if abs_prec != INF_PREC and min_exp + end > abs_prec:
+            end = max(0, abs_prec - min_exp)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
         lead = 0
-        while lead < len(coeffs) and coeffs[lead] == 0:
+        while lead < end and coeffs[lead] == 0:
             lead += 1
-        if lead:
-            coeffs = coeffs[lead:]
+        if lead or end < len(coeffs):
+            coeffs = coeffs[lead:end]
             min_exp += lead
         if not coeffs:
             min_exp = 0
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "min_exp", min_exp)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "abs_prec", abs_prec)
 
     def __setattr__(self, *a):

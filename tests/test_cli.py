@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -233,6 +234,16 @@ def test_cli_coords_rejects_bad_power(capsys):
 def test_cli_invalid_field_exits_2(capsys):
     assert main(["pitilde", "--q", "6"]) == 2
     assert main(["pitilde", "--q", "2", "--modulus", "11", "--e", "1"]) in (0, 2)
+
+
+@pytest.mark.parametrize("field", [["--q", "65537"], ["--p", "65537"],
+                                   ["--p", "2", "--e", "11"]])
+def test_cli_oversize_field_exits_2_at_once(capsys, field):
+    start = time.perf_counter()
+    assert main(["atpoly", *field, "--n", "3"]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_precision_exhausted_exits_3(capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from carlitzhd import (
+    ConstraintViolated,
     DivisionByZero,
     Field,
     FieldMismatch,
@@ -22,6 +23,16 @@ def test_field_new_rejects_composite_characteristic():
     for p in (1, 4, 6, 9, 15):
         with pytest.raises(NonPrimeCharacteristic):
             field_new(p)
+
+
+def test_field_new_rejects_oversize_fields_before_building_tables():
+    # the tables are q x q; a huge characteristic is refused before the
+    # primality test, which is trial division
+    for p, e in ((1031, 1), (65537, 1), (10 ** 30 + 57, 1),
+                 (2, 11), (3, 7), (2, 10 ** 9)):
+        with pytest.raises(ConstraintViolated):
+            field_new(p, e)
+    assert field_new(257).q == 257
 
 
 def test_field_new_rejects_reducible_modulus():

@@ -1,0 +1,214 @@
+"""The exact quotient builders in carlitz against independent references.
+
+`_ratio_theta_jet` (one fraction-free recurrence) is checked against the
+generic route, a `Jet` of `RatFunc` coefficients divided by another, and
+`at_poly` (one exact cofactor per term) against the recursion that carries
+alpha_n/Gamma_n as one unreduced fraction.  Frozen b_j values pin the same
+recurrence on the path `b_rat` takes, and product counts pin its cost.
+"""
+
+import random
+
+import pytest
+
+from carlitzhd import (
+    ConstraintViolated,
+    D_poly,
+    Gamma_poly,
+    Jet,
+    L_poly,
+    Poly,
+    RatFunc,
+    VARS_T,
+    VARS_TT,
+    at_poly,
+    b_rat,
+    field_new,
+    gamma_poly,
+    poly_divexact,
+)
+from carlitzhd import carlitz
+from carlitzhd.carlitz import _eta_num, _ratio_theta_jet
+from carlitzhd.jets import d_theta_jet
+
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2)}
+
+
+def generic_ratio(num_jet: Jet, den_jet: Jet) -> Jet:
+    """num/den at t = theta as RatFunc jets: the series product and inverse."""
+    num = Jet([RatFunc.from_poly(c.eval_t_at_theta()) for c in num_jet.coeffs])
+    den = Jet([RatFunc.from_poly(c.eval_t_at_theta()) for c in den_jet.coeffs])
+    return num * den.inverse()
+
+
+def at_jets(q: int, n: int) -> tuple[Jet, Jet]:
+    alpha, gam = at_poly(field_new(*FIELDS[q]), n)
+    return d_theta_jet(alpha, n - 1), d_theta_jet(gam, n - 1)
+
+
+def count_products(monkeypatch, fn, *args) -> int:
+    calls = []
+    real = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    fn(*args)
+    monkeypatch.setattr(Poly, "__mul__", real)
+    return len(calls)
+
+
+def dense_jets(p: int, order: int, seed: int) -> tuple[Jet, Jet]:
+    """Two jets of univariate polynomials with no zero coefficient."""
+    f = field_new(p)
+    rng = random.Random(seed)
+
+    def rand_poly():
+        exps = rng.sample(range(30), 8)
+        return Poly(f, VARS_T, {(e,): rng.randrange(1, p) for e in exps})
+
+    return (Jet([rand_poly() for _ in range(order + 1)]),
+            Jet([rand_poly() for _ in range(order + 1)]))
+
+
+# -- _ratio_theta_jet against the generic jet route ------------------------------
+
+@pytest.mark.parametrize("q,n", [(2, 12), (3, 9), (4, 6), (5, 6), (9, 4)])
+def test_ratio_jet_matches_generic_route_on_at_jets(q, n):
+    num_jet, den_jet = at_jets(q, n)
+    assert _ratio_theta_jet(num_jet, den_jet) == generic_ratio(num_jet, den_jet)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_ratio_jet_matches_generic_route_on_eta_quotients(q, l):
+    f = field_new(*FIELDS[q])
+    order = 5
+    eta = d_theta_jet(_eta_num(f, l), order)
+    big_l = d_theta_jet(L_poly(f, l).lift_tt(), order)
+    assert _ratio_theta_jet(eta, big_l) == generic_ratio(eta, big_l)
+    assert _ratio_theta_jet(big_l, eta) == generic_ratio(big_l, eta)
+
+
+def test_ratio_jet_matches_generic_route_with_exact_zeros():
+    # in characteristic 2 most hyperderivatives of theta^4 + ... vanish, so
+    # both input jets have exact-zero coefficients in the middle
+    f = field_new(2)
+    x = Poly.monomial(f, (0, 1), vars=VARS_TT)
+    num = Poly.monomial(f, (4, 1), vars=VARS_TT) + x + Poly.one(f, VARS_TT)
+    den = Poly.monomial(f, (8, 0), vars=VARS_TT) + Poly.monomial(f, (2, 0), vars=VARS_TT) + x
+    for order in (3, 6, 9):
+        num_jet, den_jet = d_theta_jet(num, order), d_theta_jet(den, order)
+        assert any(c.is_zero() for c in num_jet.coeffs[1:])
+        assert any(c.is_zero() for c in den_jet.coeffs[1:])
+        got = _ratio_theta_jet(num_jet, den_jet)
+        assert got == generic_ratio(num_jet, den_jet)
+        assert any(c.is_zero() for c in got.coeffs)
+
+
+def test_ratio_jet_matches_generic_route_on_dense_jets():
+    num_jet, den_jet = dense_jets(3, 6, seed=5)
+    assert _ratio_theta_jet(num_jet, den_jet) == generic_ratio(num_jet, den_jet)
+
+
+# -- product counts ----------------------------------------------------------------
+
+@pytest.mark.parametrize("q,n", [(2, 12), (2, 16), (3, 9), (4, 6), (5, 6)])
+def test_ratio_jet_product_count_on_at_jets(monkeypatch, q, n):
+    # the two-pass route it replaced made about 2 m^2 products here
+    num_jet, den_jet = at_jets(q, n)
+    m = num_jet.order
+    products = count_products(monkeypatch, _ratio_theta_jet, num_jet, den_jet)
+    assert products <= m * (m + 1) // 2 + 2 * m + 2
+
+
+@pytest.mark.parametrize("m", [3, 6, 10])
+def test_ratio_jet_product_count_on_dense_jets(monkeypatch, m):
+    # m(m+1)/2 products E_i * C_{k-i}, m products N_k * D^k, m - 1 products
+    # E_i = D_i * D^{i-1} and m powers D^2..D^{m+1}
+    num_jet, den_jet = dense_jets(3, m, seed=m)
+    products = count_products(monkeypatch, _ratio_theta_jet, num_jet, den_jet)
+    assert products == m * (m + 1) // 2 + 3 * m - 1
+
+
+# -- b_j on the same recurrence ----------------------------------------------------
+
+def _rat(f, num, den):
+    return RatFunc(Poly(f, VARS_TT, num), Poly(f, VARS_TT, den))
+
+
+# frozen from the two-pass inverse-jet recurrence: {(q, j): (num, den)}
+B_FROZEN = {
+    (2, 2): ({(0, 0): 1}, {(0, 1): 1, (2, 0): 1}),
+    (2, 4): ({(0, 1): 1, (0, 2): 1},
+             {(0, 3): 1, (4, 1): 1, (4, 2): 1, (8, 0): 1}),
+    (2, 8): ({(0, 3): 1, (0, 4): 1, (0, 5): 1, (0, 6): 1, (4, 2): 1, (4, 3): 1,
+              (8, 1): 1, (8, 3): 1, (12, 1): 1, (12, 2): 1},
+             {(0, 7): 1, (8, 3): 1, (8, 5): 1, (8, 6): 1, (16, 1): 1, (16, 2): 1,
+              (16, 4): 1, (24, 0): 1}),
+    (3, 3): ({(0, 0): 2}, {(0, 1): 2, (3, 0): 1}),
+    (3, 6): ({(0, 0): 1}, {(0, 2): 1, (3, 1): 1, (6, 0): 1}),
+    (3, 9): ({(0, 1): 1, (0, 3): 1, (9, 0): 1},
+             {(0, 4): 1, (9, 1): 2, (9, 3): 2, (18, 0): 1}),
+    (3, 12): ({(0, 1): 2, (0, 3): 2, (9, 0): 2},
+              {(0, 5): 2, (3, 4): 1, (9, 2): 1, (9, 4): 1, (12, 1): 2, (12, 3): 2,
+               (18, 1): 2, (21, 0): 1}),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_b_rat_frozen_values(q):
+    f = field_new(q)
+    for j in range(2 * q + 1):
+        if (q, j) not in B_FROZEN and j != 0:
+            assert b_rat(f, j).is_zero(), j
+    assert b_rat(f, 0) == RatFunc.one(f, VARS_TT)
+    for (fq, j), (num, den) in B_FROZEN.items():
+        if fq == q:
+            assert b_rat(f, j) == _rat(f, num, den), j
+
+
+# -- at_poly against the unreduced-fraction recursion --------------------------------
+
+def fraction_at_poly(field, n: int, memo: dict) -> tuple[Poly, Poly]:
+    """alpha_n/Gamma_n kept as one unreduced fraction, cleared at the end."""
+    if n == 1:
+        return Poly.one(field, VARS_TT), Poly.one(field, VARS_T)
+    q = field.q
+    num = Poly.zero(field, VARS_TT)
+    den = Poly.one(field, VARS_T)
+    j = 0
+    while q ** j <= n - 1:
+        a_prev, g_prev = memo[n - q ** j]
+        t_num = gamma_poly(field, j) * a_prev
+        t_den = D_poly(field, j) * g_prev
+        num = num * t_den.lift_tt() + t_num * den.lift_tt()
+        den = den * t_den
+        j += 1
+    gam = Gamma_poly(field, n)
+    return poly_divexact(num * gam.lift_tt(), den.lift_tt()), gam
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_at_poly_matches_fraction_recursion(q):
+    f = field_new(*FIELDS[q])
+    memo = {}
+    for n in range(1, (40 if q == 2 else 30) + 1):
+        memo[n] = fraction_at_poly(f, n, memo)
+        assert at_poly(f, n) == memo[n], n
+
+
+def test_at_poly_integrality_check_fires(monkeypatch):
+    # a wrong factorial leaves some cofactor Gamma_n / (D_j Gamma_{n-q^j})
+    # non-polynomial, and its exact division must raise
+    f = field_new(2)
+    real = carlitz.Gamma_poly
+    at_poly.cache_clear()
+    monkeypatch.setattr(carlitz, "Gamma_poly", lambda field, m: real(field, m) + 1)
+    try:
+        with pytest.raises(ConstraintViolated):
+            at_poly(f, 5)
+    finally:
+        at_poly.cache_clear()

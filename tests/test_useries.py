@@ -60,6 +60,16 @@ def test_useries_truncates_to_abs_prec():
     assert not s.is_exact()
 
 
+def test_useries_trims_zeros_exposed_by_truncation():
+    f = field_new(3)
+    s = USeries(f, 1, (0, 2, 0, 0, 1), abs_prec=5)
+    assert (s.min_exp, s.coeffs, s.abs_prec) == (2, (2,), 5)
+    z = USeries(f, 4, iter([1, 2]), abs_prec=3)
+    assert z.is_zero() and z.min_exp == 0 and z.coeffs == () and z.abs_prec == 3
+    g = USeries(f, -1, (x for x in (0, 1, 0)))
+    assert (g.min_exp, g.coeffs) == (0, (1,))
+
+
 def test_useries_coeff_and_valuation():
     f = field_new(5)
     s = USeries.from_coeff_map(f, {-3: 2, 4: 1})
