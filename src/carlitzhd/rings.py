@@ -1,6 +1,11 @@
 """Exact polynomial and rational-function arithmetic over F_q.
 
 Polynomials live in F_q[theta] or F_q[theta, t] (sparse exponent-tuple maps).
+Their products and exact quotients go through one Kronecker map into
+F_q[x]: a product runs one big-int multiply over a prime field, or else one
+table loop over integer keys, and a quotient is one dense univariate
+division.
+
 Rational functions are kept in canonical form at all times: numerator and
 denominator coprime, denominator monic under the degree-lexicographic order
 with theta > t.  SJet is a truncated expansion in s = t - theta with exact
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import compress
 
 from .binomials import binom_mod_p
 from .errors import (
@@ -67,9 +73,9 @@ def _umul(a, b, f: Field, n: int | None = None) -> list[int]:
     if n is None or n >= len(a) + len(b) - 1:
         n = len(a) + len(b) - 1
     if f.e == 1 and len(a) * len(b) >= _PACK_MIN_PAIRS and _packs(a, b, n):
-        out = _packed_dense_mul(a, b, n, f.p)
-        if out is not None:
-            return _utrim(out)
+        prod = _packed_dense_mul(a, b, n, f.p)
+        if prod is not None:
+            return _utrim([x % f.p for x in prod])
     add, mul = f.add_t, f.mul_t
     out = [0] * n
     for i, x in enumerate(a if n >= len(a) else a[:n]):
@@ -136,21 +142,24 @@ def _udivmod(a: list[int], b: list[int], f: Field) -> tuple[list[int], list[int]
     b = _utrim(list(b))
     if not b:
         raise DivisionByZero("univariate division by zero")
-    a = _utrim(list(a))
+    r = list(a)
     add, mul, neg = f.add_t, f.mul_t, f.neg_t
     inv_lead = f.inv_t[b[-1]]
-    # the nonzero lower terms of -b; the leading term cancels a[-1] exactly
+    # the nonzero lower terms of -b; the leading term would cancel r[top],
+    # which is not read again, and r[db:] is cut off once at the end
     lower = [(j, neg[y]) for j, y in enumerate(b[:-1]) if y]
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = mul[a.pop()][inv_lead]
-        shift = len(a) + 1 - len(b)
-        q[shift] = c
-        row = mul[c]
-        for j, y in lower:
-            a[shift + j] = add[a[shift + j]][row[y]]
-        _utrim(a)
-    return _utrim(q), a
+    db = len(b) - 1
+    q = [0] * max(0, len(r) - db)
+    for top in range(len(r) - 1, db - 1, -1):
+        if r[top]:
+            c = mul[r[top]][inv_lead]
+            shift = top - db
+            q[shift] = c
+            row = mul[c]
+            for j, y in lower:
+                r[shift + j] = add[r[shift + j]][row[y]]
+    del r[db:]
+    return _utrim(q), _utrim(r)
 
 
 def _udivexact(a: list[int], b: list[int], f: Field) -> list[int]:
@@ -170,12 +179,41 @@ def _ugcd(a: list[int], b: list[int], f: Field) -> list[int]:
     return a
 
 
-# -- packed products over prime fields (Kronecker substitution) ---------------
+# -- the Kronecker map and the packed product ---------------------------------
 #
-# Over F_p (e == 1) a table index is the residue itself, so a polynomial can
-# be packed into one Python int, slot by slot, multiplied once as integers,
-# and unpacked with % p.  See von zur Gathen & Gerhard, Modern Computer
-# Algebra, section 8.4.
+# The Kronecker map sends F_q[theta, t] to F_q[x] by theta -> x^stride,
+# t -> x: term (i, j) goes to key i * stride + j, and a univariate term (i,)
+# to key i, which is stride 1.  It is a ring map, and injective on
+# polynomials of t-degree below the stride, so Poly products and exact
+# division run on univariate images and map back by divmod(key, stride).
+# Over F_p (e == 1) a table index is the residue itself, so a dense image
+# can be packed into one Python int, slot by slot, multiplied once as
+# integers, and unpacked with % p.  See von zur Gathen & Gerhard, Modern
+# Computer Algebra, section 8.4.
+
+def _kron(p: "Poly", stride: int) -> dict[int, int]:
+    """The image of p under the Kronecker map: key -> table index."""
+    if len(p.vars) == 1:
+        return {i: c for (i,), c in p.terms.items()}
+    return {i * stride + j: c for (i, j), c in p.terms.items()}
+
+
+def _unkron(image: dict, stride: int, nvars: int) -> dict:
+    """The term map of an image {key: index} whose t-degrees are below the
+    stride.
+    """
+    if nvars == 1:
+        return {(k,): c for k, c in image.items()}
+    return {divmod(k, stride): c for k, c in image.items()}
+
+
+def _dense(image: dict) -> list[int]:
+    """The dense coefficient list of a nonempty image, low degree first."""
+    out = [0] * (max(image) + 1)
+    for k, c in image.items():
+        out[k] = c
+    return out
+
 
 # Cost model, measured on random operands over F_2 and F_257 with 4 to 32
 # terms: the table loop in Poly.__mul__ costs about the same per term pair
@@ -217,10 +255,6 @@ def _packs(a, b, n: int) -> bool:
     return (rows - head.count(0)) * inner >= floor
 
 
-def _pack(dense: array) -> int:
-    return int.from_bytes(dense.tobytes(), _BYTEORDER)
-
-
 def _unpack(x: int, slot, n: int) -> array:
     """The first n slots of a packed integer."""
     width, code = slot
@@ -232,71 +266,56 @@ def _unpack(x: int, slot, n: int) -> array:
     return out
 
 
-def _packed_dense_mul(a, b, n: int, p: int) -> list[int] | None:
-    """The first n coefficients of a*b over F_p by one big-int multiply.
+def _packed_dense_mul(a, b, n: int, p: int) -> array | None:
+    """The first n slots of a*b over F_p by one big-int multiply, unreduced.
 
-    a and b are dense residue sequences, low degree first, n at most
-    len(a) + len(b) - 1.  Only the first n terms of each operand reach the
-    result, and every result slot sums at most min(len(a), len(b)) of their
-    products, which fixes the slot width.  Returns None when a slot would
-    need more than 64 bits.
+    Each operand is a dense residue sequence, low degree first (a USeries
+    run), or a sparse image {key: residue} with keys below n (a Poly under
+    the Kronecker map), and n is at most the product's length.  Only the
+    first n terms of each operand reach the result.  Every result slot sums
+    at most as many products as the sparser operand has nonzero terms,
+    which fixes the slot width, and reduces mod p to one coefficient.
+    Returns None when a slot would need more than 64 bits.
     """
-    if len(a) > n:
+    if not isinstance(a, dict):
         a = a[:n]
-    if len(b) > n:
+    if not isinstance(b, dict):
         b = b[:n]
-    slot = _slot_type(min(len(a), len(b)), p)
+    nonzero = min(len(x) if isinstance(x, dict) else len(x) - x.count(0)
+                  for x in (a, b))
+    slot = _slot_type(nonzero, p)
     if slot is None:
         return None
-    code = slot[1]
-    prod = _pack(array(code, a)) * _pack(array(code, b))
-    return [x % p for x in _unpack(prod, slot, n)]
+    return _unpack(_pack(a, slot, n) * _pack(b, slot, n), slot, n)
 
 
-def _packed_mul(a: dict, b: dict, nvars: int, p: int) -> dict | None:
-    """Product of two sparse term maps over F_p by one big-int multiply.
-
-    a must be the operand with fewer terms.  A bivariate operand packs t
-    inside theta: term (i, j) goes to slot i * stride + j with stride
-    deg_t(a) + deg_t(b) + 1, so no t-degree of the product reaches the next
-    theta row.  Returns None when the cost model favours the table loop or
-    a slot would need more than 64 bits.
-    """
-    # every product slot is a sum of at most len(a) products (p-1)^2
-    slot = _slot_type(len(a), p)
-    if slot is None:
-        return None
+def _pack(x, slot, n: int) -> int:
     width, code = slot
-    da = max(e[0] for e in a)
-    db = max(e[0] for e in b)
-    ta = tb = 0
-    if nvars == 2:
-        ta = max(e[1] for e in a)
-        tb = max(e[1] for e in b)
-    stride = ta + tb + 1
-    slots = (da + db) * stride + stride
-    if len(a) * len(b) < slots + _PACK_MIN_PAIRS:
-        return None
-    packed = []
-    for terms, d in ((a, da), (b, db)):
-        dense = array(code, bytes(width * (d + 1) * stride))
-        if nvars == 1:
-            for (i,), c in terms.items():
-                dense[i] = c
-        else:
-            for (i, j), c in terms.items():
-                dense[i * stride + j] = c
-        packed.append(_pack(dense))
-    prod = _unpack(packed[0] * packed[1], slot, slots)
-    if nvars == 1:
-        return {(k,): c for k, x in enumerate(prod) if (c := x % p)}
-    return {divmod(k, stride): c for k, x in enumerate(prod) if (c := x % p)}
+    if isinstance(x, dict):
+        dense = array(code, bytes(width * n))
+        for k, c in x.items():
+            dense[k] = c
+    else:
+        dense = array(code, x)
+    return int.from_bytes(dense.tobytes(), _BYTEORDER)
 
 
 # -- sparse polynomials -------------------------------------------------------
 
 def _deglex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
+
+
+def _accumulate(terms: dict, items, f: Field) -> dict:
+    """Add (exponents, table index) pairs into terms; a key that cancels goes."""
+    add = f.add_t
+    for k, c in items:
+        cur = add[terms.get(k, 0)][c]
+        if cur:
+            terms[k] = cur
+        else:
+            terms.pop(k, None)
+    return terms
 
 
 class Poly:
@@ -347,17 +366,8 @@ class Poly:
 
     @classmethod
     def from_items(cls, field: Field, items, vars=VARS_T) -> "Poly":
-        terms: dict = {}
-        add = field.add_t
-        for exps, coeff in items:
-            idx = field.elem(coeff).idx
-            k = tuple(exps)
-            cur = add[terms.get(k, 0)][idx]
-            if cur:
-                terms[k] = cur
-            else:
-                terms.pop(k, None)
-        return cls(field, vars, terms)
+        items = ((tuple(exps), field.elem(coeff).idx) for exps, coeff in items)
+        return cls(field, vars, _accumulate({}, items, field))
 
     # views
 
@@ -414,14 +424,7 @@ class Poly:
         if other is NotImplemented:
             return other
         self._compat(other)
-        add = self.field.add_t
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = add[out.get(e, 0)][c]
-            if cur:
-                out[e] = cur
-            else:
-                out.pop(e, None)
+        out = _accumulate(dict(self.terms), other.terms.items(), self.field)
         return Poly(self.field, self.vars, out)
 
     __radd__ = __add__
@@ -452,46 +455,40 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._compat(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
+        if not self.terms or not other.terms:
             return Poly.zero(self.field, self.vars)
+        f, nvars = self.field, len(self.vars)
+        # a constant factor (most often a RatFunc denominator 1) only scales
+        for x, y in ((self, other), (other, self)):
+            if len(y.terms) == 1 and (c := y.terms.get((0,) * nvars)):
+                return x if c == 1 else x.scale(f.from_index(c))
+        stride = 1 if nvars == 1 else self.degree(1) + other.degree(1) + 1
+        a, b = _kron(self, stride), _kron(other, stride)
         if len(a) > len(b):
             a, b = b, a
-        n = len(self.vars)
-        # Over a prime field, a product with enough term pairs per packed
-        # slot takes one big-int multiply (_packed_mul, cost model at
-        # _PACK_MIN_PAIRS).  A product slot sums at most min(#terms)
-        # products of residues <= p-1; the slot width is the smallest of
-        # 8/16/32/64 bits above min(#terms) * (p-1)^2, so no slot carries
-        # into the next and % p recovers each coefficient exactly.  Small
+        # Over a prime field, a product with enough term pairs per image slot
+        # takes one big-int multiply (cost model at _PACK_MIN_PAIRS); small
         # products and extension fields keep the table loop.
-        if self.field.e == 1 and len(a) * len(b) >= _PACK_MIN_PAIRS:
-            out = _packed_mul(a, b, n, self.field.p)
-            if out is not None:
-                return Poly(self.field, self.vars, out)
-        add, mul = self.field.add_t, self.field.mul_t
-        out = {}
-        if n == 1:
-            for (i,), c in a.items():
-                row = mul[c]
-                for (j,), d in b.items():
-                    k = (i + j,)
-                    cur = add[out.get(k, 0)][row[d]]
-                    if cur:
-                        out[k] = cur
-                    else:
-                        out.pop(k, None)
-        else:
-            for (i1, j1), c in a.items():
-                row = mul[c]
-                for (i2, j2), d in b.items():
-                    k = (i1 + i2, j1 + j2)
-                    cur = add[out.get(k, 0)][row[d]]
-                    if cur:
-                        out[k] = cur
-                    else:
-                        out.pop(k, None)
-        return Poly(self.field, self.vars, out)
+        slots = max(a) + max(b) + 1
+        if f.e == 1 and len(a) * len(b) >= slots + _PACK_MIN_PAIRS:
+            prod = _packed_dense_mul(a, b, slots, f.p)
+            if prod is not None:
+                p = f.p
+                image = {k: c for k in compress(range(slots), prod)
+                         if (c := prod[k] % p)}
+                return Poly(f, self.vars, _unkron(image, stride, nvars))
+        add, mul = f.add_t, f.mul_t
+        image = {}
+        for i, c in a.items():
+            row = mul[c]
+            for j, d in b.items():
+                k = i + j
+                cur = add[image.get(k, 0)][row[d]]
+                if cur:
+                    image[k] = cur
+                else:
+                    image.pop(k, None)
+        return Poly(f, self.vars, _unkron(image, stride, nvars))
 
     __rmul__ = __mul__
 
@@ -546,24 +543,13 @@ class Poly:
         """Substitute t = theta; collapses to a univariate polynomial."""
         if self.vars == VARS_T:
             return self
-        add = self.field.add_t
-        out: dict = {}
-        for (i, j), c in self.terms.items():
-            k = (i + j,)
-            cur = add[out.get(k, 0)][c]
-            if cur:
-                out[k] = cur
-            else:
-                out.pop(k, None)
-        return Poly(self.field, VARS_T, out)
+        items = (((i + j,), c) for (i, j), c in self.terms.items())
+        return Poly(self.field, VARS_T, _accumulate({}, items, self.field))
 
     def to_dense(self) -> list[int]:
         if self.vars != VARS_T:
             raise ConstraintViolated("dense view is for univariate polynomials")
-        out = [0] * (self.degree() + 1) if self.terms else []
-        for (i,), c in self.terms.items():
-            out[i] = c
-        return out
+        return _dense(_kron(self, 1)) if self.terms else []
 
     @classmethod
     def from_dense(cls, field: Field, dense: list[int]) -> "Poly":
@@ -612,13 +598,7 @@ def _bi_view(p: Poly, mv: int) -> dict[int, list[int]]:
     rows: dict[int, dict[int, int]] = {}
     for e, c in p.terms.items():
         rows.setdefault(e[mv], {})[e[1 - mv]] = c
-    out = {}
-    for m, row in rows.items():
-        dense = [0] * (max(row) + 1)
-        for j, c in row.items():
-            dense[j] = c
-        out[m] = dense
-    return out
+    return {m: _dense(row) for m, row in rows.items()}
 
 
 def _bi_unview(view: dict[int, list[int]], mv: int, field: Field) -> Poly:
@@ -697,56 +677,32 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if r:
             r = _bi_pp(r, _bi_content(r, f), f)
         pa, pb = pb, r
-    g = _bi_unview(pa, mv, f)
     if gc != [1]:
-        gp = Poly(
-            f,
-            VARS_TT,
-            {((0, j) if mv == 0 else (j, 0)): c for j, c in enumerate(gc) if c},
-        )
-        g = g * gp
-    return g.monic()
+        pa = {m: _umul(row, gc, f) for m, row in pa.items()}
+    return _bi_unview(pa, mv, f).monic()
 
 
 def poly_divexact(a: Poly, b: Poly) -> Poly:
     """Exact division a / b; raises ConstraintViolated if b does not divide a.
 
-    A divisor free of t divides each t-row of a (a polynomial in theta) by
-    dense univariate division; other divisors take the deglex division loop.
+    Both operands go through the Kronecker map at stride deg_t(a) + 1 and
+    divide as dense univariate polynomials.  The map is injective below
+    that stride, so an exact image quotient whose terms all have t-degree
+    at most deg_t(a) - deg_t(b) maps back to the quotient; any other image
+    quotient means that b does not divide a.
     """
     if b.is_zero():
         raise DivisionByZero("division by the zero polynomial")
     if a.is_zero():
         return a
     a._compat(b)
-    f = a.field
-    if a.vars == VARS_T:
-        return Poly.from_dense(f, _udivexact(a.to_dense(), b.to_dense(), f))
-    if all(j == 0 for (_, j) in b.terms):
-        bd = b.drop_t().to_dense()
-        rows = {j: _udivexact(row, bd, f) for j, row in _bi_view(a, 1).items()}
-        return _bi_unview(rows, 1, f)
-    eb, lb = b.leading_term()
-    lb_inv = lb.inverse()
-    rem = dict(a.terms)
-    out: dict = {}
-    add, mul, neg = f.add_t, f.mul_t, f.neg_t
-    while rem:
-        ea = max(rem, key=_deglex_key)
-        eq = tuple(x - y for x, y in zip(ea, eb))
-        if any(x < 0 for x in eq):
-            raise ConstraintViolated("polynomial division is not exact")
-        c = mul[rem[ea]][lb_inv.idx]
-        out[eq] = c
-        row = mul[c]
-        for e2, c2 in b.terms.items():
-            k = tuple(x + y for x, y in zip(eq, e2))
-            cur = add[rem.get(k, 0)][neg[row[c2]]]
-            if cur:
-                rem[k] = cur
-            else:
-                rem.pop(k, None)
-    return Poly(f, a.vars, out)
+    nvars = len(a.vars)
+    stride = 1 if nvars == 1 else a.degree(1) + 1
+    quo = _udivexact(_dense(_kron(a, stride)), _dense(_kron(b, stride)), a.field)
+    terms = _unkron({k: c for k, c in enumerate(quo) if c}, stride, nvars)
+    if nvars == 2 and max(j for _, j in terms) > a.degree(1) - b.degree(1):
+        raise ConstraintViolated("polynomial division is not exact")
+    return Poly(a.field, a.vars, terms)
 
 
 # -- rational functions -------------------------------------------------------
@@ -781,12 +737,7 @@ class RatFunc:
         if not (g.is_constant()):
             num = poly_divexact(num, g)
             den = poly_divexact(den, g)
-        _, lc = den.leading_term()
-        if lc.idx != 1:
-            inv = lc.inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return cls(num, den)
+        return cls._monic(num, den)
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
@@ -812,9 +763,6 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
-
-    def is_poly(self) -> bool:
-        return self.den.is_constant()
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):

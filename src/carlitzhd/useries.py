@@ -427,11 +427,14 @@ def hasse_du(f: USeries, k: int) -> USeries:
     p = field.p
     mul = field.mul_t
     out = [0] * len(f.coeffs)
+    end = 0
     for i, c in enumerate(f.coeffs):
         if c:
             b = binom_mod_p(f.min_exp + i, k, p)
             if b:
                 out[i] = mul[b][c]
+                end = i + 1
+    del out[end:]
     return USeries(field, f.min_exp - k, out, f.abs_prec - k)
 
 

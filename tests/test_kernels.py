@@ -1,11 +1,11 @@
 """Differential tests of the rings kernels against independent references.
 
-The packed product over prime fields and the row-wise exact division are
-checked against a plain dict convolution written here, and poly_gcd /
-poly_divexact against sympy over GF(p) where sympy is installed.  Dense
-USeries products and Newton inverses are checked against the table loop
-and the recurrence they replace, and the period against the dict-series
-oracle.
+The packed product over prime fields and exact division through the
+Kronecker map are checked against a plain dict convolution written here,
+and poly_gcd / poly_divexact against sympy over GF(p) where sympy is
+installed.  Dense USeries products and Newton inverses are checked against
+the table loop and the recurrence they replace, and the period against the
+dict-series oracle.
 """
 
 import random
@@ -58,8 +58,18 @@ def ref_mul(a: Poly, b: Poly) -> Poly:
 
 
 def takes_packed_path(a: Poly, b: Poly) -> bool:
-    x, y = sorted((a.terms, b.terms), key=len)
-    return rings._packed_mul(x, y, len(a.vars), a.field.p) is not None
+    """Whether a*b runs the packer and the packer takes the product."""
+    results = []
+    real = rings._packed_dense_mul
+
+    def wrapper(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rings, "_packed_dense_mul", wrapper)
+        a * b
+    return any(r is not None for r in results)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 257])
@@ -87,15 +97,22 @@ def test_packed_bivariate_products_match_convolution(p):
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
-def test_packed_slot_width_holds_the_largest_coefficient_sum(n):
-    # all-ones operands over F_2: the middle slot sums n products, which needs
-    # a 16-bit slot from n = 256 on
+def test_packed_slot_width_holds_the_largest_coefficient_sum(n, monkeypatch):
+    # n ones over F_2, dense or 8 apart: the middle slot sums n products,
+    # which needs a 16-bit slot from n = 256 on; the width follows that count
+    # and not the 8n-slot dense image of the spaced operand
     f = field_new(2)
-    ones = Poly(f, VARS_T, {(i,): 1 for i in range(n)})
-    prod = ones * ones
-    assert takes_packed_path(ones, ones)
-    assert prod.coeff((n - 1,)).idx == n % 2
-    assert prod == ref_mul(ones, ones)
+    real, widths = rings._slot_type, []
+    monkeypatch.setattr(rings, "_slot_type",
+                        lambda *args: widths.append(real(*args)) or widths[-1])
+    for gap in (1, 8):
+        ones = Poly(f, VARS_T, {(gap * i,): 1 for i in range(n)})
+        assert takes_packed_path(ones, ones)
+        del widths[:]
+        prod = ones * ones
+        assert [w for w, _ in widths] == [1 if n < 256 else 2]
+        assert prod.coeff((gap * (n - 1),)).idx == n % 2
+        assert prod == ref_mul(ones, ones)
 
 
 def test_extension_field_products_keep_the_table_loop(monkeypatch):
@@ -107,7 +124,7 @@ def test_extension_field_products_keep_the_table_loop(monkeypatch):
     def no_packing(*args):
         raise AssertionError("the packed product ran over an extension field")
 
-    monkeypatch.setattr(rings, "_packed_mul", no_packing)
+    monkeypatch.setattr(rings, "_packed_dense_mul", no_packing)
     assert a * b == ref_mul(a, b)
 
 
@@ -119,7 +136,7 @@ def test_sparse_wide_products_keep_the_table_loop():
     assert a * b == ref_mul(a, b)
 
 
-# -- exact division by divisors free of t ------------------------------------------
+# -- exact division through the Kronecker map --------------------------------------
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (257, 1)])
@@ -144,6 +161,30 @@ def test_divexact_by_theta_only_divisor_rejects_a_remainder():
         poly_divexact(num, div)
     with pytest.raises(ConstraintViolated):
         poly_divexact(num.eval_t_at_theta(), div.drop_t())
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_divexact_by_theta_power_minus_t(p, e):
+    f = field_new(p, e)
+    rng = random.Random(SEED + f.q)
+    for i in range(3):
+        div = Poly.monomial(f, (f.q ** i, 0)) - Poly.monomial(f, (0, 1))
+        for _ in range(5):
+            quo = rand_terms(rng, f, VARS_TT, rng.randrange(1, 30), 20, 8)
+            assert poly_divexact(quo * div, div) == quo
+            with pytest.raises(ConstraintViolated):
+                poly_divexact(quo * div + Poly.one(f, VARS_TT), div)
+
+
+def test_divexact_rejects_an_image_quotient_above_the_t_degree_bound():
+    # at stride 3 the images divide exactly, x^8 + x^6 = x^4 (x^4 + x^2), but
+    # x^2 maps back to t^2, above deg_t(a) - deg_t(b) = 1: theta t does not
+    # divide theta^2 t^2 + theta^2
+    f = field_new(2)
+    a = Poly(f, VARS_TT, {(2, 2): 1, (2, 0): 1})
+    b = Poly(f, VARS_TT, {(1, 1): 1})
+    with pytest.raises(ConstraintViolated):
+        poly_divexact(a, b)
 
 
 # -- sympy over GF(p) -------------------------------------------------------------

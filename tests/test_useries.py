@@ -259,6 +259,12 @@ def test_hasse_du_binomial_rule():
         got = hasse_du(USeries.monomial(f, e), k)
         b = binom_mod_p(e, k, 3)
         assert got == USeries.monomial(f, e - k, b)
+    # series whose derivative starts and ends in runs of zero binomials
+    for _ in range(100):
+        s = rand_useries(rng, f, prec=rng.choice([None, 8]))
+        k = rng.randrange(1, 10)
+        want = {e - k: c * binom_mod_p(e, k, 3) for e, c in s.coeff_items()}
+        assert hasse_du(s, k) == USeries.from_coeff_map(f, want, s.abs_prec - k)
 
 
 def test_hasse_du_composition_rule():
