@@ -13,7 +13,6 @@ from .errors import (
     CarlitzhdError,
     ConstraintViolated,
     DegreeMismatch,
-    DenominatorDivisibleByP,
     DivisionByZero,
     FieldMismatch,
     InsufficientL,
@@ -40,12 +39,10 @@ from .rings import (
 )
 from .jets import (
     Jet,
-    PadicInt,
     RhoMatrix,
     compose_substitute,
     d_t_jet,
     d_theta_jet,
-    padic_binom,
     to_rho_matrix,
 )
 from .useries import (
@@ -94,7 +91,7 @@ __all__ = [
     "__version__",
     # errors
     "CarlitzhdError", "ConstraintViolated", "DegreeMismatch",
-    "DenominatorDivisibleByP", "DivisionByZero", "FieldMismatch",
+    "DivisionByZero", "FieldMismatch",
     "InsufficientL", "NonPrimeCharacteristic", "NonUnitConstantTerm",
     "NonUnitLeadingCoefficient", "PoleAtTheta", "PrecisionExhausted",
     "ReducibleModulus",
@@ -104,8 +101,8 @@ __all__ = [
     "VARS_T", "VARS_TT", "Poly", "RatFunc", "SJet", "eval_t_at_theta",
     "poly_divexact", "poly_gcd", "sjet_from_ratfunc", "taylor_shift",
     # jets
-    "Jet", "PadicInt", "RhoMatrix", "compose_substitute", "d_t_jet",
-    "d_theta_jet", "padic_binom", "to_rho_matrix",
+    "Jet", "RhoMatrix", "compose_substitute", "d_t_jet", "d_theta_jet",
+    "to_rho_matrix",
     # useries
     "INF_PREC", "TPoly", "USeries", "d_theta_useries", "embed_k", "hasse_du",
     "theta_series", "tpoly_agree", "tpoly_diff_witness", "useries_agree",

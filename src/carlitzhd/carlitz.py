@@ -24,7 +24,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .gf import Field
-from .jets import Jet, compose_substitute, d_t_jet, d_theta_jet, to_rho_matrix
+from .jets import Jet, d_t_jet, d_theta_jet, to_rho_matrix
 from .rings import (
     VARS_T,
     VARS_TT,

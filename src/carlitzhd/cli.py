@@ -44,7 +44,7 @@ from .carlitz import (
 )
 from .errors import CarlitzhdError, ConstraintViolated, PrecisionExhausted
 from .gf import MAX_Q, Field, field_new
-from .rings import VARS_T, VARS_TT, Poly, RatFunc, SJet
+from .rings import Poly, RatFunc, SJet
 from .useries import INF_PREC, TPoly, USeries
 
 COMBINATORIC_KINDS = ("L", "curlyL", "gamma", "D", "Gamma")
@@ -247,11 +247,14 @@ def _write_output(text: str, out: str | None) -> None:
     path = out
     if base and not os.path.isabs(out):
         path = os.path.join(base, out)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConstraintViolated(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit_compute(cfg: RunConfig, command: str, extra_config: dict,

@@ -41,10 +41,6 @@ class NonUnitLeadingCoefficient(CarlitzhdError):
     """A series inverse needs a unit leading coefficient and none is known."""
 
 
-class DenominatorDivisibleByP(CarlitzhdError):
-    """A p-adic rational has a denominator divisible by p."""
-
-
 class PrecisionExhausted(CarlitzhdError):
     """Requested precision cannot be met; the message names the failing bound."""
 

@@ -4,8 +4,11 @@ An element of F_{p^e} is canonically a vector of e residues in [0, p): the
 coefficients of 1, x, ..., x^{e-1} where x is the class of the modulus
 variable.  Internally each element is stored as a single index
 idx = sum(digit_i * p^i), and all arithmetic is a lookup in tables built once
-per field.  The q*q tables cost O(q^2) (2.5 s and 54 MB at q = 1021), so
-a field above MAX_Q is refused before any table is built.
+per field.  The multiplicative tables (products, inverses, powers and the
+Frobenius rows) are read off one walk through the powers of the first
+primitive element; addition and negation act digit by digit.  The two q*q
+tables hold 16 MB at q = 1021, so a field above MAX_Q is refused before any
+table is built.
 """
 
 from __future__ import annotations
@@ -34,9 +37,16 @@ def _is_prime(n: int) -> bool:
 
 # -- dense mod-p polynomial helpers used only for field construction --------
 
+def _digits(code: int, p: int, n: int) -> list[int]:
+    """The n lowest base-p digits of code, low first."""
+    return [code // p ** i % p for i in range(n)]
+
+
 def _fp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
+    end = len(c)
+    while end and c[end - 1] == 0:
+        end -= 1
+    del c[end:]
     return c
 
 
@@ -74,13 +84,7 @@ def _fp_is_irreducible(mod: list[int], p: int) -> bool:
     for d in range(1, e // 2 + 1):
         # all monic polynomials of degree d over F_p
         for code in range(p ** d):
-            g = []
-            c = code
-            for _ in range(d):
-                g.append(c % p)
-                c //= p
-            g.append(1)
-            _, r = _fp_divmod(list(mod), g, p)
+            _, r = _fp_divmod(list(mod), _digits(code, p, d) + [1], p)
             if not r:
                 return False
     return True
@@ -91,12 +95,7 @@ def _default_modulus(p: int, e: int) -> tuple[int, ...]:
     if e == 1:
         return (0, 1)  # the polynomial x; irrelevant for e = 1
     for code in range(p ** e):
-        mod = []
-        c = code
-        for _ in range(e):
-            mod.append(c % p)
-            c //= p
-        mod.append(1)
+        mod = _digits(code, p, e) + [1]
         if _fp_is_irreducible(mod, p):
             return tuple(mod)
     raise ReducibleModulus(f"no irreducible of degree {e} over F_{p}")
@@ -149,11 +148,7 @@ class Field:
         return f"F_{self.q}(mod {self.modulus})"
 
     def _idx_to_vec(self, idx: int) -> list[int]:
-        v = []
-        for _ in range(self.e):
-            v.append(idx % self.p)
-            idx //= self.p
-        return v
+        return _digits(idx, self.p, self.e)
 
     def _vec_to_idx(self, v: list[int]) -> int:
         idx = 0
@@ -161,41 +156,50 @@ class Field:
             idx = idx * self.p + (c % self.p)
         return idx
 
+    def _powers(self, g: int) -> list[int]:
+        """Indices of g^0, g^1, ... up to the first power that is 1 again."""
+        p, mod, gv = self.p, list(self.modulus), self._idx_to_vec(g)
+        out, v = [1], [1]
+        while True:
+            v = _fp_mul(v, gv, p)
+            if len(v) >= len(mod):
+                _, v = _fp_divmod(v, mod, p)
+            a = self._vec_to_idx(v)
+            if a == 1:
+                return out
+            out.append(a)
+
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
-        mod = list(self.modulus)
-        self.add_t = [[0] * q for _ in range(q)]
-        self.mul_t = [[0] * q for _ in range(q)]
-        self.neg_t = [0] * q
-        self.inv_t = [0] * q  # inv_t[0] stays 0 and must never be used
-        self.frob_t = [0] * q
-        vecs = [self._idx_to_vec(i) for i in range(q)]
-        for a in range(q):
-            va = vecs[a]
-            self.neg_t[a] = self._vec_to_idx([(-c) % p for c in va])
-            for b in range(a, q):
-                vb = vecs[b]
-                s = self._vec_to_idx([(x + y) % p for x, y in zip(va, vb)])
-                self.add_t[a][b] = s
-                self.add_t[b][a] = s
-                prod = _fp_mul(_fp_trim(list(va)), _fp_trim(list(vb)), p)
-                if len(prod) >= len(mod):
-                    _, prod = _fp_divmod(prod, mod, p)
-                prod += [0] * (e - len(prod))
-                m = self._vec_to_idx(prod)
-                self.mul_t[a][b] = m
-                self.mul_t[b][a] = m
-        for a in range(1, q):
-            # a^(q-2) = a^{-1} by Lagrange; q is tiny so direct powering is fine
-            acc = 1
-            for _ in range(q - 2):
-                acc = self.mul_t[acc][a]
-            self.inv_t[a] = acc
-            fr = a
-            b = a
-            for _ in range(p - 1):
-                fr = self.mul_t[fr][b]
-            self.frob_t[a] = fr
+        n = q - 1
+        # exp_t[k] = g^k for the first g of multiplicative order q - 1, and
+        # log_t its inverse; every multiplicative table is read off the pair
+        for g in range(1, q):
+            exp = self._powers(g)
+            if len(exp) == n:
+                break
+        log = [0] * q  # log_t[0] is never read
+        for k, a in enumerate(exp):
+            log[a] = k
+        self.exp_t, self.log_t = exp, log
+        exp2, logs = exp + exp, log[1:]
+        self.mul_t = [[0] * q] + [[0] + [exp2[la + l] for l in logs] for la in logs]
+        self.inv_t = [0] + [exp[-l % n] for l in logs]  # inv_t[0] must never be used
+        # frob_t[k][a] = a^(p^k) for k < e
+        self.frob_t = [[0] + [exp[l * p ** k % n] for l in logs] for k in range(e)]
+        # addition and negation act digit by digit: start from F_p and put
+        # one more base-p digit above the m = p^i indices built so far; the
+        # rows share one int object per index, as mul_t's share exp_t's
+        ids = list(range(q))
+        add = addp = [ids[a:p] + ids[:a] for a in range(p)]
+        neg = negp = [(-a) % p for a in range(p)]
+        m = p
+        for _ in range(e - 1):
+            add = [[ids[x + m * y] for y in addp[hi] for x in add[lo]]
+                   for hi in range(p) for lo in range(m)]
+            neg = [x + m * y for y in negp for x in neg]
+            m *= p
+        self.add_t, self.neg_t = add, neg
 
     # -- element constructors ------------------------------------------------
 
@@ -318,25 +322,16 @@ class FqElem:
         return self.inverse() * other
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        acc = FqElem(self.field, 1)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        f = self.field
+        if self.idx == 0:
+            if k < 0:
+                raise DivisionByZero("negative power of zero in " + repr(f))
+            return FqElem(f, 0 if k else 1)
+        return FqElem(f, f.exp_t[f.log_t[self.idx] * k % (f.q - 1)])
 
     def frobenius(self, k: int = 1) -> "FqElem":
-        """a^(p^k); k may be any nonnegative integer."""
-        if self.field.e == 1:
-            return self  # Frobenius is the identity on the prime field
-        idx = self.idx
-        for _ in range(k % self.field.e):
-            idx = self.field.frob_t[idx]
-        return FqElem(self.field, idx)
+        """a^(p^k) for any integer k; Frobenius has order e."""
+        return FqElem(self.field, self.field.frob_t[k % self.field.e][self.idx])
 
     def __eq__(self, other):
         if isinstance(other, int):

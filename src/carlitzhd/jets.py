@@ -10,24 +10,11 @@ theta and t:
 
     d_theta: theta |-> theta + X, t |-> t
     d_t:     t |-> t + X, theta |-> theta
-
-Also here: p-adic integers given as rationals with p-unit denominator, and
-binom(alpha, k) mod p for such alpha via the digitwise (Lucas) rule, which the
-series module needs for exponents like -1/(q-1).
 """
 
 from __future__ import annotations
 
-from math import comb
-
-from .errors import (
-    ConstraintViolated,
-    DegreeMismatch,
-    DenominatorDivisibleByP,
-    NonPrimeCharacteristic,
-    NonUnitConstantTerm,
-)
-from .gf import _is_prime
+from .errors import ConstraintViolated, DegreeMismatch, NonUnitConstantTerm
 from .rings import (
     VARS_T,
     Poly,
@@ -39,66 +26,6 @@ from .rings import (
     series_inverse,
     series_mul,
 )
-
-
-class PadicInt:
-    """A p-adic integer presented as a rational with denominator prime to p."""
-
-    __slots__ = ("num", "den", "p", "_digits", "_state")
-
-    def __init__(self, num: int, den: int, p: int):
-        if not _is_prime(p):
-            raise NonPrimeCharacteristic(f"{p} is not prime")
-        if den == 0:
-            raise DenominatorDivisibleByP("denominator must be nonzero")
-        if den % p == 0:
-            raise DenominatorDivisibleByP(
-                f"denominator {den} is divisible by p = {p}"
-            )
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_digits", [])
-        object.__setattr__(self, "_state", num)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PadicInt is immutable")
-
-    def digits(self, k: int) -> tuple[int, ...]:
-        """First k base-p digits; the expansion of num/den in Z_p."""
-        d, p, b = self._digits, self.p, self.den
-        binv = pow(b % p, p - 2, p)
-        a = self._state
-        while len(d) < k:
-            dig = (a % p) * binv % p
-            d.append(dig)
-            a = (a - dig * b) // p
-        object.__setattr__(self, "_state", a)
-        return tuple(d[:k])
-
-    def __repr__(self):
-        return f"PadicInt({self.num}/{self.den}, p={self.p})"
-
-
-def padic_binom(alpha: PadicInt, k: int) -> int:
-    """binom(alpha, k) mod p by the digitwise rule; result in [0, p)."""
-    if k < 0:
-        raise ConstraintViolated("binomial lower index must be >= 0")
-    if k == 0:
-        return 1
-    p = alpha.p
-    kd = []
-    kk = k
-    while kk:
-        kd.append(kk % p)
-        kk //= p
-    ad = alpha.digits(len(kd))
-    r = 1
-    for ai, ki in zip(ad, kd):
-        if ki > ai:
-            return 0
-        r = (r * comb(ai, ki)) % p
-    return r
 
 
 # -- the jet container --------------------------------------------------------

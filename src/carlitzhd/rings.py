@@ -46,8 +46,10 @@ VARS_TT = ("theta", "t")
 # -- dense univariate kernels (lists of table indices, low degree first) -----
 
 def _utrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
+    end = len(c)
+    while end and c[end - 1] == 0:
+        end -= 1
+    del c[end:]
     return c
 
 
@@ -519,10 +521,9 @@ class Poly:
     def frobenius_power(self, k: int = 1) -> "Poly":
         """self**(p^k); exact and cheap in characteristic p."""
         pk = self.field.p ** k
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(x * pk for x in e)] = self.field.from_index(c).frobenius(k).idx
-        return Poly(self.field, self.vars, out)
+        row = self.field.frob_t[k % self.field.e]
+        return Poly(self.field, self.vars,
+                    {tuple(x * pk for x in e): row[c] for e, c in self.terms.items()})
 
     # substitution / promotion
 

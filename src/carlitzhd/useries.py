@@ -14,7 +14,9 @@ d_theta_useries extends the theta-derivation: on u it acts by
 D_theta(u) = u * (1 + X/theta)^(-1/(q-1)), the branch with constant term u,
 and on a general series by the Taylor identity
 D_theta(f) = sum_k d_u^(k)(f) * (D_theta(u) - u)^k.
-The exponent -1/(q-1) lives in Z_p and is expanded with padic_binom.
+In characteristic p, -1/(q-1) = 1 + q + q^2 + ..., so by Lucas' rule
+binom(-1/(q-1), j) mod p is 1 when every base-q digit of j is 0 or 1, and
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .gf import Field, FqElem
-from .jets import Jet, PadicInt, padic_binom
+from .jets import Jet
 from .rings import (
     Poly,
     RatFunc,
@@ -285,13 +287,7 @@ class USeries:
         if not self.coeffs:
             return USeries(self.field, 0, [], self.abs_prec * pk)
         out = [0] * ((len(self.coeffs) - 1) * pk + 1)
-        frob = self.field.frob_t
-        for i, c in enumerate(self.coeffs):
-            if c:
-                fc = c
-                for _ in range(k % self.field.e if self.field.e > 1 else 0):
-                    fc = frob[fc]
-                out[i * pk] = fc
+        out[::pk] = map(self.field.frob_t[k % self.field.e].__getitem__, self.coeffs)
         return USeries(self.field, self.min_exp * pk, out, self.abs_prec * pk)
 
     def __pow__(self, k: int):
@@ -360,14 +356,11 @@ def theta_series(field: Field) -> USeries:
 
 def _poly_series(p, field: Field) -> USeries:
     out = {}
-    add = field.add_t
-    neg_pow = field.elem(-1)
+    add, neg = field.add_t, field.neg_t
     for (i,), c in p.terms.items():
         # theta^i = (-1)^i u^{-i(q-1)}
         e = -i * (field.q - 1)
-        v = (neg_pow ** i).idx
-        v = field.mul_t[v][c]
-        out[e] = add[out.get(e, 0)][v]
+        out[e] = add[out.get(e, 0)][neg[c] if i & 1 else c]
     return USeries(
         field,
         min(out) if out else 0,
@@ -438,6 +431,15 @@ def hasse_du(f: USeries, k: int) -> USeries:
     return USeries(field, f.min_exp - k, out, f.abs_prec - k)
 
 
+def _binom_neg_inv(j: int, q: int) -> int:
+    """binom(-1/(q-1), j) mod p: 1 if every base-q digit of j is 0 or 1."""
+    while j:
+        j, d = divmod(j, q)
+        if d > 1:
+            return 0
+    return 1
+
+
 def _delta_scalars(field: Field, n: int) -> list[list[int]]:
     """c[k][m]: X^m coefficient of Delta^k where Delta = D_theta(u) - u.
 
@@ -446,11 +448,10 @@ def _delta_scalars(field: Field, n: int) -> list[list[int]]:
     at X^m collapse to k + m(q-1), so only the scalar triangle is needed.
     """
     p = field.p
-    alpha = PadicInt(-1, field.q - 1, p)
     b = [0] * (n + 1)
     for j in range(1, n + 1):
-        v = padic_binom(alpha, j)
-        b[j] = (p - v) % p if j % 2 else v
+        if _binom_neg_inv(j, field.q):
+            b[j] = p - 1 if j & 1 else 1
     c = [[0] * (n + 1) for _ in range(n + 1)]
     c[0][0] = 1
     for k in range(1, n + 1):

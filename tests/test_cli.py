@@ -246,6 +246,18 @@ def test_cli_oversize_field_exits_2_at_once(capsys, field):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_unwritable_out_exits_2(capsys, tmp_path):
+    # a regular file where --out needs a directory
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["pitilde", "--q", "2", "--out", str(blocker / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    # a directory where --out needs a file
+    assert main(["pitilde", "--q", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
 def test_cli_precision_exhausted_exits_3(capsys):
     assert main(["pitilde", "--q", "2", "--uprec", "60", "--cutoff", "2"]) == 3
     assert "precision exhausted" in capsys.readouterr().err

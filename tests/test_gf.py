@@ -141,6 +141,121 @@ def test_pow_handles_negative_exponents():
     assert a ** 0 == f.one
 
 
+# -- every table against a test-local digit-vector oracle ----------------------
+
+def _prime_powers(limit):
+    out = []
+    for q in range(2, limit + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        e, r = 0, q
+        while r % p == 0:
+            r, e = r // p, e + 1
+        if r == 1:
+            out.append((p, e))
+    return out
+
+
+class DigitOracle:
+    """F_q as digit vectors mod p, multiplied and reduced by the modulus.
+
+    Index i stands for the vector of its base-p digits, low first; nothing
+    here reads the field's tables.
+    """
+
+    def __init__(self, field):
+        self.p, self.e, self.q, self.mod = field.p, field.e, field.q, field.modulus
+        self.vecs = [[i // self.p ** k % self.p for k in range(self.e)]
+                     for i in range(self.q)]
+
+    def idx(self, v):
+        out = 0
+        for c in reversed(v):
+            out = out * self.p + c % self.p
+        return out
+
+    def add(self, a, b):
+        if self.e == 1:
+            return (a + b) % self.p
+        return self.idx([x + y for x, y in zip(self.vecs[a], self.vecs[b])])
+
+    def neg(self, a):
+        return self.idx([-x for x in self.vecs[a]])
+
+    def mul(self, a, b):
+        p, e, mod, vb = self.p, self.e, self.mod, self.vecs[b]
+        if e == 1:  # one digit, nothing to reduce
+            return a * b % p
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(self.vecs[a]):
+            if x:
+                for j, y in enumerate(vb, i):
+                    if y:
+                        prod[j] += x * y
+        for k in range(2 * e - 2, e - 1, -1):
+            # x^k = x^(k-e) * x^e and x^e = -(mod[0] + ... + mod[e-1] x^(e-1))
+            c = prod[k] % p
+            for j in range(e):
+                prod[k - e + j] -= c * mod[j]
+        return self.idx(prod[:e])
+
+    def powers(self, a, n):
+        """a^0, a^1, ..., a^(n-1) by repeated multiplication."""
+        out = [1]
+        while len(out) < n:
+            out.append(self.mul(out[-1], a))
+        return out
+
+
+ORACLE_FIELDS = ([field_new(p, e) for p, e in _prime_powers(128)]
+                 + [field_new(257), field_new(3, 2, modulus=(2, 2, 1))])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_tables_match_digit_vector_oracle(field):
+    o, q = DigitOracle(field), field.q
+    assert field.add_t == [[o.add(a, b) for b in range(q)] for a in range(q)]
+    assert field.neg_t == [o.neg(a) for a in range(q)]
+    mul = [[o.mul(a, b) for b in range(q)] for a in range(q)]
+    assert field.mul_t == mul
+    assert field.inv_t[1:] == [mul[a].index(1) for a in range(1, q)]
+    frob = list(range(q))
+    assert len(field.frob_t) == field.e
+    for k in range(field.e):
+        assert field.frob_t[k] == frob, k
+        frob = [o.powers(a, field.p + 1)[-1] for a in frob]
+
+
+SCALAR_FIELDS = [field_new(p, e) for p, e in ((2, 1), (3, 1), (7, 1), (2, 2),
+                                              (2, 3), (3, 2), (5, 2), (3, 3))]
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=repr)
+def test_pow_matches_repeated_multiplication(field):
+    o, q = DigitOracle(field), field.q
+    ks = range(-q - 1, 2 * q + 2)
+    for a in range(1, q):
+        inv = next(b for b in range(1, q) if o.mul(a, b) == 1)
+        up, down = o.powers(a, 2 * q + 2), o.powers(inv, q + 2)
+        for k in ks:
+            want = up[k] if k >= 0 else down[-k]
+            assert (field.from_index(a) ** k).idx == want, (a, k)
+    zero = field.zero
+    assert zero ** 0 == field.one
+    assert all((zero ** k).is_zero() for k in (1, 2, q - 1, q, 10 ** 30))
+    with pytest.raises(DivisionByZero):
+        zero ** -1
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=repr)
+def test_frobenius_matches_repeated_multiplication(field):
+    o, p, e = DigitOracle(field), field.p, field.e
+    for a in range(field.q):
+        x, pw = field.from_index(a), o.powers(a, p ** (e - 1) + 1)
+        for k in range(-2 * e, 2 * e + 1):
+            # Frobenius has order e, so a^(p^k) for k < 0 is a^(p^(k mod e))
+            assert x.frobenius(k).idx == pw[p ** (k % e)], (a, k)
+
+
 def test_cross_field_operations_rejected():
     a = field_new(2).one
     b = field_new(3).one

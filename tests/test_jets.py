@@ -1,16 +1,12 @@
-"""Truncated derivation jets, p-adic binomials, and the matrix view."""
+"""Truncated derivation jets and the matrix view."""
 
 import random
-from math import comb
 
 import pytest
 
 from carlitzhd import (
     DegreeMismatch,
-    DenominatorDivisibleByP,
     Jet,
-    NonPrimeCharacteristic,
-    PadicInt,
     Poly,
     RatFunc,
     RhoMatrix,
@@ -21,7 +17,6 @@ from carlitzhd import (
     d_t_jet,
     d_theta_jet,
     field_new,
-    padic_binom,
     to_rho_matrix,
 )
 
@@ -233,63 +228,6 @@ def test_compose_substitute_short_input_rejected():
     p = RatFunc.from_poly(Poly.monomial(f, (1, 1), vars=VARS_TT))
     with pytest.raises(DegreeMismatch):
         compose_substitute(d_theta_jet(p, 2), 5)
-
-
-# -- p-adic integers and binomials ----------------------------------------------
-
-def test_padic_int_validation():
-    with pytest.raises(NonPrimeCharacteristic):
-        PadicInt(1, 1, 6)
-    with pytest.raises(DenominatorDivisibleByP):
-        PadicInt(1, 3, 3)
-    with pytest.raises(DenominatorDivisibleByP):
-        PadicInt(1, 0, 3)
-
-
-def test_padic_digits_of_minus_one():
-    for p in (2, 3, 5):
-        assert PadicInt(-1, 1, p).digits(8) == tuple([p - 1] * 8)
-
-
-def test_padic_digits_reconstruct_value():
-    rng = random.Random(SEED)
-    for p in (2, 3, 5):
-        for _ in range(50):
-            num = rng.randrange(-300, 300)
-            den = rng.randrange(1, 80)
-            while den % p == 0:
-                den += 1
-            x = PadicInt(num, den, p)
-            k = 12
-            val = sum(d * p ** i for i, d in enumerate(x.digits(k)))
-            assert (val * den - num) % p ** k == 0
-
-
-def test_padic_digits_prefix_stability():
-    x = PadicInt(-1, 2, 5)
-    assert x.digits(3) == x.digits(9)[:3]
-
-
-def test_padic_binom_matches_lucas_on_congruent_integer():
-    rng = random.Random(SEED)
-    for p in (2, 3, 5):
-        for _ in range(60):
-            num = rng.randrange(-200, 200)
-            den = rng.randrange(1, 60)
-            while den % p == 0:
-                den += 1
-            alpha = PadicInt(num, den, p)
-            k = rng.randrange(40)
-            M = 10
-            n_int = num * pow(den, -1, p ** M) % p ** M
-            assert padic_binom(alpha, k) == binom_mod_p(n_int, k, p)
-
-
-def test_padic_binom_edge_cases():
-    a = PadicInt(7, 2, 3)
-    assert padic_binom(a, 0) == 1
-    with pytest.raises(Exception):
-        padic_binom(a, -1)
 
 
 # -- matrix view -----------------------------------------------------------------

@@ -25,6 +25,7 @@ from carlitzhd import (
     useries_agree,
     useries_diff_witness,
 )
+from carlitzhd.useries import _binom_neg_inv
 
 SEED = 1729
 
@@ -300,6 +301,18 @@ def test_hasse_du_zero_order_is_identity():
 
 
 # -- the theta-derivation on series -------------------------------------------------
+
+@pytest.mark.parametrize("q,K", [(2, 10), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3),
+                                 (9, 3), (25, 2), (49, 2)])
+def test_binom_neg_inv_digit_rule(q, K):
+    # (q^K - 1)/(q - 1) = 1 + q + ... + q^(K-1) is -1/(q-1) mod q^K, so
+    # below q^K its binomials mod p are those of -1/(q-1) by Lucas' rule
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    n = (q ** K - 1) // (q - 1)
+    got = [_binom_neg_inv(j, q) for j in range(q ** K)]
+    assert got == [binom_mod_p(n, j, p) for j in range(q ** K)]
+    assert sum(got) == 2 ** K  # base-q digits in {0, 1}
+
 
 def test_d_theta_useries_of_u_is_minus_u_q():
     for q in (2, 3, 5):
