@@ -547,6 +547,13 @@ def _eta_num(field: Field, l: int) -> Poly:
     return out
 
 
+# eta_rat's numerator has t-degree q + q^2 + ... + q^l and 2^l terms, and
+# reducing the fraction costs most: (q, l) = (2, 6), t-degree 126, takes about
+# 14 s, while (3, 5), t-degree 363, runs past 40 s.  Above this t-degree
+# eta_rat is refused before any product is formed.
+ETA_MAX_T_DEGREE = 200
+
+
 @lru_cache(maxsize=None)
 def eta_rat(field: Field, l: int) -> RatFunc:
     """eta_l = prod_{m=1}^{l} (t^{q^m} - theta)/(theta^{q^m} - theta), exact.
@@ -555,6 +562,13 @@ def eta_rat(field: Field, l: int) -> RatFunc:
     """
     if l < 0:
         raise ConstraintViolated(f"eta_l needs l >= 0, got {l}")
+    deg = 0
+    for m in range(1, l + 1):
+        deg += field.q ** m
+        if deg > ETA_MAX_T_DEGREE:
+            raise ConstraintViolated(
+                f"eta_{l} over F_{field.q} has numerator t-degree above the "
+                f"largest supported, {ETA_MAX_T_DEGREE}")
     return RatFunc.make(_eta_num(field, l), L_poly(field, l).lift_tt())
 
 

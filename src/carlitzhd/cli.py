@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -149,11 +151,11 @@ def _prec_in(v):
 
 def ser_useries(s: USeries) -> dict:
     """Lossless record: min_exp, abs_prec, dense digit-vector coefficients."""
-    f = s.field
+    digits = s.field.digits_t
     return {
         "min_exp": s.min_exp,
         "abs_prec": _prec_out(s.abs_prec),
-        "coeffs": [list(f.from_index(i).coeffs) for i in s.coeffs],
+        "coeffs": [list(digits[i]) for i in s.coeffs],
     }
 
 
@@ -164,12 +166,11 @@ def parse_useries(field: Field, d: dict) -> USeries:
 
 def ser_poly(p: Poly) -> dict:
     """Exponent->coefficient map; keys are comma-joined exponent tuples."""
+    digits = p.field.digits_t
     return {
         "vars": list(p.vars),
-        "terms": {
-            ",".join(str(x) for x in e): list(c.coeffs)
-            for e, c in p.coeff_items()
-        },
+        "terms": {",".join(map(str, e)): list(digits[c])
+                  for e, c in sorted(p.terms.items())},
     }
 
 
@@ -224,7 +225,72 @@ def parse_coords(field: Field, d: dict) -> PeriodCoords:
 
 
 def _render_json(envelope: dict) -> str:
-    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    """json.dumps(envelope, indent=2, sort_keys=True) + "\n", byte for byte.
+
+    With indent set, json.dumps runs its pure-Python encoder, one generator
+    step per token.  This renders the same text in one recursive pass over
+    str-keyed dicts and lists.  A list of ints is one join, and its text is
+    memoized per indent for this call, so a series' repeated digit vectors
+    cost one dict lookup each.  Keys and other scalars go through json.dumps,
+    so escaping and number formatting stay json's own.
+    """
+    out: list[str] = []
+    memo: dict[str, dict] = {}
+    dumps = json.dumps
+
+    def ints(v, ind: str) -> str:
+        texts = memo.setdefault(ind, {})
+        key = tuple(v)
+        text = texts.get(key)
+        if text is None:
+            sep = ",\n" + ind + "  "
+            text = texts[key] = "[\n" + ind + "  " + sep.join(map(str, v)) + "\n" + ind + "]"
+        return text
+
+    def render(obj, ind: str) -> None:
+        if isinstance(obj, dict):
+            if not obj:
+                out.append("{}")
+                return
+            inner = ind + "  "
+            sep = "{\n" + inner
+            for k, v in sorted(obj.items()):
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, got {type(k).__name__}")
+                out.append(sep + dumps(k) + ": ")
+                render(v, inner)
+                sep = ",\n" + inner
+            out.append("\n" + ind + "}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                out.append("[]")
+                return
+            # exact types: True == 1 and 1.0 == 1 would share a memo key
+            kinds = set(map(type, obj))
+            if kinds == {int}:
+                out.append(ints(obj, ind))
+                return
+            inner = ind + "  "
+            if kinds <= {list, tuple} and all(obj) and set(map(
+                    type, itertools.chain.from_iterable(obj))) == {int}:
+                # a list of digit vectors, the bulk of every series record
+                texts = memo.setdefault(inner, {})
+                out.append("[\n" + inner + (",\n" + inner).join([
+                    texts.get(tuple(v)) or ints(v, inner) for v in obj])
+                    + "\n" + ind + "]")
+                return
+            sep = "[\n" + inner
+            for v in obj:
+                out.append(sep)
+                render(v, inner)
+                sep = ",\n" + inner
+            out.append("\n" + ind + "]")
+        else:
+            out.append(dumps(obj))
+
+    render(envelope, "")
+    out.append("\n")
+    return "".join(out)
 
 
 def _render_report_csv(cells) -> str:
@@ -536,10 +602,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the argparse tree costs more to build than a small subcommand computes, so
+# a process builds it once; parse_args starts each call from a fresh Namespace
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 for --help/--version
         return int(exc.code or 0)

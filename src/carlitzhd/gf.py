@@ -6,9 +6,9 @@ variable.  Internally each element is stored as a single index
 idx = sum(digit_i * p^i), and all arithmetic is a lookup in tables built once
 per field.  The multiplicative tables (products, inverses, powers and the
 Frobenius rows) are read off one walk through the powers of the first
-primitive element; addition and negation act digit by digit.  The two q*q
-tables hold 16 MB at q = 1021, so a field above MAX_Q is refused before any
-table is built.
+primitive element; addition, negation and the digit vectors themselves are
+built digit by digit.  The two q*q tables hold 16 MB at q = 1021, so a field
+above MAX_Q is refused before any table is built.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class Field:
 
     # Fields compare by construction data so separately built twins agree.
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Field)
             and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
         )
@@ -147,9 +147,6 @@ class Field:
             return f"F_{self.p}"
         return f"F_{self.q}(mod {self.modulus})"
 
-    def _idx_to_vec(self, idx: int) -> list[int]:
-        return _digits(idx, self.p, self.e)
-
     def _vec_to_idx(self, v: list[int]) -> int:
         idx = 0
         for c in reversed(v):
@@ -158,7 +155,7 @@ class Field:
 
     def _powers(self, g: int) -> list[int]:
         """Indices of g^0, g^1, ... up to the first power that is 1 again."""
-        p, mod, gv = self.p, list(self.modulus), self._idx_to_vec(g)
+        p, mod, gv = self.p, list(self.modulus), list(self.digits_t[g])
         out, v = [1], [1]
         while True:
             v = _fp_mul(v, gv, p)
@@ -172,6 +169,12 @@ class Field:
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
         n = q - 1
+        # digits_t[a] is the digit vector of index a, low digit first: one
+        # more digit goes above the p^i vectors built so far, as for add_t
+        digits = [(a,) for a in range(p)]
+        for _ in range(e - 1):
+            digits = [v + (y,) for y in range(p) for v in digits]
+        self.digits_t = digits
         # exp_t[k] = g^k for the first g of multiplicative order q - 1, and
         # log_t its inverse; every multiplicative table is read off the pair
         for g in range(1, q):
@@ -265,7 +268,7 @@ class FqElem:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Canonical digit vector over the prime subfield, low degree first."""
-        return tuple(self.field._idx_to_vec(self.idx))
+        return self.field.digits_t[self.idx]
 
     def is_zero(self) -> bool:
         return self.idx == 0
@@ -334,15 +337,16 @@ class FqElem:
         return FqElem(self.field, self.field.frob_t[k % self.field.e][self.idx])
 
     def __eq__(self, other):
+        if isinstance(other, FqElem):
+            return self.field == other.field and self.idx == other.idx
         if isinstance(other, int):
             return self.idx == other % self.field.p
-        return (
-            isinstance(other, FqElem)
-            and self.field == other.field
-            and self.idx == other.idx
-        )
+        return NotImplemented  # a RatFunc compares itself to an FqElem
 
     def __hash__(self):
+        # the prime subfield's elements equal the ints idx, so hash as them
+        if self.idx < self.field.p:
+            return hash(self.idx)
         return hash((self.field.p, self.field.e, self.field.modulus, self.idx))
 
     def __repr__(self):

@@ -557,9 +557,10 @@ class Poly:
         return cls(field, VARS_T, {(i,): c for i, c in enumerate(dense) if c})
 
     def __eq__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented  # a RatFunc compares itself to a Poly
         return (
-            isinstance(other, Poly)
-            and self.field == other.field
+            self.field == other.field
             and self.vars == other.vars
             and self.terms == other.terms
         )
@@ -567,7 +568,10 @@ class Poly:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.field, self.vars, frozenset(self.terms.items())))
+            if self.is_constant():  # a RatFunc equal to it may equal an FqElem
+                h = hash(self.coeff((0,) * len(self.vars)))
+            else:
+                h = hash((self.field, self.vars, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -896,6 +900,8 @@ class RatFunc:
         return RatFunc.make(num_e, den_e)
 
     def __eq__(self, other):
+        if isinstance(other, FqElem) and other.field != self.field:
+            return False  # coercing it would raise FieldMismatch
         if isinstance(other, (int, FqElem, Poly)):
             other = self._coerce(other)
         return (
@@ -909,7 +915,9 @@ class RatFunc:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.num, self.den))
+            # the monic denominator is constant only when it is 1, and then
+            # self equals its numerator
+            h = hash(self.num) if self.den.is_constant() else hash((self.num, self.den))
             object.__setattr__(self, "_hash", h)
         return h
 

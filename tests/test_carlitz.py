@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 
 import pytest
 
@@ -248,6 +249,25 @@ def test_eta_rat_recursion():
             Poly.monomial(f, (3 ** l, 0), vars=VARS_TT)
             - Poly.monomial(f, (1, 0), vars=VARS_TT))
         assert eta_rat(f, l) == eta_rat(f, l - 1) * factor
+
+
+def test_eta_rat_refuses_numerators_above_the_t_degree_bound(monkeypatch):
+    from carlitzhd import carlitz
+
+    def no_products(*args):
+        raise AssertionError("a product was formed before the bound check")
+
+    # (q, l) = (2, 6), numerator t-degree 126, stays accepted
+    assert sum(2 ** m for m in range(1, 7)) <= carlitz.ETA_MAX_T_DEGREE
+    monkeypatch.setattr(carlitz, "_eta_num", no_products)
+    for q, l in ((2, 7), (3, 5), (9, 3), (3, 40), (2, 10 ** 9)):
+        assert sum(q ** m for m in range(1, min(l, 8) + 1)) > carlitz.ETA_MAX_T_DEGREE
+        start = time.perf_counter()
+        with pytest.raises(ConstraintViolated, match="t-degree"):
+            eta_rat(field_new(*{2: (2,), 3: (3,), 9: (3, 2)}[q]), l)
+        assert time.perf_counter() - start < 1
+    # the s-expansion keeps its range: only factors below s^M are formed
+    assert eta_sjet(field_new(3), 40, 4) == eta_sjet(field_new(3), 2, 4)
 
 
 @pytest.mark.parametrize("q", [2, 3])

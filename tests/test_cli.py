@@ -9,10 +9,12 @@ import pytest
 from carlitzhd import (
     CarlitzCtx,
     ConstraintViolated,
+    PeriodCoords,
     Poly,
     RatFunc,
     TPoly,
     USeries,
+    VARS_T,
     VARS_TT,
     field_new,
     pitilde,
@@ -23,6 +25,7 @@ from carlitzhd.cli import (
     RunConfig,
     _factor_prime_power,
     _parse_modulus,
+    _render_json,
     build_parser,
     main,
     parse_coords,
@@ -246,6 +249,15 @@ def test_cli_oversize_field_exits_2_at_once(capsys, field):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_eta_above_the_bound_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["eta", "--q", "3", "--l", "40"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_unwritable_out_exits_2(capsys, tmp_path):
     # a regular file where --out needs a directory
     blocker = tmp_path / "blocker"
@@ -379,3 +391,168 @@ def test_cli_version_flag(capsys):
 
     assert main(["--version"]) == 0
     assert __version__ in capsys.readouterr().out
+
+
+# -- one parser per process ----------------------------------------------------------
+
+def test_cli_builds_one_parser_tree_per_process(monkeypatch, capsys):
+    import argparse
+
+    from carlitzhd import cli
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser()
+    per_tree = len(built)  # the root and one per subcommand
+    assert per_tree > 1
+    built.clear()
+    cli._parser.cache_clear()
+    for _ in range(4):
+        assert main(["gamma", "--q", "2", "--kind", "D", "--m", "1"]) == 0
+        assert main(["pitilde", "--q", "2", "--uprec", "10", "--json"]) == 0
+    assert len(built) == per_tree
+    capsys.readouterr()
+
+
+def test_cli_reused_parser_keeps_no_state_between_calls(capsys):
+    verify = ["verify", "--q", "2", "--n", "1", "--json", "--identity"]
+    assert main(verify + ["omega"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["selectors"] == ["omega"]
+    assert main(verify + ["alpha"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["selectors"] == ["alpha"]
+
+    coords = ["coords", "--q", "2", "--n", "2"]
+    assert main(coords + ["--json"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert main(coords) == 0
+    assert capsys.readouterr().out.startswith("coordinates over F_2, n=2")
+
+
+# -- the JSON renderer ---------------------------------------------------------------
+
+def _oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pitilde", "--q", "3", "--uprec", "25"],
+    ["pitilde", "--q", "9", "--uprec", "20"],
+    ["omega", "--q", "2", "--uprec", "20"],
+    ["atpoly", "--q", "3", "--n", "4"],
+    ["gamma", "--q", "4", "--kind", "curlyL", "--m", "2"],
+    ["eta", "--q", "2", "--l", "2"],
+    ["eta", "--q", "3", "--l", "2", "--form", "sjet", "--sjet-order", "4"],
+    ["bj", "--q", "2", "--j", "3"],
+    ["coords", "--q", "4", "--n", "3", "--route", "omega"],
+    ["coords", "--q", "3", "--n", "3", "--route", "eta"],
+    ["coords", "--q", "2", "--n", "3", "--route", "at"],
+    ["verify", "--q", "2", "--n", "1", "--identity", "alpha"],
+    ["verify", "--q", "3", "--lagrange", "--trials", "3"],
+])
+def test_render_json_matches_json_dumps_on_every_subcommand(argv, capsys, monkeypatch):
+    from carlitzhd import cli
+
+    seen = []
+    render = cli._render_json
+
+    def checked(envelope):
+        seen.append(envelope)
+        text = render(envelope)
+        assert text == _oracle(envelope)
+        return text
+
+    monkeypatch.setattr(cli, "_render_json", checked)
+    assert main(argv + ["--json"]) == 0
+    assert len(seen) == 1
+    assert capsys.readouterr().out == _oracle(seen[0])
+
+
+def test_render_json_keeps_json_types_apart():
+    # ints, bools and floats compare equal, so memoized int lists must
+    # never stand in for a list of another type
+    tree = {"a": [[1, 0], [True, False], [1.0, 0.0], [1, 0], [], [1]],
+            "b": [[0, 1], (0, 1), [0, 1.5]], "c": [1, True, 1.0, None, "1"],
+            "e": [[0, 1], (1, 0), [0, 1], [2 ** 70]], "f": [[0, 1], [[0, 1]]],
+            "é\n": {"": [{}, [], [[]], [[], [2]]]}, "d": (3, 4)}
+    assert _render_json(tree) == _oracle(tree)
+    for scalar in (0, -7, 2 ** 70, 1.5, float("inf"), float("nan"), None, True,
+                   "☃\"\\"):
+        assert _render_json(scalar) == _oracle(scalar)
+    with pytest.raises(TypeError):
+        _render_json({1: 2})
+
+
+def test_render_json_matches_json_dumps_on_random_trees():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=6))
+    digit_vectors = st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=6)
+    trees = st.recursive(
+        scalars | digit_vectors,
+        lambda kids: st.lists(kids, max_size=5)
+        | st.dictionaries(st.text(max_size=6), kids, max_size=5),
+        max_leaves=30)
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(trees)
+    def check(tree):
+        assert _render_json(tree) == _oracle(tree)
+
+    check()
+
+
+# -- serializer round trips on random values ------------------------------------------
+
+def test_serializer_round_trips_on_random_values():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fields = [field_new(2), field_new(3), field_new(2, 2), field_new(3, 2)]
+
+    def through_text(d):
+        return json.loads(_render_json(d))
+
+    def useries(draw, f):
+        coeffs = draw(st.dictionaries(st.integers(-6, 12), st.integers(0, f.q - 1),
+                                      max_size=8))
+        s = USeries.from_coeff_map(f, {e: f.from_index(c) for e, c in coeffs.items()})
+        prec = draw(st.none() | st.integers(-6, 14))
+        return s if prec is None else s.with_prec(prec)
+
+    def poly(draw, f, vars):
+        items = draw(st.lists(st.tuples(
+            st.tuples(*[st.integers(0, 5)] * len(vars)), st.integers(0, f.q - 1)),
+            max_size=5))
+        return Poly.from_items(f, [(e, f.from_index(c)) for e, c in items], vars)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        draw = data.draw
+        f = draw(st.sampled_from(fields))
+        s = useries(draw, f)
+        assert parse_useries(f, through_text(ser_useries(s))) == s
+        vars = draw(st.sampled_from([VARS_T, VARS_TT]))
+        num, den = poly(draw, f, vars), poly(draw, f, vars)
+        assert parse_poly(f, through_text(ser_poly(num))) == num
+        if not den.is_zero():
+            r = RatFunc.make(num, den)
+            assert parse_ratfunc(f, through_text(ser_ratfunc(r))) == r
+        t_prec = draw(st.none() | st.integers(1, 4))
+        t = TPoly(f, {k: useries(draw, f) for k in range(draw(st.integers(0, 4)))},
+                  t_prec)
+        assert parse_tpoly(f, through_text(ser_tpoly(t))) == t
+        n = draw(st.integers(1, 3))
+        route = draw(st.sampled_from(["omega", "eta", "at"]))
+        pc = PeriodCoords(n, tuple(useries(draw, f) for _ in range(n)), route)
+        assert parse_coords(f, through_text(ser_coords(pc))) == pc
+
+    check()

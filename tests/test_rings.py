@@ -231,6 +231,35 @@ def test_ratfunc_mixed_field_rejected():
         a + b
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_equal_values_hash_equal(q):
+    # FqElem, constant Poly and RatFunc with denominator 1 compare equal
+    # across types (and to the ints 0..p-1), in either order, so they must
+    # hash equal too
+    f = field_new(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2)}[q])
+    rng = random.Random(SEED)
+    values = list(range(f.p)) + f.elements()
+    for vars in (VARS_T, VARS_TT):
+        values += [Poly.const(f, c, vars) for c in f.elements()]
+        values += [RatFunc.const(f, c, vars) for c in f.elements()]
+        for _ in range(6):
+            num = rand_poly(rng, f, vars, 3, 3)
+            values += [num, RatFunc.from_poly(num), rand_ratfunc(rng, f, vars)]
+    pairs = 0
+    for a in values:
+        for b in values:
+            assert (a == b) == (b == a), (a, b)
+            if a == b:
+                pairs += 1
+                assert hash(a) == hash(b), (a, b)
+    assert pairs > len(values)
+    assert len({f.from_index(1), 1, RatFunc.one(f)}) == 1
+    # equal hashes across fields must not turn into a FieldMismatch
+    other = field_new(5).one
+    assert RatFunc.one(f) != other and other != RatFunc.one(f)
+    assert len({RatFunc.one(f), other}) == 2
+
+
 def test_ratfunc_eval_t_at_theta_and_pole():
     f = field_new(3)
     t = Poly.monomial(f, (0, 1), vars=VARS_TT)
