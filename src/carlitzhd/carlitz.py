@@ -31,6 +31,8 @@ from .rings import (
     Poly,
     RatFunc,
     SJet,
+    _quotient_jet,
+    _quotient_jet_numerators,
     poly_divexact,
     taylor_shift,
 )
@@ -370,58 +372,21 @@ def carlitz_combinatorics(field: Field, kind: str, index: int) -> Poly:
 # -- jets of quotients, substituted at t = theta --------------------------------
 
 
-def _quotient_jet_numerators(nums: list[Poly], dens: list[Poly]):
-    """(C, pow): C_k = c_k * D^{k+1} for the jet c = N/D, and pow(k) = D^k.
-
-    nums and dens are polynomial jets N and D of one derivation, D = dens[0].
-    From c * D = N, one fraction-free recurrence with E_i = D_i * D^{i-1}:
-
-        C_0 = N_0,  C_k = N_k * D^k - sum_{i=1..k} E_i * C_{k-i}.
-
-    A term with an exact-zero factor is skipped; D^k is formed on demand.
-    """
-    D = dens[0]
-    dpows = [Poly.one(D.field, D.vars), D]
-
-    def dpow(k):
-        while len(dpows) <= k:
-            dpows.append(dpows[-1] * D)
-        return dpows[k]
-
-    es, cs = [], []
-    for k, nk in enumerate(nums):
-        dk = dens[k]
-        es.append(dk * dpow(k - 1) if k > 1 and not dk.is_zero() else dk)
-        acc = nk * dpow(k) if k and not nk.is_zero() else nk
-        for i in range(1, k + 1):
-            if not (es[i].is_zero() or cs[k - i].is_zero()):
-                acc = acc - es[i] * cs[k - i]
-        cs.append(acc)
-    return cs, dpow
-
-
 def _ratio_theta_jet(num_jet: Jet, den_jet: Jet) -> Jet:
     """Jet of num/den, substituted at t = theta.
 
-    Inputs are jets of polynomials under one derivation (num may involve t,
-    den likewise).  Every input coefficient is substituted at t = theta
-    first, once; the recurrence then runs on univariate polynomials.  This
-    gives the same jet as substituting the finished bivariate coefficients,
-    because evaluation at t = theta is a ring homomorphism, the recurrence
-    uses only ring operations, and RatFunc.make returns the canonical form.
-    Coefficient k is C_k / D^{k+1} for D = den(theta) and the quotient-jet
-    numerators C_k.  D must be nonzero.
+    Inputs are jets of polynomials under one derivation.  Every coefficient
+    is substituted at t = theta first, once; rings._quotient_jet then runs
+    on univariate polynomials.  This gives the same jet as substituting the
+    finished bivariate coefficients, because evaluation at t = theta is a
+    ring homomorphism and RatFunc.make returns the canonical form.
     """
     if num_jet.order != den_jet.order:
         raise ConstraintViolated("numerator and denominator jets differ in order")
-    nth = [c.eval_t_at_theta() for c in num_jet.coeffs]
     dth = [c.eval_t_at_theta() for c in den_jet.coeffs]
-    D = dth[0]
-    if D.is_zero():
+    if dth[0].is_zero():
         raise PoleAtTheta("denominator vanishes at t = theta")
-    cs, dpow = _quotient_jet_numerators(nth, dth)
-    return Jet([RatFunc.zero(D.field) if c.is_zero() else RatFunc.make(c, dpow(k + 1))
-                for k, c in enumerate(cs)])
+    return Jet(_quotient_jet([c.eval_t_at_theta() for c in num_jet.coeffs], dth))
 
 
 def _embed_jet(jet: Jet, prec: int) -> Jet:
@@ -851,8 +816,12 @@ def _tpoly_witness(tag: str, w) -> str:
             f"{left!r} != {right!r}")
 
 
-def _jet_witness(tag: str, k, left, right) -> str:
-    return f"{tag}: order-{k} coefficients differ: {left!r} != {right!r}"
+def _jet_witness(tag: str, lhs: Jet, rhs: Jet) -> str | None:
+    """The first order at which two jets of one length differ; None if none."""
+    for k, (left, right) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+        if left != right:
+            return f"{tag}: order-{k} coefficients differ: {left!r} != {right!r}"
+    return None
 
 
 # -- verification cells ------------------------------------------------------------
@@ -1008,23 +977,24 @@ def _cells_span(ctx: CarlitzCtx, n: int) -> list[CheckCell]:
 
 
 def _cells_eta_quotient(field: Field, lmax: int, order: int) -> list[CheckCell]:
+    """theta-jet of eta_l against the t-jet of curlyL_l over the theta-jet of L_l.
+
+    eta_l has numerator prod (t^{q^m} - theta) and denominator L_l, so both
+    sides divide by the same theta-jet of L_l, at t = theta, to order
+    `order`.  The cell thus compares two independently computed numerator
+    jets: d_theta^k of that product and d_t^k of curlyL_l.  The shared
+    division keeps the check sound: C_k = N_k * D^k - sum_{i>=1} E_i * C_{k-i}
+    with D = L_l != 0 is triangular with nonzero diagonal, so the quotient
+    jets agree exactly when the numerator jets do.
+    """
     cells = []
     for l in range(lmax + 1):
-        lhs = _ratio_theta_jet(d_theta_jet(_eta_num(field, l), order),
-                               d_theta_jet(L_poly(field, l).lift_tt(), order))
-        rhs_num = Jet([RatFunc.from_poly(c.eval_t_at_theta())
-                       for c in d_t_jet(curlyL_poly(field, l), order).coeffs])
-        rhs_den = Jet([RatFunc.from_poly(c)
-                       for c in d_theta_jet(L_poly(field, l), order).coeffs])
-        rhs = rhs_num * rhs_den.inverse()
-        ok = True
-        witness = None
-        for k in range(order + 1):
-            if lhs[k] != rhs[k]:
-                ok = False
-                witness = _jet_witness(f"eta_{l} quotient", k, lhs[k], rhs[k])
-                break
-        cells.append(CheckCell("eta_quotient", {"l": l, "order": order}, ok, witness))
+        den = d_theta_jet(L_poly(field, l), order)
+        lhs = _ratio_theta_jet(d_theta_jet(_eta_num(field, l), order), den)
+        rhs = _ratio_theta_jet(d_t_jet(curlyL_poly(field, l), order), den)
+        witness = _jet_witness(f"eta_{l} quotient", lhs, rhs)
+        cells.append(CheckCell("eta_quotient", {"l": l, "order": order},
+                               witness is None, witness))
     return cells
 
 
@@ -1038,14 +1008,9 @@ def _cells_bjet_eta(field: Field, nmax: int) -> list[CheckCell]:
         rhs = _ratio_theta_jet(
             d_theta_jet(_eta_num(field, l - 1), n - 1),
             d_theta_jet(L_poly(field, l - 1).lift_tt(), n - 1))
-        ok = True
-        witness = None
-        for k in range(n):
-            if lhs[k] != rhs[k]:
-                ok = False
-                witness = _jet_witness("transfer jet vs eta jet", k, lhs[k], rhs[k])
-                break
-        cells.append(CheckCell("bjet_eta_congruence", {"n": n, "l": l}, ok, witness))
+        witness = _jet_witness("transfer jet vs eta jet", lhs, rhs)
+        cells.append(CheckCell("bjet_eta_congruence", {"n": n, "l": l},
+                               witness is None, witness))
     return cells
 
 

@@ -339,8 +339,8 @@ class FqElem:
     def __eq__(self, other):
         if isinstance(other, FqElem):
             return self.field == other.field and self.idx == other.idx
-        if isinstance(other, int):
-            return self.idx == other % self.field.p
+        if isinstance(other, int):  # only the canonical residues 0..p-1
+            return 0 <= other < self.field.p and self.idx == other
         return NotImplemented  # a RatFunc compares itself to an FqElem
 
     def __hash__(self):

@@ -21,6 +21,7 @@ from .rings import (
     RatFunc,
     _exact_zero,
     _poly_hasse,
+    _quotient_jet,
     pow_base_p,
     series_frobenius,
     series_inverse,
@@ -154,15 +155,9 @@ def _jet_of(f, var: int, order: int) -> Jet:
     if isinstance(f, Poly):
         return Jet(_poly_hasse(f, var, k) for k in range(order + 1))
     if isinstance(f, RatFunc):
-        num = Jet(
-            RatFunc.from_poly(_poly_hasse(f.num, var, k)) for k in range(order + 1)
-        )
-        if f.den.is_constant():
-            return num
-        den = Jet(
-            RatFunc.from_poly(_poly_hasse(f.den, var, k)) for k in range(order + 1)
-        )
-        return num * den.inverse()
+        num, den = ([_poly_hasse(g, var, k) for k in range(order + 1)]
+                    for g in (f.num, f.den))
+        return Jet(_quotient_jet(num, den))
     raise ConstraintViolated(f"no hyperderivative jets for {type(f).__name__}")
 
 

@@ -15,7 +15,8 @@ series_mul, series_inverse, series_frobenius and pow_base_p are the one
 truncated-series algebra behind SJet, jets.Jet, useries.TPoly and
 useries.USeries.  They skip a term only when a factor is an exact zero, so
 a coefficient that is zero only up to its precision still caps the
-precision of every term it enters.
+precision of every term it enters.  A jet of polynomial quotients N/D runs
+one fraction-free recurrence (_quotient_jet) instead of a series inverse.
 
 The gcd is a primitive polynomial-remainder-sequence Euclidean algorithm on
 the univariate-in-main-variable view; bivariate content is split off
@@ -557,13 +558,13 @@ class Poly:
         return cls(field, VARS_T, {(i,): c for i, c in enumerate(dense) if c})
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented  # a RatFunc compares itself to a Poly
-        return (
-            self.field == other.field
-            and self.vars == other.vars
-            and self.terms == other.terms
-        )
+        if isinstance(other, Poly) and self.vars == other.vars:
+            return self.field == other.field and self.terms == other.terms
+        # a scalar, or a Poly in other variables, equals only a constant, and
+        # FqElem.__eq__ rules on the field and on the int's range
+        if isinstance(other, (int, FqElem, Poly)):
+            return self.is_constant() and other == self.coeff((0,) * len(self.vars))
+        return NotImplemented  # a RatFunc compares itself to a Poly
 
     def __hash__(self):
         h = self._hash
@@ -900,17 +901,11 @@ class RatFunc:
         return RatFunc.make(num_e, den_e)
 
     def __eq__(self, other):
-        if isinstance(other, FqElem) and other.field != self.field:
-            return False  # coercing it would raise FieldMismatch
+        # the monic denominator is constant only when it is 1
         if isinstance(other, (int, FqElem, Poly)):
-            other = self._coerce(other)
-        return (
-            isinstance(other, RatFunc)
-            and self.field == other.field
-            and self.vars == other.vars
-            and self.num == other.num
-            and self.den == other.den
-        )
+            return self.den.is_constant() and self.num == other
+        return (isinstance(other, RatFunc) and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
         h = self._hash
@@ -1030,6 +1025,46 @@ def pow_base_p(x, k: int, p: int, one):
         if k:
             stage = stage.frobenius_power(1)
     return result
+
+
+def _quotient_jet_numerators(nums: list[Poly], dens: list[Poly]):
+    """(C, pow): C_k = c_k * D^{k+1} for the jet c = N/D, and pow(k) = D^k.
+
+    nums and dens are polynomial jets N and D of one derivation, D = dens[0].
+    From c * D = N, one fraction-free recurrence with E_i = D_i * D^{i-1}:
+
+        C_0 = N_0,  C_k = N_k * D^k - sum_{i=1..k} E_i * C_{k-i}.
+
+    A term with an exact-zero factor is skipped; D^k is formed on demand.
+    """
+    D = dens[0]
+    dpows = [Poly.one(D.field, D.vars), D]
+
+    def dpow(k):
+        while len(dpows) <= k:
+            dpows.append(dpows[-1] * D)
+        return dpows[k]
+
+    es, cs = [], []
+    for k, nk in enumerate(nums):
+        dk = dens[k]
+        es.append(dk * dpow(k - 1) if k > 1 and not dk.is_zero() else dk)
+        acc = nk * dpow(k) if k and not nk.is_zero() else nk
+        for i in range(1, k + 1):
+            if not (es[i].is_zero() or cs[k - i].is_zero()):
+                acc = acc - es[i] * cs[k - i]
+        cs.append(acc)
+    return cs, dpow
+
+
+def _quotient_jet(nums: list[Poly], dens: list[Poly]) -> list[RatFunc]:
+    """The jet N/D as the canonical fractions C_k / D^{k+1}; D = dens[0] != 0."""
+    if all(d.is_zero() for d in dens[1:]):  # then c_k = N_k / D: no D^k to cancel
+        return [RatFunc.make(n, dens[0]) for n in nums]
+    cs, dpow = _quotient_jet_numerators(nums, dens)
+    zero = RatFunc.zero(dens[0].field, dens[0].vars)
+    return [zero if c.is_zero() else RatFunc.make(c, dpow(k + 1))
+            for k, c in enumerate(cs)]
 
 
 # -- truncated expansions in s = t - theta ------------------------------------
@@ -1168,10 +1203,13 @@ def taylor_shift(f: Poly, order: int) -> SJet:
 
 
 def sjet_from_ratfunc(f: RatFunc, order: int) -> SJet:
-    """Expansion of a rational function around t = theta (no pole allowed)."""
-    den_at = f.den.eval_t_at_theta()
-    if den_at.is_zero():
+    """Expansion of a rational function around t = theta (no pole allowed).
+
+    The Taylor coefficients d_t^k at t = theta of numerator and denominator
+    go through _quotient_jet, so the expansion never inverts a series.
+    """
+    if f.den.eval_t_at_theta().is_zero():
         raise PoleAtTheta(f"denominator {f.den!r} vanishes at t = theta")
-    num_jet = taylor_shift(f.num.lift_tt(), order)
-    den_jet = taylor_shift(f.den.lift_tt(), order)
-    return num_jet * den_jet.inverse()
+    num, den = ([_poly_hasse(g, 1, k).eval_t_at_theta() for k in range(order)]
+                for g in (f.num, f.den))
+    return SJet(f.field, _quotient_jet(num, den))

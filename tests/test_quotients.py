@@ -1,8 +1,10 @@
-"""The exact quotient builders in carlitz against independent references.
+"""The exact quotient builders against independent references.
 
-`_ratio_theta_jet` (one fraction-free recurrence) is checked against the
-generic route, a `Jet` of `RatFunc` coefficients divided by another, and
-`at_poly` (one exact cofactor per term) against the recursion that carries
+Every jet of a quotient runs one fraction-free recurrence,
+`rings._quotient_jet`.  Its callers `_ratio_theta_jet`, the `eta_quotient`
+cell and `sjet_from_ratfunc` are checked against the generic route, a jet of
+`RatFunc` coefficients times the series inverse of another, and `at_poly`
+(one exact cofactor per term) against the recursion that carries
 alpha_n/Gamma_n as one unreduced fraction.  Frozen b_j values pin the same
 recurrence on the path `b_rat` takes, and product counts pin its cost.
 """
@@ -12,6 +14,7 @@ import random
 import pytest
 
 from carlitzhd import (
+    CarlitzCtx,
     ConstraintViolated,
     D_poly,
     Gamma_poly,
@@ -23,15 +26,21 @@ from carlitzhd import (
     VARS_TT,
     at_poly,
     b_rat,
+    curlyL_poly,
+    eta_rat,
     field_new,
     gamma_poly,
     poly_divexact,
+    sjet_from_ratfunc,
+    taylor_shift,
+    verify_suite,
 )
 from carlitzhd import carlitz
 from carlitzhd.carlitz import _eta_num, _ratio_theta_jet
-from carlitzhd.jets import d_theta_jet
+from carlitzhd.jets import d_t_jet, d_theta_jet
 
-FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2)}
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+          9: (3, 2)}
 
 
 def generic_ratio(num_jet: Jet, den_jet: Jet) -> Jet:
@@ -113,6 +122,46 @@ def test_ratio_jet_matches_generic_route_on_dense_jets():
     assert _ratio_theta_jet(num_jet, den_jet) == generic_ratio(num_jet, den_jet)
 
 
+# -- the eta_quotient cell -----------------------------------------------------------
+
+def old_eta_rhs(f, l: int, order: int) -> Jet:
+    """The cell's right-hand side as it was built before the recurrence."""
+    rhs_num = Jet([RatFunc.from_poly(c.eval_t_at_theta())
+                   for c in d_t_jet(curlyL_poly(f, l), order).coeffs])
+    rhs_den = Jet([RatFunc.from_poly(c)
+                   for c in d_theta_jet(L_poly(f, l), order).coeffs])
+    return rhs_num * rhs_den.inverse()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_eta_quotient_rhs_matches_generic_route(q):
+    # every field of the benchmark's verify grid, l <= 3, order <= 6
+    f = field_new(*FIELDS[q])
+    for l in range(4):
+        for order in (0, 3, 6):
+            new = _ratio_theta_jet(d_t_jet(curlyL_poly(f, l), order),
+                                   d_theta_jet(L_poly(f, l), order))
+            assert new == old_eta_rhs(f, l, order), (l, order)
+
+
+@pytest.mark.parametrize("bad_l", [0, 2, 3])
+def test_eta_quotient_cell_fails_on_a_perturbed_numerator(monkeypatch, bad_l):
+    ctx = CarlitzCtx(field_new(3), uprec=20, jet_order=4)
+    clean = verify_suite(ctx, "eta_quotient", lmax=3)
+    real = carlitz.curlyL_poly
+
+    def perturbed(field, l):
+        out = real(field, l)
+        return out + Poly.monomial(field, (1, 1)) if l == bad_l else out
+
+    monkeypatch.setattr(carlitz, "curlyL_poly", perturbed)
+    faulted = verify_suite(ctx, "eta_quotient", lmax=3)
+    bad = [c for c in faulted.cells if not c.passed]
+    assert clean.all_passed and len(faulted.cells) == len(clean.cells) == 4
+    assert [c.params["l"] for c in bad] == [bad_l]
+    assert bad[0].witness.startswith(f"eta_{bad_l} quotient: order-0 ")
+
+
 # -- product counts ----------------------------------------------------------------
 
 @pytest.mark.parametrize("q,n", [(2, 12), (2, 16), (3, 9), (4, 6), (5, 6)])
@@ -131,6 +180,64 @@ def test_ratio_jet_product_count_on_dense_jets(monkeypatch, m):
     num_jet, den_jet = dense_jets(3, m, seed=m)
     products = count_products(monkeypatch, _ratio_theta_jet, num_jet, den_jet)
     assert products == m * (m + 1) // 2 + 3 * m - 1
+
+
+# -- sjet_from_ratfunc on the same recurrence ----------------------------------------
+
+def generic_sjet(r: RatFunc, order: int):
+    """The expansion as it was built before: a Taylor jet times an inverse."""
+    return (taylor_shift(r.num.lift_tt(), order)
+            * taylor_shift(r.den.lift_tt(), order).inverse())
+
+
+def rand_tt(rng, f, deg: int, terms: int) -> Poly:
+    return Poly.from_items(f, [((rng.randrange(deg + 1), rng.randrange(deg + 1)),
+                                f.from_index(rng.randrange(1, f.q)))
+                               for _ in range(terms)], VARS_TT)
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_sjet_from_ratfunc_matches_generic_route(q):
+    f = field_new(*FIELDS[q])
+    rng = random.Random(q)
+    checked = 0
+    while checked < 6:
+        den = rand_tt(rng, f, 4, 5)
+        if den.degree(1) < 1 or den.eval_t_at_theta().is_zero():
+            continue
+        r = RatFunc.make(rand_tt(rng, f, 4, 5), den)
+        if r.den.degree(1) < 1:
+            continue
+        for order in (1, 5, 12):
+            assert sjet_from_ratfunc(r, order) == generic_sjet(r, order), (r, order)
+        # a fraction in theta alone is its own expansion
+        r_theta = r.eval_t_at_theta()
+        assert sjet_from_ratfunc(r_theta, 5) == generic_sjet(r_theta, 5)
+        checked += 1
+
+
+@pytest.mark.parametrize("q,l,order", [(2, 3, 8), (2, 4, 12), (3, 2, 9), (3, 3, 12),
+                                       (9, 1, 9)])
+def test_sjet_from_ratfunc_matches_generic_route_on_eta(q, l, order):
+    # the denominator L_l is free of t: its Taylor jet is (L_l, 0, ..., 0)
+    r = eta_rat(field_new(*FIELDS[q]), l)
+    assert r.den.degree(1) == 0
+    assert sjet_from_ratfunc(r, order) == generic_sjet(r, order)
+
+
+@pytest.mark.parametrize("order", [4, 7, 11])
+def test_sjet_from_ratfunc_product_count(monkeypatch, order):
+    # the recurrence at jet order m = order - 1 on Taylor jets with no zero
+    # coefficient: the same m(m+1)/2 + 3m - 1 products as _ratio_theta_jet
+    f = field_new(5)
+    rng = random.Random(order)
+    r = RatFunc.make(rand_tt(rng, f, 14, 30), rand_tt(rng, f, 14, 30))
+    for g in (r.num, r.den):
+        assert not any(c.is_zero() for c in taylor_shift(g, order).coeffs)
+    m = order - 1
+    products = count_products(monkeypatch, sjet_from_ratfunc, r, order)
+    assert products == m * (m + 1) // 2 + 3 * m - 1
+    assert not any(c.is_zero() for c in sjet_from_ratfunc(r, order).coeffs)
 
 
 # -- b_j on the same recurrence ----------------------------------------------------

@@ -254,10 +254,41 @@ def test_equal_values_hash_equal(q):
                 assert hash(a) == hash(b), (a, b)
     assert pairs > len(values)
     assert len({f.from_index(1), 1, RatFunc.one(f)}) == 1
+    # Poly constants equal their ints and field elements too
+    assert Poly.one(f) == 1 and 1 == Poly.one(f) and Poly.zero(f, VARS_TT) == 0
+    assert Poly.one(f) == f.one and f.one == Poly.one(f, VARS_TT)
+    mixed = {Poly.one(f), 1, Poly.const(f, 1, VARS_TT), Poly.zero(f), 0,
+             Poly.const(f, f.p - 1), f.p - 1, RatFunc.const(f, f.p - 1)}
+    assert len(mixed) == len({0, 1, f.p - 1})
     # equal hashes across fields must not turn into a FieldMismatch
     other = field_new(5).one
     assert RatFunc.one(f) != other and other != RatFunc.one(f)
+    assert Poly.one(f) != other and other != Poly.one(f)
     assert len({RatFunc.one(f), other}) == 2
+    assert len({Poly.one(f), other}) == 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_scalar_equality_is_transitive(q):
+    # an int equals a field-valued object only as its canonical residue
+    # 0..p-1, so equality is an equivalence on ints, FqElem, Poly and RatFunc
+    # constants, and equal values hash equal
+    f = field_new(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2)}[q])
+    p = f.p
+    values = list(range(-2 * p, 2 * p + 1)) + f.elements()
+    for vars in (VARS_T, VARS_TT):
+        values += [Poly.const(f, c, vars) for c in f.elements()]
+        values += [RatFunc.const(f, c, vars) for c in f.elements()]
+    assert f.from_index(1) != p + 1 and f.from_index(1) != 1 - p
+    assert Poly.one(f) != p + 1 and RatFunc.one(f) != 1 - p
+    for a in values:
+        for b in values:
+            if a != b:
+                continue
+            assert hash(a) == hash(b), (a, b)
+            for c in values:
+                if b == c:
+                    assert a == c, (a, b, c)
 
 
 def test_ratfunc_eval_t_at_theta_and_pole():
