@@ -985,14 +985,19 @@ def _cells_eta_quotient(field: Field, lmax: int, order: int) -> list[CheckCell]:
     jets: d_theta^k of that product and d_t^k of curlyL_l.  The shared
     division keeps the check sound: C_k = N_k * D^k - sum_{i>=1} E_i * C_{k-i}
     with D = L_l != 0 is triangular with nonzero diagonal, so the quotient
-    jets agree exactly when the numerator jets do.
+    jets agree exactly when the numerator jets do.  So the verdict compares
+    the C_k of both sides, and the fractions C_k/D^(k+1) are built only to
+    write the witness.
     """
     cells = []
     for l in range(lmax + 1):
         den = d_theta_jet(L_poly(field, l), order)
-        lhs = _ratio_theta_jet(d_theta_jet(_eta_num(field, l), order), den)
-        rhs = _ratio_theta_jet(d_t_jet(curlyL_poly(field, l), order), den)
-        witness = _jet_witness(f"eta_{l} quotient", lhs, rhs)
+        lhs = d_theta_jet(_eta_num(field, l), order)
+        rhs = d_t_jet(curlyL_poly(field, l), order)
+        cl, cr = (_quotient_jet_numerators([c.eval_t_at_theta() for c in j.coeffs],
+                                           list(den.coeffs))[0] for j in (lhs, rhs))
+        witness = None if cl == cr else _jet_witness(
+            f"eta_{l} quotient", _ratio_theta_jet(lhs, den), _ratio_theta_jet(rhs, den))
         cells.append(CheckCell("eta_quotient", {"l": l, "order": order},
                                witness is None, witness))
     return cells

@@ -138,7 +138,14 @@ def _ring_is_zero(x) -> bool:
 
 
 def _ring_zero_like(a, b):
-    """A zero of the coefficient ring, derived without a ring protocol."""
+    """a*b - a*b without the product: the exact zero of Poly and RatFunc, and
+    for a USeries (abs_prec, valuation()) the zero at the product's precision."""
+    if type(a) is type(b):
+        if isinstance(a, (Poly, RatFunc)):
+            return type(a).zero(a.field, a.vars)
+        if hasattr(a, "valuation"):
+            return type(a)(a.field, 0, (), min(a.abs_prec + b.valuation(),
+                                                 b.abs_prec + a.valuation()))
     prod = a * b
     return prod - prod
 

@@ -8,8 +8,9 @@ division.
 
 Rational functions are kept in canonical form at all times: numerator and
 denominator coprime, denominator monic under the degree-lexicographic order
-with theta > t.  SJet is a truncated expansion in s = t - theta with exact
-coefficients in K = F_q(theta).
+with theta > t.  Over F_q(theta) make, + and * run on the cached dense lists
+of their polynomials.  SJet is a truncated expansion in s = t - theta with
+exact coefficients in K = F_q(theta).
 
 series_mul, series_inverse, series_frobenius and pow_base_p are the one
 truncated-series algebra behind SJet, jets.Jet, useries.TPoly and
@@ -54,11 +55,12 @@ def _utrim(c: list[int]) -> list[int]:
     return c
 
 
-def _usub(a: list[int], b: list[int], f: Field) -> list[int]:
-    add, neg = f.add_t, f.neg_t
-    out = list(a) + [0] * max(0, len(b) - len(a))
+def _uadd(a: list[int], b: list[int], f: Field) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    add, out = f.add_t, list(a)
     for i, x in enumerate(b):
-        out[i] = add[out[i]][neg[x]]
+        out[i] = add[out[i]][x]
     return _utrim(out)
 
 
@@ -180,6 +182,12 @@ def _ugcd(a: list[int], b: list[int], f: Field) -> list[int]:
     if a and a[-1] != 1:
         a = _uscale(a, f.inv_t[a[-1]], f)
     return a
+
+
+def _ucancel(a: list[int], b: list[int], f: Field):
+    """(a/g, b/g, g) for the monic g = gcd(a, b); g = [1] if a or b is constant."""
+    g = _ugcd(a, b, f) if len(a) > 1 < len(b) else [1]
+    return (a, b, g) if len(g) == 1 else (_udivexact(a, g, f), _udivexact(b, g, f), g)
 
 
 # -- the Kronecker map and the packed product ---------------------------------
@@ -325,16 +333,18 @@ class Poly:
     """Sparse polynomial over F_q in theta (1 var) or theta, t (2 vars).
 
     terms maps exponent tuples to nonzero field-table indices; use
-    coeff()/coeff_items() for the FqElem view.
+    coeff()/coeff_items() for the FqElem view.  A univariate polynomial
+    caches its dense list (_view) on first use, so terms must never change.
     """
 
-    __slots__ = ("field", "vars", "terms", "_hash")
+    __slots__ = ("field", "vars", "terms", "_hash", "_dv")
 
-    def __init__(self, field: Field, vars: tuple[str, ...], terms: dict):
+    def __init__(self, field: Field, vars: tuple[str, ...], terms: dict, dense=None):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_dv", dense)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -354,7 +364,7 @@ class Poly:
 
     @classmethod
     def one(cls, field: Field, vars=VARS_T) -> "Poly":
-        return cls.const(field, 1, vars)
+        return cls(field, vars, {(0,) * len(vars): 1})  # index 1 is the one
 
     @classmethod
     def monomial(cls, field: Field, exps: tuple[int, ...], coeff=1, vars=None) -> "Poly":
@@ -384,7 +394,8 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        t = self.terms
+        return not t or (len(t) == 1 and not any(next(iter(t))))
 
     def degree(self, var: int = 0) -> int:
         """Degree in the given variable index; -1 for the zero polynomial."""
@@ -415,7 +426,7 @@ class Poly:
     # arithmetic
 
     def _compat(self, other: "Poly"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("polynomials over different fields")
         if self.vars != other.vars:
             raise ConstraintViolated(
@@ -496,12 +507,17 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = self.field.elem(c)
-        if c.is_zero():
+        return self._scaled(self.field.elem(c).idx)
+
+    def _scaled(self, c: int) -> "Poly":
+        """self times the element of table index c; keeps the dense view."""
+        if c == 0:
             return Poly.zero(self.field, self.vars)
-        if c.idx == 1:
+        if c == 1:
             return self
-        row = self.field.mul_t[c.idx]
+        row = self.field.mul_t[c]
+        if self._dv is not None:
+            return Poly.from_dense(self.field, [row[x] for x in self._dv])
         return Poly(self.field, self.vars, {e: row[x] for e, x in self.terms.items()})
 
     def __pow__(self, k: int):
@@ -551,11 +567,22 @@ class Poly:
     def to_dense(self) -> list[int]:
         if self.vars != VARS_T:
             raise ConstraintViolated("dense view is for univariate polynomials")
-        return _dense(_kron(self, 1)) if self.terms else []
+        return list(self._view())
+
+    def _view(self) -> list[int]:
+        """The cached dense list of a univariate polynomial; never mutate it."""
+        d = self._dv
+        if d is None:
+            d = _dense(_kron(self, 1)) if self.terms else []
+            object.__setattr__(self, "_dv", d)
+        return d
 
     @classmethod
     def from_dense(cls, field: Field, dense: list[int]) -> "Poly":
-        return cls(field, VARS_T, {(i,): c for i, c in enumerate(dense) if c})
+        """The polynomial of a list, low degree first.  It keeps the list,
+        trimmed in place, as its dense view: the caller must not reuse it."""
+        _utrim(dense)
+        return cls(field, VARS_T, {(i,): c for i, c in enumerate(dense) if c}, dense)
 
     def __eq__(self, other):
         if isinstance(other, Poly) and self.vars == other.vars:
@@ -650,7 +677,7 @@ def _bi_prem(a: dict[int, list[int]], b: dict[int, list[int]], f: Field):
                 continue
             tgt = m + dr - db
             prod = _umul(c, lr, f)
-            nr[tgt] = _usub(nr.get(tgt, []), prod, f)
+            nr[tgt] = _uadd(nr.get(tgt, []), _uscale(prod, f.neg_t[1], f), f)
         r = {m: c for m, c in nr.items() if c}
     return r
 
@@ -669,7 +696,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_constant() or b.is_constant():
         return Poly.one(f, a.vars)
     if a.vars == VARS_T:
-        return Poly.from_dense(f, _ugcd(a.to_dense(), b.to_dense(), f))
+        return Poly.from_dense(f, _ugcd(a._view(), b._view(), f))
     # pick the main variable with the smaller worst-case degree
     d0 = max(a.degree(0), b.degree(0))
     d1 = max(a.degree(1), b.degree(1))
@@ -691,8 +718,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def poly_divexact(a: Poly, b: Poly) -> Poly:
     """Exact division a / b; raises ConstraintViolated if b does not divide a.
 
-    Both operands go through the Kronecker map at stride deg_t(a) + 1 and
-    divide as dense univariate polynomials.  The map is injective below
+    Univariate operands divide on their dense views.  Bivariate ones go
+    through the Kronecker map at stride deg_t(a) + 1 and divide as dense
+    univariate polynomials.  The map is injective below
     that stride, so an exact image quotient whose terms all have t-degree
     at most deg_t(a) - deg_t(b) maps back to the quotient; any other image
     quotient means that b does not divide a.
@@ -702,11 +730,12 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
     if a.is_zero():
         return a
     a._compat(b)
-    nvars = len(a.vars)
-    stride = 1 if nvars == 1 else a.degree(1) + 1
+    if len(a.vars) == 1:
+        return Poly.from_dense(a.field, _udivexact(a._view(), b._view(), a.field))
+    stride = a.degree(1) + 1
     quo = _udivexact(_dense(_kron(a, stride)), _dense(_kron(b, stride)), a.field)
-    terms = _unkron({k: c for k, c in enumerate(quo) if c}, stride, nvars)
-    if nvars == 2 and max(j for _, j in terms) > a.degree(1) - b.degree(1):
+    terms = _unkron({k: c for k, c in enumerate(quo) if c}, stride, 2)
+    if max(j for _, j in terms) > a.degree(1) - b.degree(1):
         raise ConstraintViolated("polynomial division is not exact")
     return Poly(a.field, a.vars, terms)
 
@@ -739,6 +768,9 @@ class RatFunc:
         num._compat(den)
         if num.is_zero():
             return cls(num, Poly.one(num.field, num.vars))
+        if len(num.vars) == 1:
+            n, d, _ = _ucancel(num._view(), den._view(), num.field)
+            return cls._of_dense(num.field, n, d)
         g = poly_gcd(num, den)
         if not (g.is_constant()):
             num = poly_divexact(num, g)
@@ -780,7 +812,7 @@ class RatFunc:
         return NotImplemented
 
     def _compat(self, other: "RatFunc"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("rational functions over different fields")
         if self.vars != other.vars:
             raise ConstraintViolated("rational functions in different variables")
@@ -795,6 +827,16 @@ class RatFunc:
         if other.is_zero():
             return self
         a, b, c, d = self.num, self.den, other.num, other.den
+        if len(self.vars) == 1:
+            # b = b1 g and d = d1 g with g = gcd(b, d); a d1 + c b1 shares
+            # with b1 d1 g only factors of g
+            f = self.field
+            b1, d1, g = _ucancel(b._view(), d._view(), f)
+            num = _uadd(_umul(a._view(), d1, f), _umul(c._view(), b1, f), f)
+            if not num:
+                return RatFunc.zero(f, self.vars)
+            num, g, _ = _ucancel(num, g, f)
+            return RatFunc._of_dense(f, num, _umul(b1, _umul(d1, g, f), f))
         one = Poly.one(self.field, self.vars)
         if b.is_constant() and d.is_constant():
             return RatFunc(a + c, one) if not (a + c).is_zero() else RatFunc.zero(self.field, self.vars)
@@ -821,12 +863,17 @@ class RatFunc:
 
     @classmethod
     def _monic(cls, num: Poly, den: Poly) -> "RatFunc":
-        _, lc = den.leading_term()
-        if lc.idx != 1:
-            inv = lc.inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return cls(num, den)
+        """num/den with den scaled monic (deglex); no gcd is taken."""
+        t = den.terms
+        lead = den._view()[-1] if len(den.vars) == 1 else t[max(t, key=_deglex_key)]
+        c = den.field.inv_t[lead]
+        return cls(num._scaled(c), den._scaled(c))
+
+    @classmethod
+    def _of_dense(cls, f: Field, num: list[int], den: list[int]) -> "RatFunc":
+        """num/den from coprime dense lists, den scaled monic."""
+        c = f.inv_t[den[-1]]
+        return cls(Poly.from_dense(f, _uscale(num, c, f)), Poly.from_dense(f, _uscale(den, c, f)))
 
     def __neg__(self):
         return RatFunc(-self.num, self.den)
@@ -848,6 +895,11 @@ class RatFunc:
         if self.is_zero() or other.is_zero():
             return RatFunc.zero(self.field, self.vars)
         a, b, c, d = self.num, self.den, other.num, other.den
+        if len(self.vars) == 1:  # a/b, c/d coprime: only a, d and c, b share factors
+            f = self.field
+            a, d, _ = _ucancel(a._view(), d._view(), f)
+            c, b, _ = _ucancel(c._view(), b._view(), f)
+            return RatFunc._of_dense(f, _umul(a, c, f), _umul(b, d, f))
         g1 = poly_gcd(a, d) if not (a.is_constant() or d.is_constant()) else None
         g2 = poly_gcd(c, b) if not (c.is_constant() or b.is_constant()) else None
         if g1 is not None and not g1.is_constant():

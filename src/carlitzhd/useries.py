@@ -354,29 +354,28 @@ def theta_series(field: Field) -> USeries:
     return USeries.monomial(field, -(field.q - 1), field.elem(-1))
 
 
-def _poly_series(p, field: Field) -> USeries:
-    out = {}
+def _theta_sum(field: Field, parts, prec) -> USeries:
+    """sum_k c_k theta^k known below prec, from parts (k, min_exp, coeffs) of c_k.
+
+    theta^k = (-1)^k u^(-k(q-1)) is an exact monomial, so the sum is one pass
+    that shifts each coefficient run and negates the runs of odd k.
+    """
+    s = field.q - 1
+    parts = [(e - k * s, k & 1, cs) for k, e, cs in parts if cs]
+    if not parts:
+        return USeries.zero(field, prec)
+    lo = min(e for e, _, _ in parts)
+    top = min(prec, max(e + len(cs) for e, _, cs in parts))
+    dense = [0] * (top - lo)
     add, neg = field.add_t, field.neg_t
-    for (i,), c in p.terms.items():
-        # theta^i = (-1)^i u^{-i(q-1)}
-        e = -i * (field.q - 1)
-        out[e] = add[out.get(e, 0)][neg[c] if i & 1 else c]
-    return USeries(
-        field,
-        min(out) if out else 0,
-        _map_to_dense(out),
-        INF_PREC,
-    )
+    for e, odd, cs in parts:
+        for i, x in enumerate(cs[:max(0, top - e)], e - lo):
+            dense[i] = add[dense[i]][neg[x] if odd else x]
+    return USeries(field, lo, dense, prec)
 
 
-def _map_to_dense(m: dict) -> list[int]:
-    if not m:
-        return []
-    lo = min(m)
-    dense = [0] * (max(m) - lo + 1)
-    for e, c in m.items():
-        dense[e - lo] = c
-    return dense
+def _poly_series(p, field: Field) -> USeries:
+    return _theta_sum(field, [(i, 0, (c,)) for (i,), c in p.terms.items()], INF_PREC)
 
 
 def embed_k(f, prec: int) -> USeries:
@@ -642,17 +641,10 @@ class TPoly:
             raise ConstraintViolated(
                 "evaluation at t = theta is only defined for exact t-polynomials"
             )
-        if not self.coeffs:
-            return USeries.zero(self.field)
-        th = theta_series(self.field)
-        # Horner over the dense degree range
-        deg = self.tdegree()
-        acc = self.coeffs.get(deg, USeries.zero(self.field))
-        for k in range(deg - 1, -1, -1):
-            acc = acc * th
-            if k in self.coeffs:
-                acc = acc + self.coeffs[k]
-        return acc
+        s = self.field.q - 1
+        prec = min((c.abs_prec - k * s for k, c in self.coeffs.items()), default=INF_PREC)
+        return _theta_sum(self.field, [(k, c.min_exp, c.coeffs)
+                                       for k, c in self.coeffs.items()], prec)
 
     def inverse_tseries(self, t_terms: int, u_target=None) -> "TPoly":
         """Inverse as a t-power series mod t^t_terms."""

@@ -11,6 +11,7 @@ from carlitzhd import (
     RatFunc,
     RhoMatrix,
     USeries,
+    VARS_T,
     VARS_TT,
     binom_mod_p,
     compose_substitute,
@@ -19,6 +20,7 @@ from carlitzhd import (
     field_new,
     to_rho_matrix,
 )
+from carlitzhd.jets import _ring_zero_like
 
 SEED = 1729
 
@@ -268,3 +270,29 @@ def test_is_upper_toeplitz_detects_violations():
     assert RhoMatrix([[one, two], [zero, one]]).is_upper_toeplitz()
     assert not RhoMatrix([[one, two], [one, one]]).is_upper_toeplitz()
     assert not RhoMatrix([[one, two], [zero, two]]).is_upper_toeplitz()
+
+
+def rand_series_or_monomial(rng, f):
+    if rng.random() < 0.2:  # an exact monomial, or an exact or inexact zero
+        return rng.choice([USeries.monomial(f, rng.randrange(-5, 5), rng.randrange(1, f.q)),
+                           USeries.zero(f), USeries.zero(f, rng.randrange(-5, 20))])
+    m = {e: rng.randrange(f.q) for e in range(rng.randrange(-5, 5), rng.randrange(5, 15))}
+    s = USeries.from_coeff_map(f, m)
+    return s if rng.random() < 0.3 else s.with_prec(rng.randrange(-3, 25))
+
+
+@pytest.mark.parametrize("q,e", [(2, 1), (3, 1), (2, 2)])
+def test_ring_zero_like_is_the_difference_of_products(q, e):
+    f = field_new(q, e)
+    rng = random.Random(SEED + q * e)
+    for _ in range(200):
+        a, b = rand_series_or_monomial(rng, f), rand_series_or_monomial(rng, f)
+        want = a * b - a * b
+        got = _ring_zero_like(a, b)
+        assert got == want and got.abs_prec == want.abs_prec, (a, b)
+    for vars in (VARS_T, VARS_TT):
+        a, b = rand_poly(rng, f, vars), rand_poly(rng, f, vars)
+        assert _ring_zero_like(a, b) == a * b - a * b == Poly.zero(f, vars)
+        r = RatFunc.make(a, b) if not b.is_zero() else RatFunc.from_poly(a)
+        assert _ring_zero_like(r, r) == r * r - r * r == RatFunc.zero(f, vars)
+        assert _ring_zero_like(r, r).vars == vars

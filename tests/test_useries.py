@@ -458,6 +458,45 @@ def test_tpoly_eval_t_at_theta_matches_substitution():
         assert useries_agree(p.eval_t_at_theta(), want)
 
 
+def horner_eval_t_at_theta(p: TPoly) -> USeries:
+    """t = theta by Horner through USeries products, as the shifted sum replaced."""
+    f = p.field
+    if not p.coeffs:
+        return USeries.zero(f)
+    th, deg = theta_series(f), p.tdegree()
+    acc = p.coeffs.get(deg, USeries.zero(f))
+    for k in range(deg - 1, -1, -1):
+        acc = acc * th
+        if k in p.coeffs:
+            acc = acc + p.coeffs[k]
+    return acc
+
+
+@pytest.mark.parametrize("q,e", [(2, 1), (3, 1), (2, 2), (7, 1)])
+def test_tpoly_eval_t_at_theta_matches_horner(q, e):
+    # equal as values, abs_prec included: truncated and exact coefficients,
+    # absent degrees, inexact zeros, and coefficients that lie entirely above
+    # the result's precision (a high-degree term caps it low)
+    f = field_new(q, e)
+    rng = random.Random(SEED + q * e)
+    for _ in range(150):
+        coeffs = {}
+        for k in range(rng.randrange(6)):
+            if rng.random() < 0.3:
+                continue
+            prec = rng.choice([None, None, rng.randrange(-4, 30)])
+            c = rand_useries(rng, f, rng.randrange(-8, 4), rng.randrange(4, 24), prec)
+            if rng.random() < 0.1:
+                c = USeries.zero(f, rng.randrange(-4, 12))
+            coeffs[k] = c
+        p = TPoly(f, coeffs)
+        assert p.eval_t_at_theta() == horner_eval_t_at_theta(p), coeffs
+    p = TPoly(f, {0: USeries.from_coeff_map(f, {20: 1, 25: 1}), 3: USeries.one(f).with_prec(0)})
+    got = p.eval_t_at_theta()
+    assert got == horner_eval_t_at_theta(p) and got.is_zero()
+    assert got.abs_prec == -3 * (f.q - 1)
+
+
 def test_tpoly_inverse_tseries_geometric():
     # (1 - t u)^{-1} = sum_k t^k u^k
     f = field_new(3)
