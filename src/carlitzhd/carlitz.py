@@ -805,22 +805,32 @@ class Report:
         return f"Report({good}/{len(self.cells)} passed)"
 
 
-def _useries_witness(tag: str, w) -> str:
-    e, left, right = w
-    return f"{tag}: first differing u-coefficient at u^{e}: {left!r} != {right!r}"
-
-
 def _tpoly_witness(tag: str, w) -> str:
     k, e, left, right = w
     return (f"{tag}: first differing coefficient at t^{k} u^{e}: "
             f"{left!r} != {right!r}")
 
 
-def _jet_witness(tag: str, lhs: Jet, rhs: Jet) -> str | None:
-    """The first order at which two jets of one length differ; None if none."""
-    for k, (left, right) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-        if left != right:
-            return f"{tag}: order-{k} coefficients differ: {left!r} != {right!r}"
+def _first_gap(tag: str, lhs, rhs, uprec: int | None = None) -> str | None:
+    """Witness of the first order k with lhs[k] != rhs[k]; None if there is none.
+
+    lhs and rhs are coefficient sequences of one length.  USeries compare on
+    their common precision, which must reach O(u^uprec) when uprec is given;
+    exact values (Poly, RatFunc) compare with !=.
+    """
+    for k, (left, right) in enumerate(zip(lhs, rhs, strict=True)):
+        if not isinstance(left, USeries):
+            if left != right:
+                return f"{tag}: order-{k} coefficients differ: {left!r} != {right!r}"
+            continue
+        lo = min(left.abs_prec, right.abs_prec)
+        if uprec is not None and lo < uprec:
+            return (f"{tag}: order-{k} known only to O(u^{lo}), below the "
+                    f"requested O(u^{uprec})")
+        w = useries_diff_witness(left, right)
+        if w is not None:
+            e, a, b = w
+            return f"{tag}: order-{k} first differs at u^{e}: {a!r} != {b!r}"
     return None
 
 
@@ -869,25 +879,9 @@ def _cell_omega_pow(ctx: CarlitzCtx, n: int) -> CheckCell:
         omn = omn * om
     ejet = Jet([g.eval_t_at_theta() for g in omn.d_t_jet(n - 1)])
     zj2 = ejet.inverse().scale(ctx.field.elem(-1) ** n)
-    co = z_via_omega(ctx, n)
-    zj1 = co.jet()
-    witness = None
-    ok = co.matrix().is_upper_toeplitz()
-    if not ok:
-        witness = "coordinate matrix is not upper-triangular Toeplitz"
-    for k in range(n):
-        if not ok:
-            break
-        if zj2[k].abs_prec < ctx.uprec:
-            ok = False
-            witness = (f"power-then-jet coefficient {k} attained "
-                       f"O(u^{zj2[k].abs_prec}) < O(u^{ctx.uprec})")
-            break
-        w = useries_diff_witness(zj1[k], zj2[k])
-        if w is not None:
-            ok = False
-            witness = _useries_witness(f"order-{k} coefficient", w)
-    return CheckCell("omega_pow_order", {"n": n}, ok, witness)
+    witness = _first_gap("jet-then-power vs power-then-jet",
+                         z_via_omega(ctx, n).jet(), zj2, ctx.uprec)
+    return CheckCell("omega_pow_order", {"n": n}, witness is None, witness)
 
 
 def _cells_b_transfer(ctx: CarlitzCtx, jmax: int, t_terms: int,
@@ -957,23 +951,10 @@ def _tpoly_scale_ratfunc(tser: TPoly, b: RatFunc, t_terms: int) -> TPoly:
 
 
 def _cells_span(ctx: CarlitzCtx, n: int) -> list[CheckCell]:
-    direct = dtheta_pitilde(ctx, n, "direct")
-    span = dtheta_pitilde(ctx, n, "span")
-    ok = True
-    witness = None
-    for k in range(n + 1):
-        lo = min(direct[k].abs_prec, span[k].abs_prec)
-        if lo < ctx.uprec:
-            ok = False
-            witness = (f"order-{k} overlap O(u^{lo}) below the requested "
-                       f"O(u^{ctx.uprec})")
-            break
-        w = useries_diff_witness(direct[k], span[k])
-        if w is not None:
-            ok = False
-            witness = _useries_witness(f"order-{k} derivative", w)
-            break
-    return [CheckCell("pitilde_span", {"order": n}, ok, witness)]
+    witness = _first_gap("direct vs span derivative jet",
+                         dtheta_pitilde(ctx, n, "direct"),
+                         dtheta_pitilde(ctx, n, "span"), ctx.uprec)
+    return [CheckCell("pitilde_span", {"order": n}, witness is None, witness)]
 
 
 def _cells_eta_quotient(field: Field, lmax: int, order: int) -> list[CheckCell]:
@@ -985,19 +966,17 @@ def _cells_eta_quotient(field: Field, lmax: int, order: int) -> list[CheckCell]:
     jets: d_theta^k of that product and d_t^k of curlyL_l.  The shared
     division keeps the check sound: C_k = N_k * D^k - sum_{i>=1} E_i * C_{k-i}
     with D = L_l != 0 is triangular with nonzero diagonal, so the quotient
-    jets agree exactly when the numerator jets do.  So the verdict compares
-    the C_k of both sides, and the fractions C_k/D^(k+1) are built only to
-    write the witness.
+    jets agree exactly when the numerator jets do.  So the verdict, and its
+    witness, compare the C_k of both sides.
     """
     cells = []
     for l in range(lmax + 1):
-        den = d_theta_jet(L_poly(field, l), order)
+        den = list(d_theta_jet(L_poly(field, l), order).coeffs)
         lhs = d_theta_jet(_eta_num(field, l), order)
         rhs = d_t_jet(curlyL_poly(field, l), order)
         cl, cr = (_quotient_jet_numerators([c.eval_t_at_theta() for c in j.coeffs],
-                                           list(den.coeffs))[0] for j in (lhs, rhs))
-        witness = None if cl == cr else _jet_witness(
-            f"eta_{l} quotient", _ratio_theta_jet(lhs, den), _ratio_theta_jet(rhs, den))
+                                           den)[0] for j in (lhs, rhs))
+        witness = _first_gap(f"eta_{l} quotient", cl, cr)
         cells.append(CheckCell("eta_quotient", {"l": l, "order": order},
                                witness is None, witness))
     return cells
@@ -1013,7 +992,7 @@ def _cells_bjet_eta(field: Field, nmax: int) -> list[CheckCell]:
         rhs = _ratio_theta_jet(
             d_theta_jet(_eta_num(field, l - 1), n - 1),
             d_theta_jet(L_poly(field, l - 1).lift_tt(), n - 1))
-        witness = _jet_witness("transfer jet vs eta jet", lhs, rhs)
+        witness = _first_gap("transfer jet vs eta jet", lhs, rhs)
         cells.append(CheckCell("bjet_eta_congruence", {"n": n, "l": l},
                                witness is None, witness))
     return cells
@@ -1030,16 +1009,9 @@ def _cell_eta_sum(field: Field, M: int) -> CheckCell:
         gd = gd.scale(RatFunc.make(Poly.one(field, VARS_T), D_poly(field, j)))
         term = gd * etaj.frobenius_power(j * field.e)
         total = term if total is None else total + term
-    expected = SJet.constant(field, M, 1)
-    ok = total == expected
-    witness = None
-    if not ok:
-        for k in range(M):
-            if total.coeffs[k] != expected.coeffs[k]:
-                witness = (f"s^{k} coefficient is {total.coeffs[k]!r}, "
-                           f"expected {expected.coeffs[k]!r}")
-                break
-    return CheckCell("eta_sum_one", {"M": M, "terms": l + 1}, ok, witness)
+    witness = _first_gap("s-expansion of the sum vs 1", total.coeffs,
+                         SJet.constant(field, M, 1).coeffs)
+    return CheckCell("eta_sum_one", {"M": M, "terms": l + 1}, witness is None, witness)
 
 
 def _cells_eta_alpha(field: Field, nmax: int) -> list[CheckCell]:
@@ -1053,15 +1025,11 @@ def _cells_eta_alpha(field: Field, nmax: int) -> list[CheckCell]:
         alpha, gam = at_poly(field, n)
         leg_at = taylor_shift(alpha, M).scale(
             RatFunc.make(Poly.one(field, VARS_T), gam))
-        ok = leg_eta == leg_etal == leg_at
-        witness = None
-        if not ok:
-            for k in range(M):
-                trio = (leg_eta.coeffs[k], leg_etal.coeffs[k], leg_at.coeffs[k])
-                if not (trio[0] == trio[1] == trio[2]):
-                    witness = f"s^{k} coefficients differ: {trio!r}"
-                    break
-        cells.append(CheckCell("eta_inv_alpha", {"n": n, "l": l}, ok, witness))
+        witness = (_first_gap(f"eta_{l + 1}^-{n} vs eta_{l}^-{n}",
+                              leg_eta.coeffs, leg_etal.coeffs)
+                   or _first_gap(f"eta_{l}^-{n} vs alpha_{n}/Gamma_{n}",
+                                 leg_etal.coeffs, leg_at.coeffs))
+        cells.append(CheckCell("eta_inv_alpha", {"n": n, "l": l}, witness is None, witness))
     return cells
 
 
@@ -1079,9 +1047,9 @@ def _cells_alpha(field: Field, nmax: int) -> list[CheckCell]:
         cells.append(CheckCell("alpha_integrality", {"n": n}, True))
         lhs = a_nq * g_n.frobenius_power(e).lift_tt()
         rhs = a_n.frobenius_power(e) * g_nq.lift_tt()
-        cells.append(CheckCell(
-            "alpha_q_power", {"n": n}, lhs == rhs,
-            None if lhs == rhs else f"alpha_{n * q}*Gamma_{n}^q != alpha_{n}^q*Gamma_{n * q}"))
+        witness = _first_gap(f"alpha_{n * q}*Gamma_{n}^q vs alpha_{n}^q*Gamma_{n * q}",
+                             [lhs], [rhs])
+        cells.append(CheckCell("alpha_q_power", {"n": n}, witness is None, witness))
     return cells
 
 
@@ -1095,26 +1063,17 @@ def _cells_coords(ctx: CarlitzCtx, n: int) -> list[CheckCell]:
         z_via_at(ctx, n),
     ]
     labels = ["omega", f"eta(l={lmin})", f"eta(l={lmin + 1})", "at"]
-    ok = True
-    witness = None
     base = routes[0]
+    witness = None
     for other, label in zip(routes[1:], labels[1:]):
-        if not ok:
-            break
-        for i in range(n):
-            w = useries_diff_witness(base.z[i], other.z[i])
-            if w is not None:
-                ok = False
-                witness = _useries_witness(f"z_{i + 1} omega vs {label}", w)
-                break
+        witness = witness or _first_gap(f"(z_n..z_1) omega vs {label}",
+                                        base.jet(), other.jet(), ctx.uprec)
     cells.append(CheckCell(
-        "coords_cross_route", {"n": n, "l": [lmin, lmin + 1]}, ok, witness))
+        "coords_cross_route", {"n": n, "l": [lmin, lmin + 1]}, witness is None, witness))
 
     pitn = (pitilde(ctx) ** n).with_prec(ctx.uprec)
-    w = useries_diff_witness(base.z[-1], pitn)
-    cells.append(CheckCell(
-        "coords_last_power", {"n": n}, w is None,
-        None if w is None else _useries_witness("z_n vs period^n", w)))
+    witness = _first_gap("z_n vs period^n", [base.z[-1]], [pitn], ctx.uprec)
+    cells.append(CheckCell("coords_last_power", {"n": n}, witness is None, witness))
     return cells
 
 
@@ -1132,23 +1091,11 @@ def _cell_span_combination(ctx: CarlitzCtx, n: int) -> CheckCell:
     cjet = _b_theta_jet(ctx.field, n - 1) ** (-n)
     pjet = d_theta_useries(pitilde(ctx) ** n, n - 1)
     combo = _embed_jet(cjet, ctx.work_prec) * pjet
-    zj = co.jet()
-    ok = True
-    witness = None
-    for j in range(n):
-        if combo[j].abs_prec < ctx.uprec:
-            ok = False
-            witness = (f"combination coefficient {j} attained "
-                       f"O(u^{combo[j].abs_prec}) < O(u^{ctx.uprec})")
-            break
-        w = useries_diff_witness(combo[j], zj[j])
-        if w is not None:
-            ok = False
-            witness = (_useries_witness(f"z_{n - j} vs combination", w)
-                       + f"; K-coefficients: {cjet.coeffs!r}")
-            break
+    witness = _first_gap("combination vs (z_n..z_1)", combo, co.jet(), ctx.uprec)
+    if witness is not None:
+        witness += f"; K-coefficients: {cjet.coeffs!r}"
     return CheckCell("coords_span_combination",
-                     {"n": n, "monomial_orders": f"0..{n - 1}"}, ok, witness)
+                     {"n": n, "monomial_orders": f"0..{n - 1}"}, witness is None, witness)
 
 
 # -- suite driver ------------------------------------------------------------------

@@ -74,15 +74,6 @@ class Jet:
         self._compat(other)
         return Jet(a + b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __neg__(self):
-        return Jet(-a for a in self.coeffs)
-
-    def __sub__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        self._compat(other)
-        return Jet(a - b for a, b in zip(self.coeffs, other.coeffs))
-
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self.scale(other)

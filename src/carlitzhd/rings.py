@@ -444,8 +444,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.field.neg_t
-        return Poly(self.field, self.vars, {e: neg[c] for e, c in self.terms.items()})
+        return self._scaled(self.field.neg_t[1])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -837,27 +836,7 @@ class RatFunc:
                 return RatFunc.zero(f, self.vars)
             num, g, _ = _ucancel(num, g, f)
             return RatFunc._of_dense(f, num, _umul(b1, _umul(d1, g, f), f))
-        one = Poly.one(self.field, self.vars)
-        if b.is_constant() and d.is_constant():
-            return RatFunc(a + c, one) if not (a + c).is_zero() else RatFunc.zero(self.field, self.vars)
-        g = poly_gcd(b, d)
-        if g.is_constant():
-            num = a * d + c * b
-            if num.is_zero():
-                return RatFunc.zero(self.field, self.vars)
-            return RatFunc._monic(num, b * d)
-        b1 = poly_divexact(b, g)
-        d1 = poly_divexact(d, g)
-        num = a * d1 + c * b1
-        if num.is_zero():
-            return RatFunc.zero(self.field, self.vars)
-        h = poly_gcd(num, g)
-        if not h.is_constant():
-            num = poly_divexact(num, h)
-            den = b1 * poly_divexact(d, h)
-        else:
-            den = b1 * d
-        return RatFunc._monic(num, den)
+        return RatFunc.make(a * d + c * b, b * d)
 
     __radd__ = __add__
 
@@ -900,15 +879,7 @@ class RatFunc:
             a, d, _ = _ucancel(a._view(), d._view(), f)
             c, b, _ = _ucancel(c._view(), b._view(), f)
             return RatFunc._of_dense(f, _umul(a, c, f), _umul(b, d, f))
-        g1 = poly_gcd(a, d) if not (a.is_constant() or d.is_constant()) else None
-        g2 = poly_gcd(c, b) if not (c.is_constant() or b.is_constant()) else None
-        if g1 is not None and not g1.is_constant():
-            a = poly_divexact(a, g1)
-            d = poly_divexact(d, g1)
-        if g2 is not None and not g2.is_constant():
-            c = poly_divexact(c, g2)
-            b = poly_divexact(b, g2)
-        return RatFunc._monic(a * c, b * d)
+        return RatFunc.make(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -1168,15 +1139,6 @@ class SJet:
             return NotImplemented
         self._compat(other)
         return SJet(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return SJet(self.field, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, SJet):
-            return NotImplemented
-        self._compat(other)
-        return SJet(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
         if isinstance(other, (RatFunc, Poly, int, FqElem)):

@@ -541,9 +541,6 @@ class TPoly:
         """Coefficients of t^0 .. t^(n-1); None where absent (exactly zero)."""
         return [self.coeffs.get(k) for k in range(n)]
 
-    def is_exact(self) -> bool:
-        return self.t_prec is None and all(c.is_exact() for c in self.coeffs.values())
-
     def t_valuation(self):
         if self.coeffs:
             return min(self.coeffs)
@@ -553,35 +550,7 @@ class TPoly:
         if self.field != other.field:
             raise FieldMismatch("t-polynomials over different fields")
 
-    @staticmethod
-    def _merge_tprec(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
-    def __add__(self, other):
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        self._compat(other)
-        tp = self._merge_tprec(self.t_prec, other.t_prec)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return TPoly(self.field, out, tp)
-
-    def __neg__(self):
-        return TPoly(self.field, {k: -v for k, v in self.coeffs.items()}, self.t_prec)
-
-    def __sub__(self, other):
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (USeries, int, FqElem)):
-            return self.scale(other)
         if not isinstance(other, TPoly):
             return NotImplemented
         self._compat(other)
@@ -602,13 +571,6 @@ class TPoly:
         return TPoly(self.field, dict(enumerate(out)), tp)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "TPoly":
-        if not isinstance(c, USeries):
-            c = USeries.const(self.field, c)
-        return TPoly(
-            self.field, {k: v * c for k, v in self.coeffs.items()}, self.t_prec
-        )
 
     def d_t(self, i: int) -> "TPoly":
         """i-th t-hyperderivative (exact binomial transform on t-degrees)."""

@@ -1,0 +1,193 @@
+"""Every verify selector fails on an injected fault, and its agreement check.
+
+Each fault wraps one input of the suite so that it returns a wrong value.
+The selector that reads the input must then fail, with a witness, in the
+cells named here and in no other of its cells; the clean run passes.  The
+inputs sit under lru_cache'd callers, so every test starts and ends with
+empty caches: a clean value cached before the fault would hide it, and a
+faulted value cached during it would leak into later tests.
+"""
+
+import pytest
+
+from carlitzhd import (
+    CarlitzCtx,
+    Jet,
+    PeriodCoords,
+    Poly,
+    RatFunc,
+    SJet,
+    TPoly,
+    USeries,
+    field_new,
+    verify_suite,
+)
+from carlitzhd import carlitz
+from carlitzhd.carlitz import _first_gap
+
+# captured at import, before any test replaces a module attribute
+CACHES = [f for f in vars(carlitz).values() if hasattr(f, "cache_clear")]
+
+# jet_order 2 < q keeps every cell small; q = 3 so that adding 1 never
+# cancels a unit
+CTX = CarlitzCtx(field_new(3), uprec=30, jet_order=2)
+KW = dict(n=2, lmax=2, sum_order=8)
+
+
+def _clear_caches():
+    for f in CACHES:
+        f.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+def _bumped(jet, k):
+    """jet with 1 added to its order-k coefficient."""
+    return Jet([c + 1 if i == k else c for i, c in enumerate(jet.coeffs)])
+
+
+def _u_times_inverse(real):
+    def fake(self, *args, **kw):
+        out = real(self, *args, **kw)
+        return out * TPoly.const(out.field, USeries.monomial(out.field, 1))
+    return fake
+
+
+def _z_n_bumped(real):
+    def fake(ctx, n):
+        co = real(ctx, n)
+        return PeriodCoords(co.n, co.z[:-1] + (co.z[-1] + 1,), co.route)
+    return fake
+
+
+def _b1_bumped(real):
+    return lambda field, j: real(field, j) + 1 if j == 1 else real(field, j)
+
+
+def _span_route_bumped(real):
+    def fake(ctx, n, route="direct"):
+        jet = real(ctx, n, route)
+        return _bumped(jet, 1) if route == "span" else jet
+    return fake
+
+
+def _curlyL_bumped(real):
+    def fake(field, l):
+        out = real(field, l)
+        return out + Poly.monomial(field, (1, 1)) if l == 1 else out
+    return fake
+
+
+def _order1_bumped(real):
+    return lambda field, order: _bumped(real(field, order), 1)
+
+
+def _eta_sjet_bumped(real):
+    def fake(field, l, M):
+        s = real(field, l, M)
+        return SJet(field, [c + 1 if k == 1 else c for k, c in enumerate(s.coeffs)])
+    return fake
+
+
+def _alpha_bumped(real):
+    def fake(field, n):
+        alpha, gam = real(field, n)
+        return alpha + 1, gam
+    return fake
+
+
+# (selector, owner of the input, input name, fault, cells that must fail)
+FAULTS = [
+    ("omega", TPoly, "inverse_tseries", _u_times_inverse, {"omega_inverse", "aw_unit"}),
+    ("omega", carlitz, "z_via_omega", _z_n_bumped, {"omega_pow_order"}),
+    ("b_transfer", carlitz, "b_rat", _b1_bumped, {"b_vanishing", "b_transfer"}),
+    ("pitilde_span", carlitz, "dtheta_pitilde", _span_route_bumped, {"pitilde_span"}),
+    ("eta_quotient", carlitz, "curlyL_poly", _curlyL_bumped, {"eta_quotient"}),
+    ("bjet_eta", carlitz, "_b_theta_jet", _order1_bumped, {"bjet_eta_congruence"}),
+    ("eta_sum", carlitz, "eta_sjet", _eta_sjet_bumped, {"eta_sum_one"}),
+    ("eta_alpha", carlitz, "at_poly", _alpha_bumped, {"eta_inv_alpha"}),
+    ("alpha", carlitz, "at_poly", _alpha_bumped, {"alpha_q_power"}),
+    ("coords", carlitz, "z_via_omega", _z_n_bumped,
+     {"coords_cross_route", "coords_last_power"}),
+    ("span_combination", carlitz, "_b_theta_jet", _order1_bumped,
+     {"coords_span_combination"}),
+]
+
+
+def test_every_selector_has_a_fault():
+    assert {sel for sel, *_ in FAULTS} == set(carlitz.VERIFY_SELECTORS)
+
+
+@pytest.mark.parametrize("selector,owner,name,fault,failing", FAULTS,
+                         ids=[f"{sel}-{name}" for sel, _, name, _, _ in FAULTS])
+def test_selector_fails_on_a_faulted_input(monkeypatch, fresh_caches,
+                                           selector, owner, name, fault, failing):
+    clean = verify_suite(CTX, selector, **KW)
+    assert clean.all_passed
+    _clear_caches()
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    faulted = verify_suite(CTX, selector, **KW)
+    bad = faulted.failures()
+    assert len(faulted.cells) == len(clean.cells)
+    assert {c.identity for c in bad} == failing
+    assert all(c.witness for c in bad)
+
+
+def test_span_combination_witness_carries_the_k_coefficients(monkeypatch, fresh_caches):
+    monkeypatch.setattr(carlitz, "_b_theta_jet",
+                        _order1_bumped(carlitz._b_theta_jet))
+    (cell,) = verify_suite(CTX, "span_combination", **KW).cells
+    assert cell.witness.startswith("combination vs (z_n..z_1): order-")
+    assert "; K-coefficients: " in cell.witness
+
+
+# -- the agreement check ----------------------------------------------------------
+
+F = field_new(3)
+
+
+def _series(m, prec):
+    return USeries.from_coeff_map(F, m, prec)
+
+
+def test_first_gap_reports_a_precision_shortfall():
+    a, b = _series({0: 1}, 40), _series({0: 1}, 12)
+    assert _first_gap("x", [a, a], [a, b]) is None
+    assert _first_gap("x", [a, a], [a, b], 30) == (
+        "x: order-1 known only to O(u^12), below the requested O(u^30)")
+
+
+def test_first_gap_reports_the_first_differing_u_coefficient():
+    a = _series({0: 1, 5: 2}, 20)
+    b = _series({0: 1, 5: 1, 7: 1}, 20)
+    assert _first_gap("x", [a, a], [a, b], 20) == (
+        "x: order-1 first differs at u^5: 2 != 1")
+    # beyond the common precision a difference is not seen
+    assert _first_gap("x", [a], [b.with_prec(5)]) is None
+
+
+def test_first_gap_reports_an_exact_difference():
+    t = Poly.monomial(F, (1,))
+    one = RatFunc.one(F)
+    assert _first_gap("x", [t, t], [t, t + 1]).startswith(
+        "x: order-1 coefficients differ: ")
+    assert _first_gap("x", [one], [RatFunc.make(t, t + 1)]).startswith(
+        "x: order-0 coefficients differ: ")
+
+
+def test_first_gap_passes_agreeing_sequences():
+    t = Poly.monomial(F, (1,))
+    s, deeper = _series({-2: 1, 3: 2}, 25), _series({-2: 1, 3: 2, 30: 1}, 40)
+    assert _first_gap("x", [t, RatFunc.make(t, t + 1)],
+                      [t, RatFunc.make(t * t, t * t + t)]) is None
+    assert _first_gap("x", Jet([s, s]), Jet([s, deeper]), 25) is None
+
+
+def test_first_gap_refuses_sequences_of_different_lengths():
+    with pytest.raises(ValueError):
+        _first_gap("x", [1, 2], [1])
