@@ -24,7 +24,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .gf import Field
-from .jets import Jet, d_t_jet, d_theta_jet, to_rho_matrix
+from .jets import Jet, d_t_jet, d_theta_jet
 from .rings import (
     VARS_T,
     VARS_TT,
@@ -638,10 +638,6 @@ class PeriodCoords:
     def jet(self) -> Jet:
         """Jet (z_n, z_{n-1}, ..., z_1): coefficient j is z_{n-j}."""
         return Jet([self.z[self.n - 1 - j] for j in range(self.n)])
-
-    def matrix(self):
-        """Upper-triangular Toeplitz matrix with top row z_n..z_1."""
-        return to_rho_matrix(self.jet())
 
     def __eq__(self, other):
         return (

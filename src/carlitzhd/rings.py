@@ -67,9 +67,10 @@ def _uadd(a: list[int], b: list[int], f: Field) -> list[int]:
 def _umul(a, b, f: Field, n: int | None = None) -> list[int]:
     """The first n coefficients of a*b (all of them by default), trimmed.
 
-    Over a prime field a product that the cost model (_packs) favours takes
-    one big-int multiply; extension fields and short or sparse operands keep
-    the table loop, which stops at n too.
+    An operand of one term scales the other.  Over a prime field a product
+    that the cost model (_packs) favours takes one big-int multiply;
+    otherwise the table loop runs over the nonzero entries of both operands
+    only, and stops at n too.
     """
     if not a or not b:
         return []
@@ -77,54 +78,84 @@ def _umul(a, b, f: Field, n: int | None = None) -> list[int]:
         a, b = b, a
     if n is None or n >= len(a) + len(b) - 1:
         n = len(a) + len(b) - 1
-    if f.e == 1 and len(a) * len(b) >= _PACK_MIN_PAIRS and _packs(a, b, n):
-        prod = _packed_dense_mul(a, b, n, f.p)
+    if len(a) == 1:
+        return _uscale(b[:n], a[0], f)
+    if len(a) > n:
+        a = a[:n]
+    if len(b) > n:
+        b = b[:n]
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    if na > nb:
+        a, b, na, nb = b, a, nb, na
+    if f.e == 1 and _packs(na, nb, len(a) + len(b) + n):
+        prod = _packed_dense_mul(a, b, n, f.p, na)
         if prod is not None:
             return _utrim([x % f.p for x in prod])
+    # one row per nonzero entry of the sparser operand, over the nonzero
+    # entries of the other up to the cut at n
     add, mul = f.add_t, f.mul_t
     out = [0] * n
-    for i, x in enumerate(a if n >= len(a) else a[:n]):
-        if x:
-            row = mul[x]
-            for j, y in enumerate(b if n - i >= len(b) else b[:n - i], i):
-                if y:
-                    out[j] = add[out[j]][row[y]]
+    bs = list(zip(compress(range(len(b)), b), compress(b, b)))
+    for i in compress(range(len(a)), a):
+        row = mul[a[i]]
+        for j, y in bs:
+            k = i + j
+            if k >= n:
+                break
+            out[k] = add[out[k]][row[y]]
     return _utrim(out)
 
 
-# Cost model of _uinverse, measured over F_2, F_3 and F_257 with 16 to 4096
-# terms and 2 to 1024 terms of g: Newton doubling from a 16-term recurrence
-# beats the whole recurrence once that would take 512 table pairs, and ties
-# with it just below (n = 32, len(g) = 8; n = 64, len(g) = 4).
+# Cost model of _uinverse, measured over F_2, F_3, F_5, F_7 and F_257 on
+# random g with 32 to 16384 terms and 1 to 256 nonzero ones, and on every
+# prime-field inverse of the four benchmark workloads: Newton doubling from a
+# 16-term recurrence costs about as much as the support recurrence with 24
+# nonzero terms of g past g_0 (they tie from 31 at n = 63 to 55 at
+# n = 2036), plus a fixed 512 pairs.  Below that the support recurrence is
+# up to 4x faster; dense g (about n/2 nonzero terms over F_2) takes Newton.
 _NEWTON_BASE = 16
 _NEWTON_MIN_PAIRS = 512
+_NEWTON_PAIRS_PER_TERM = 24
 
 
 def _uinverse(g, n: int, f: Field) -> list[int]:
     """The first n coefficients of 1/g, for g with a unit constant term.
 
     g may hold fewer than n terms; the missing ones are zero.  The
-    recurrence costs about n * min(len(g), n) table pairs.  Over a prime
-    field, from _NEWTON_MIN_PAIRS of them on, Newton doubling
+    recurrence h_j = -(1/g_0) sum g_i h_(j-i) runs over the nonzero g_i
+    only, so it costs about n * s table pairs for the s nonzero terms of g
+    past g_0.  Over a prime field, once that reaches
+    _NEWTON_PAIRS_PER_TERM * n + _NEWTON_MIN_PAIRS, Newton doubling
     h <- h + h(1 - g h) mod x^2k takes over, with both products on _umul
     (von zur Gathen & Gerhard, Modern Computer Algebra, section 9.1).  It
     starts from the recurrence's first k terms, where k comes from halving
     n, rounding up, until k <= _NEWTON_BASE.
     """
+    g = g[:n]
     k, sizes = n, []
-    if f.e == 1 and n * min(len(g), n) >= _NEWTON_MIN_PAIRS:
+    if f.e == 1 and n * (len(g) - 1 - g.count(0)) >= (
+            _NEWTON_PAIRS_PER_TERM * n + _NEWTON_MIN_PAIRS):
         while k > _NEWTON_BASE:
             sizes.append(k)
             k = (k + 1) // 2
     add, mul, neg = f.add_t, f.mul_t, f.neg_t
-    inv0 = f.inv_t[g[0]]
-    h = [inv0] + [0] * (k - 1)
-    for j in range(1, k):
-        acc = 0
-        for i in range(1, min(j, len(g) - 1) + 1):
-            if g[i] and h[j - i]:
-                acc = add[acc][mul[g[i]][h[j - i]]]
-        h[j] = mul[neg[acc]][inv0]
+    scale = mul[neg[f.inv_t[g[0]]]]
+    tail = g[1:k]
+    support = list(zip(compress(range(1, k), tail),
+                       map(mul.__getitem__, compress(tail, tail))))
+    # each h_j, once known, adds g_i h_j into acc[i + j]; h_j = -acc[j] / g_0,
+    # and acc[0] = -1 gives h_0 = 1/g_0
+    acc = [0] * k
+    acc[0] = neg[1]
+    h = [0] * k
+    for j in range(k):
+        x = h[j] = scale[acc[j]]
+        if x:
+            for i, row in support:
+                t = i + j
+                if t >= k:
+                    break
+                acc[t] = add[acc[t]][row[x]]
     for m in reversed(sizes):
         # g h = 1 + x^k e mod x^m, so h - x^k h e = 1/g mod x^m
         k = len(h)
@@ -138,7 +169,7 @@ def _uscale(a: list[int], c: int, f: Field) -> list[int]:
     if c == 0:
         return []
     if c == 1:
-        return list(a)
+        return _utrim(list(a))
     row = f.mul_t[c]
     return _utrim([row[x] for x in a])
 
@@ -247,23 +278,18 @@ def _slot_type(n: int, p: int):
     return None
 
 
-def _packs(a, b, n: int) -> bool:
-    """Cost model of _umul: pack when the table loop's pairs reach slots + 48.
+def _packs(na: int, nb: int, slots: int) -> bool:
+    """Cost model of _umul: pack when twice the table loop's pairs reach
+    slots + 48.
 
-    The table loop runs one row per nonzero entry of a (the shorter operand)
-    over at most min(len(b), n) entries of b; the packed product costs about
-    as much per slot (both operands and n result slots), and the same fixed
-    cost as in Poly.__mul__.  Measured on random dense operands over F_2,
-    F_3 and F_257 with 2 to 512 terms.  The nonzero rows are counted only
-    when the dense bound passes, so short products pay one multiply.
+    na and nb count the nonzero entries of the operands below n, so the
+    table loop runs at most na * nb pairs; slots counts the packed
+    product's slots, both operands and the n result slots.  Measured on
+    random operands over F_2, F_3, F_7 and F_257 with 3 to 2048 terms, 1% to
+    100% of them nonzero: a pair costs about two slots (93 ns against 53 ns
+    over F_2), and the two paths tie up to about 24 pairs.
     """
-    rows = min(len(a), n)
-    inner = min(len(b), n)
-    floor = rows + inner + n + _PACK_MIN_PAIRS
-    if rows * inner < floor:
-        return False
-    head = a if rows == len(a) else a[:rows]
-    return (rows - head.count(0)) * inner >= floor
+    return 2 * na * nb >= slots + _PACK_MIN_PAIRS
 
 
 def _unpack(x: int, slot, n: int) -> array:
@@ -277,23 +303,16 @@ def _unpack(x: int, slot, n: int) -> array:
     return out
 
 
-def _packed_dense_mul(a, b, n: int, p: int) -> array | None:
+def _packed_dense_mul(a, b, n: int, p: int, nonzero: int) -> array | None:
     """The first n slots of a*b over F_p by one big-int multiply, unreduced.
 
     Each operand is a dense residue sequence, low degree first (a USeries
-    run), or a sparse image {key: residue} with keys below n (a Poly under
-    the Kronecker map), and n is at most the product's length.  Only the
-    first n terms of each operand reach the result.  Every result slot sums
-    at most as many products as the sparser operand has nonzero terms,
-    which fixes the slot width, and reduces mod p to one coefficient.
-    Returns None when a slot would need more than 64 bits.
+    run), or a sparse image {key: residue} (a Poly under the Kronecker map),
+    with its entries below n, and n is at most the product's length.  Every
+    result slot sums at most nonzero products, the nonzero entries of the
+    sparser operand, which fixes the slot width, and reduces mod p to one
+    coefficient.  Returns None when a slot would need more than 64 bits.
     """
-    if not isinstance(a, dict):
-        a = a[:n]
-    if not isinstance(b, dict):
-        b = b[:n]
-    nonzero = min(len(x) if isinstance(x, dict) else len(x) - x.count(0)
-                  for x in (a, b))
     slot = _slot_type(nonzero, p)
     if slot is None:
         return None
@@ -438,6 +457,9 @@ class Poly:
         if other is NotImplemented:
             return other
         self._compat(other)
+        if self._dv is not None and other._dv is not None:
+            # both univariate with dense views: the sum keeps one too
+            return Poly.from_dense(self.field, _uadd(self._dv, other._dv, self.field))
         out = _accumulate(dict(self.terms), other.terms.items(), self.field)
         return Poly(self.field, self.vars, out)
 
@@ -484,7 +506,7 @@ class Poly:
         # products and extension fields keep the table loop.
         slots = max(a) + max(b) + 1
         if f.e == 1 and len(a) * len(b) >= slots + _PACK_MIN_PAIRS:
-            prod = _packed_dense_mul(a, b, slots, f.p)
+            prod = _packed_dense_mul(a, b, slots, f.p, len(a))
             if prod is not None:
                 p = f.p
                 image = {k: c for k in compress(range(slots), prod)

@@ -22,6 +22,7 @@ binom(-1/(q-1), j) mod p is 1 when every base-q digit of j is 0 or 1, and
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 from .binomials import binom_mod_p
 from .errors import (
@@ -410,24 +411,37 @@ def embed_k(f, prec: int) -> USeries:
 # -- Hasse derivative in u and the theta-derivation ----------------------------
 
 def hasse_du(f: USeries, k: int) -> USeries:
-    """k-th u-hyperderivative: sum_i binom(i, k) c_i u^{i-k}."""
+    """k-th u-hyperderivative: sum_i binom(i, k) c_i u^{i-k}.
+
+    Only the nonzero c_i are visited.  binom(i, k) mod p depends only on
+    i mod p^L once p^L > k, for i of either sign (Vandermonde's identity
+    and Lucas' rule), so each residue's value is computed once.
+    """
     if k < 0:
         raise ConstraintViolated("derivative order must be >= 0")
     if k == 0:
         return f
-    field = f.field
-    p = field.p
-    mul = field.mul_t
-    out = [0] * len(f.coeffs)
-    end = 0
-    for i, c in enumerate(f.coeffs):
-        if c:
-            b = binom_mod_p(f.min_exp + i, k, p)
-            if b:
-                out[i] = mul[b][c]
-                end = i + 1
-    del out[end:]
-    return USeries(field, f.min_exp - k, out, f.abs_prec - k)
+    field, cs = f.field, f.coeffs
+    p, mul = field.p, field.mul_t
+    period = p
+    while period <= k:
+        period *= p
+    memo = {}
+    terms = []
+    for i in compress(range(len(cs)), cs):
+        r = (f.min_exp + i) % period
+        b = memo.get(r)
+        if b is None:
+            b = memo[r] = binom_mod_p(r, k, p)
+        if b:
+            terms.append((i, mul[b][cs[i]]))
+    if not terms:
+        return USeries(field, 0, [], f.abs_prec - k)
+    lo = terms[0][0]
+    out = [0] * (terms[-1][0] + 1 - lo)
+    for i, c in terms:
+        out[i - lo] = c
+    return USeries(field, f.min_exp + lo - k, out, f.abs_prec - k)
 
 
 def _binom_neg_inv(j: int, q: int) -> int:

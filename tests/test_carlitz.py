@@ -37,6 +37,7 @@ from carlitzhd import (
     omega_theta_eval_jet,
     omega_tpoly,
     pitilde,
+    to_rho_matrix,
     useries_agree,
     verify_lagrange,
     verify_suite,
@@ -440,7 +441,7 @@ def test_period_coords_container():
     assert pc.n == 2 and len(pc.z) == 2
     j = pc.jet()
     assert j[0] == pc.z[1] and j[1] == pc.z[0]
-    m = pc.matrix()
+    m = to_rho_matrix(pc.jet())
     assert m.size == 2 and m.is_upper_toeplitz()
     with pytest.raises(ConstraintViolated):
         PeriodCoords(2, pc.z, "teleport")

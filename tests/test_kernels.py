@@ -4,8 +4,10 @@ The packed product over prime fields and exact division through the
 Kronecker map are checked against a plain dict convolution written here,
 and poly_gcd / poly_divexact against sympy over GF(p) where sympy is
 installed.  Dense USeries products and Newton inverses are checked against
-the table loop and the recurrence they replace, and the period against the
-dict-series oracle.
+the table loop and the recurrence they replace, the support-only product,
+inverse and u-derivative against a plain convolution, the dense recurrence
+and per-coefficient binomials, and the period against the dict-series
+oracle.
 """
 
 import random
@@ -16,6 +18,7 @@ from conftest import oracle_pitilde_prefix
 
 from carlitzhd import (
     INF_PREC,
+    binom_mod_p,
     CarlitzCtx,
     ConstraintViolated,
     Poly,
@@ -23,6 +26,7 @@ from carlitzhd import (
     VARS_T,
     VARS_TT,
     field_new,
+    hasse_du,
     pitilde,
     poly_divexact,
     poly_gcd,
@@ -220,9 +224,15 @@ def test_gcd_and_divexact_match_sympy(p):
 # -- dense USeries products and inverses -------------------------------------------
 
 
-def rand_series(rng, field, length, min_exp=0, abs_prec=INF_PREC):
-    """A series with exactly length terms from min_exp, both ends nonzero."""
-    inner = [rng.randrange(field.q) for _ in range(length - 2)]
+def rand_series(rng, field, length, min_exp=0, abs_prec=INF_PREC, nonzero=None):
+    """A series with exactly length terms from min_exp, both ends nonzero;
+    with nonzero given, only that many of them are nonzero."""
+    if nonzero is None:
+        inner = [rng.randrange(field.q) for _ in range(length - 2)]
+    else:
+        inner = [0] * (length - 2)
+        for i in rng.sample(range(length - 2), nonzero - 2):
+            inner[i] = rng.randrange(1, field.q)
     ends = [rng.randrange(1, field.q) for _ in range(2)]
     return USeries(field, min_exp, [ends[0], *inner, ends[1]][:length], abs_prec)
 
@@ -256,9 +266,12 @@ def on_table_loop(monkeypatch, fn):
         return fn()
 
 
-# (len(a), len(b), packed): the short shapes stay below the cost model
-USERIES_SHAPES = ((2, 3, False), (5, 5, False), (12, 40, True),
-                  (300, 200, True), (900, 700, True))
+# (len(a), len(b), nonzero terms of each or None for all random, packed):
+# the short shapes stay below the cost model, and so does the sparse one,
+# which runs the table loop over the 7 nonzero terms of each operand
+USERIES_SHAPES = ((2, 3, None, False), (5, 5, None, False),
+                  (12, 40, None, True), (300, 200, None, True),
+                  (900, 700, None, True), (1153, 1153, 7, False))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 257])
@@ -266,12 +279,13 @@ def test_packed_useries_products_match_the_table_loop(p, monkeypatch):
     f = field_new(p)
     rng = random.Random(SEED + 11 * p)
     packed = spy(monkeypatch, "_packed_dense_mul")
-    for la, lb, packs in USERIES_SHAPES:
+    for la, lb, nonzero, packs in USERIES_SHAPES:
         for exact in (True, False):
             va, vb = rng.randrange(-5, 6), rng.randrange(-5, 6)
             a = rand_series(rng, f, la, va,
-                            INF_PREC if exact else va + la + rng.randrange(3))
-            b = rand_series(rng, f, lb, vb, vb + lb + rng.randrange(3))
+                            INF_PREC if exact else va + la + rng.randrange(3),
+                            nonzero)
+            b = rand_series(rng, f, lb, vb, vb + lb + rng.randrange(3), nonzero)
             before = len(packed)
             got = a * b
             assert (len(packed) > before) == packs
@@ -332,15 +346,117 @@ def test_newton_inverse_matches_the_recurrence(p, monkeypatch):
     )
     newton = spy(monkeypatch, "_umul")
     for s, target in cases:
-        before = len(newton)
-        inv = s.inverse(target)
-        assert len(newton) > before
+        with monkeypatch.context() as m:
+            # Newton for every g that reaches _NEWTON_MIN_PAIRS support pairs
+            m.setattr(rings, "_NEWTON_PAIRS_PER_TERM", 0)
+            before = len(newton)
+            inv = s.inverse(target)
+            assert len(newton) > before
         with monkeypatch.context() as m:
             m.setattr(rings, "_NEWTON_MIN_PAIRS", float("inf"))
             assert inv == s.inverse(target)
+        assert inv == s.inverse(target)
         assert inv.abs_prec == (s.abs_prec - 2 * s.valuation() if target is None
                                 else target)
         assert useries_agree(s * inv, USeries.one(f))
+
+
+def test_sparse_inverse_takes_the_support_recurrence(monkeypatch):
+    # 7 nonzero terms in 1153 slots: the cost model keeps the support
+    # recurrence over a prime field, so no Newton product runs
+    for p in (2, 3, 257):
+        f = field_new(p)
+        rng = random.Random(SEED + 19 * p)
+        s = rand_series(rng, f, 1153, 0, INF_PREC, 7)
+        with monkeypatch.context() as m:
+            newton = spy(m, "_umul")
+            inv = s.inverse(4000)
+        assert not newton
+        assert useries_agree(s * inv, USeries.one(f))
+        with monkeypatch.context() as m:
+            m.setattr(rings, "_NEWTON_PAIRS_PER_TERM", 0)
+            assert inv == s.inverse(4000)
+
+
+def ref_inverse(g, n, f):
+    """The dense recurrence h_j = -(1/g_0) sum_(1 <= i <= j) g_i h_(j-i)."""
+    inv0 = f.inv_t[g[0]]
+    h = [inv0] + [0] * (n - 1)
+    for j in range(1, n):
+        acc = 0
+        for i in range(1, min(j, len(g) - 1) + 1):
+            acc = f.add_t[acc][f.mul_t[g[i]][h[j - i]]]
+        h[j] = f.mul_t[f.neg_t[acc]][inv0]
+    return h
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2),
+                                 (7, 2), (257, 1)])
+def test_support_recurrence_matches_the_dense_recurrence(p, e, monkeypatch):
+    f = field_new(p, e)
+    rng = random.Random(SEED + 23 * f.q)
+    unit = rng.randrange(1, f.q)
+    cases = (
+        (list(rand_series(rng, f, 1153, 0, INF_PREC, 7).coeffs), 1400),
+        (list(rand_series(rng, f, 60).coeffs), 300),       # dense, len(g) < n
+        (list(rand_series(rng, f, 500).coeffs), 120),      # len(g) > n
+        ([unit], 40),                                      # len(g) = 1
+        ([unit, 0, 0, 0, rng.randrange(1, f.q), 0, rng.randrange(1, f.q)]
+         + [0] * 50 + [rng.randrange(1, f.q)], 250),      # zeros near the front
+        ([unit, rng.randrange(1, f.q)], 200),              # 1 + c u
+    )
+    for g, n in cases:
+        want = ref_inverse(g, n, f)
+        with monkeypatch.context() as m:
+            m.setattr(rings, "_NEWTON_MIN_PAIRS", float("inf"))
+            assert rings._uinverse(tuple(g), n, f) == want
+        assert rings._uinverse(tuple(g), n, f) == want
+
+
+def ref_umul(a, b, f, n):
+    """The first n coefficients of a*b by a dict convolution over FqElem."""
+    out = {}
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y and i + j < n:
+                out[i + j] = out.get(i + j, f.zero) + f.from_index(x) * f.from_index(y)
+    dense = [0] * n
+    for k, c in out.items():
+        dense[k] = c.idx
+    while dense and not dense[-1]:
+        dense.pop()
+    return dense
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (257, 1), (2, 2), (3, 2)])
+def test_support_products_match_convolution(p, e):
+    f = field_new(p, e)
+    rng = random.Random(SEED + 29 * f.q)
+    sparse = [list(rand_series(rng, f, 1153, 0, INF_PREC, 7).coeffs)
+              for _ in range(2)]
+    dense = list(rand_series(rng, f, 90).coeffs)
+    single = [rng.randrange(1, f.q)]
+    pairs = ((single, dense), (dense, single), (single, sparse[0]),
+             (single, [rng.randrange(1, f.q)]), (sparse[0], sparse[1]),
+             (sparse[0], dense), (dense, dense[:37]))
+    for a, b in pairs:
+        full = len(a) + len(b) - 1
+        for n in (full, full - 1, max(1, full // 2), 1, len(a)):
+            assert rings._umul(a, b, f, n) == ref_umul(a, b, f, n)
+            assert rings._umul(tuple(b), tuple(a), f, n) == ref_umul(a, b, f, n)
+        assert rings._umul(a, b, f) == ref_umul(a, b, f, full)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_hasse_du_matches_per_coefficient_binomials(p, e):
+    f = field_new(p, e)
+    rng = random.Random(SEED + 31 * f.q)
+    for min_exp in (-3 * p * p - 7, -p, 0, 5):
+        s = rand_series(rng, f, 4 * p * p + 20, min_exp, min_exp + 4 * p * p + 25,
+                        2 * p * p)
+        for k in (1, p - 1, p, p * p - 1, p * p):
+            want = {ex - k: c * binom_mod_p(ex, k, p) for ex, c in s.coeff_items()}
+            assert hasse_du(s, k) == USeries.from_coeff_map(f, want, s.abs_prec - k)
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (3, 2)])
