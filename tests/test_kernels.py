@@ -18,13 +18,13 @@ from conftest import oracle_pitilde_prefix
 
 from carlitzhd import (
     INF_PREC,
-    binom_mod_p,
     CarlitzCtx,
     ConstraintViolated,
     Poly,
     USeries,
     VARS_T,
     VARS_TT,
+    binom_mod_p,
     field_new,
     hasse_du,
     pitilde,
