@@ -457,9 +457,6 @@ class Poly:
         if other is NotImplemented:
             return other
         self._compat(other)
-        if self._dv is not None and other._dv is not None:
-            # both univariate with dense views: the sum keeps one too
-            return Poly.from_dense(self.field, _uadd(self._dv, other._dv, self.field))
         out = _accumulate(dict(self.terms), other.terms.items(), self.field)
         return Poly(self.field, self.vars, out)
 
