@@ -22,6 +22,7 @@ import io
 import itertools
 import json
 import os
+import stat
 import sys
 
 from . import __version__
@@ -317,8 +318,15 @@ def _write_output(text: str, out: str | None) -> None:
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        with open(path, "w", newline="") as fh:
+        # rewrite in place and cut the file at the new length afterwards:
+        # truncating an existing file before the write makes some file
+        # systems flush the new data to disk at close (ext4's auto_da_alloc)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", newline="") as fh:
             fh.write(text)
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, fh.buffer.tell())
     except OSError as exc:
         raise ConstraintViolated(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -621,6 +629,10 @@ def main(argv=None) -> int:
         return 3
     except CarlitzhdError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # KeyboardInterrupt and SystemExit pass through
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
         return 2
 
 

@@ -16,8 +16,10 @@ series_mul, series_inverse, series_frobenius and pow_base_p are the one
 truncated-series algebra behind SJet, jets.Jet, useries.TPoly and
 useries.USeries.  They skip a term only when a factor is an exact zero, so
 a coefficient that is zero only up to its precision still caps the
-precision of every term it enters.  A jet of polynomial quotients N/D runs
-one fraction-free recurrence (_quotient_jet) instead of a series inverse.
+precision of every term it enters.  Each coefficient of a product is one
+sum of products: one _udot for USeries (USeries.sum_of_products), a fold
+of + for any other ring.  A jet of polynomial quotients N/D runs one
+fraction-free recurrence (_quotient_jet) instead of a series inverse.
 
 The gcd is a primitive polynomial-remainder-sequence Euclidean algorithm on
 the univariate-in-main-variable view; bivariate content is split off
@@ -67,10 +69,10 @@ def _uadd(a: list[int], b: list[int], f: Field) -> list[int]:
 def _umul(a, b, f: Field, n: int | None = None) -> list[int]:
     """The first n coefficients of a*b (all of them by default), trimmed.
 
-    An operand of one term scales the other.  Over a prime field a product
-    that the cost model (_packs) favours takes one big-int multiply;
-    otherwise the table loop runs over the nonzero entries of both operands
-    only, and stops at n too.
+    An operand of one term scales the other; otherwise the product is cut,
+    packed or run through _utable as a part of _udot is, without the cost
+    of a list of parts (a one-part _udot was up to 25% slower on operands
+    of a few terms).
     """
     if not a or not b:
         return []
@@ -87,23 +89,63 @@ def _umul(a, b, f: Field, n: int | None = None) -> list[int]:
     na, nb = len(a) - a.count(0), len(b) - b.count(0)
     if na > nb:
         a, b, na, nb = b, a, nb, na
-    if f.e == 1 and _packs(na, nb, len(a) + len(b) + n):
-        prod = _packed_dense_mul(a, b, n, f.p, na)
+    if f.e == 1 and _packs(na * nb, len(a) + len(b) + n):
+        prod = _packed_dense_mul([(0, a, b)], n, f.p, na)
         if prod is not None:
             return _utrim([x % f.p for x in prod])
-    # one row per nonzero entry of the sparser operand, over the nonzero
-    # entries of the other up to the cut at n
-    add, mul = f.add_t, f.mul_t
+    return _utrim(_utable([0] * n, 0, a, b, f))
+
+
+def _udot(parts, f: Field, n: int) -> list[int]:
+    """The first n coefficients of sum x^offset * a * b over the parts
+    (offset, a, b), trimmed.
+
+    Each part is cut at n - offset.  Over a prime field a sum that the cost
+    model (_packs) favours takes one big-int multiply per part, each shifted
+    by its offset into one packed sum that is unpacked once; otherwise the
+    table loop of _utable adds every part into one accumulator.
+    """
+    if n <= 0:
+        return []
+    cut, pairs, slots, nonzero = [], 0, n, 0
+    for off, a, b in parts:
+        m = n - off
+        if m <= 0:
+            continue
+        if len(a) > m:
+            a = a[:m]
+        if len(b) > m:
+            b = b[:m]
+        na, nb = len(a) - a.count(0), len(b) - b.count(0)
+        if na > nb:
+            a, b, na, nb = b, a, nb, na
+        cut.append((off, a, b))
+        pairs += na * nb
+        slots += len(a) + len(b)
+        nonzero += na
+    if f.e == 1 and _packs(pairs, slots):
+        prod = _packed_dense_mul(cut, n, f.p, nonzero)
+        if prod is not None:
+            return _utrim([x % f.p for x in prod])
     out = [0] * n
+    for off, a, b in cut:
+        _utable(out, off, a, b, f)
+    return _utrim(out)
+
+
+def _utable(out: list[int], off: int, a, b, f: Field) -> list[int]:
+    """Add x^off * a * b into out, cut at len(out): one row per nonzero
+    entry of a, over the nonzero entries of b up to the cut."""
+    add, mul, n = f.add_t, f.mul_t, len(out)
     bs = list(zip(compress(range(len(b)), b), compress(b, b)))
     for i in compress(range(len(a)), a):
-        row = mul[a[i]]
+        row, base = mul[a[i]], off + i
         for j, y in bs:
-            k = i + j
+            k = base + j
             if k >= n:
                 break
             out[k] = add[out[k]][row[y]]
-    return _utrim(out)
+    return out
 
 
 # Cost model of _uinverse, measured over F_2, F_3, F_5, F_7 and F_257 on
@@ -278,18 +320,19 @@ def _slot_type(n: int, p: int):
     return None
 
 
-def _packs(na: int, nb: int, slots: int) -> bool:
-    """Cost model of _umul: pack when twice the table loop's pairs reach
+def _packs(pairs: int, slots: int) -> bool:
+    """Cost model of _udot: pack when twice the table loop's pairs reach
     slots + 48.
 
-    na and nb count the nonzero entries of the operands below n, so the
-    table loop runs at most na * nb pairs; slots counts the packed
-    product's slots, both operands and the n result slots.  Measured on
-    random operands over F_2, F_3, F_7 and F_257 with 3 to 2048 terms, 1% to
-    100% of them nonzero: a pair costs about two slots (93 ns against 53 ns
-    over F_2), and the two paths tie up to about 24 pairs.
+    pairs counts the products of nonzero entries below n, at most what the
+    table loop runs; slots counts the packed slots, every operand and the
+    n result slots.  Measured on random operands over F_2, F_3, F_7 and
+    F_257 with 3 to 2048 terms, 1% to 100% of them nonzero: a pair costs
+    about two slots (93 ns against 53 ns over F_2), and the two paths tie up
+    to about 24 pairs.  Sums of 2 to 8 parts of 3 to 40 terms need no
+    charge per part, as the unpack is shared.
     """
-    return 2 * na * nb >= slots + _PACK_MIN_PAIRS
+    return 2 * pairs >= slots + _PACK_MIN_PAIRS
 
 
 def _unpack(x: int, slot, n: int) -> array:
@@ -303,20 +346,24 @@ def _unpack(x: int, slot, n: int) -> array:
     return out
 
 
-def _packed_dense_mul(a, b, n: int, p: int, nonzero: int) -> array | None:
-    """The first n slots of a*b over F_p by one big-int multiply, unreduced.
+def _packed_dense_mul(parts, n: int, p: int, nonzero: int) -> array | None:
+    """The first n slots of sum x^offset * a * b over the parts (offset, a,
+    b), over F_p by one big-int multiply per part, unreduced.
 
     Each operand is a dense residue sequence, low degree first (a USeries
     run), or a sparse image {key: residue} (a Poly under the Kronecker map),
-    with its entries below n, and n is at most the product's length.  Every
-    result slot sums at most nonzero products, the nonzero entries of the
-    sparser operand, which fixes the slot width, and reduces mod p to one
+    with its entries below n.  Every result slot sums at most nonzero
+    products, the nonzero entries of each part's sparser operand summed over
+    the parts, which fixes the slot width, and reduces mod p to one
     coefficient.  Returns None when a slot would need more than 64 bits.
     """
     slot = _slot_type(nonzero, p)
     if slot is None:
         return None
-    return _unpack(_pack(a, slot, n) * _pack(b, slot, n), slot, n)
+    bits, acc = 8 * slot[0], 0
+    for off, a, b in parts:
+        acc += (_pack(a, slot, n) * _pack(b, slot, n)) << (bits * off)
+    return _unpack(acc, slot, n)
 
 
 def _pack(x, slot, n: int) -> int:
@@ -398,8 +445,13 @@ class Poly:
 
     @classmethod
     def from_items(cls, field: Field, items, vars=VARS_T) -> "Poly":
+        """The sum of the items; a univariate one with at most four slots
+        per term gets its dense view at once, for sums that keep views."""
         items = ((tuple(exps), field.elem(coeff).idx) for exps, coeff in items)
-        return cls(field, vars, _accumulate({}, items, field))
+        p = cls(field, vars, _accumulate({}, items, field))
+        if len(vars) == 1 and p.degree() < 4 * len(p.terms):
+            p._view()
+        return p
 
     # views
 
@@ -457,6 +509,8 @@ class Poly:
         if other is NotImplemented:
             return other
         self._compat(other)
+        if self._dv is not None and other._dv is not None:
+            return Poly.from_dense(self.field, _uadd(self._dv, other._dv, self.field))
         out = _accumulate(dict(self.terms), other.terms.items(), self.field)
         return Poly(self.field, self.vars, out)
 
@@ -503,7 +557,7 @@ class Poly:
         # products and extension fields keep the table loop.
         slots = max(a) + max(b) + 1
         if f.e == 1 and len(a) * len(b) >= slots + _PACK_MIN_PAIRS:
-            prod = _packed_dense_mul(a, b, slots, f.p, len(a))
+            prod = _packed_dense_mul([(0, a, b)], slots, f.p, len(a))
             if prod is not None:
                 p = f.p
                 image = {k: c for k in compress(range(slots), prod)
@@ -993,16 +1047,26 @@ def _support(a) -> list:
     return [i for i, x in enumerate(a) if not _exact_zero(x)]
 
 
-def _convolve(a, b, a_support, b_support, k: int):
-    """sum of a_i * b_(k-i) over i in a_support, k-i in b_support; None if empty."""
-    acc = None
-    for i in a_support:
-        if i > k:
-            break
-        if k - i in b_support:
-            term = a[i] * b[k - i]
-            acc = term if acc is None else acc + term
+def _convolve(a, b, a_support, b_support, k: int, dot):
+    """dot of the pairs (a_i, b_(k-i)), i in a_support and k-i in b_support;
+    None if there are none."""
+    pairs = [(a[i], b[k - i]) for i in a_support if i <= k and k - i in b_support]
+    return dot(pairs) if pairs else None
+
+
+def _fold(pairs):
+    """sum of x * y over the pairs, one + at a time."""
+    acc = pairs[0][0] * pairs[0][1]
+    for x, y in pairs[1:]:
+        acc = acc + x * y
     return acc
+
+
+def _dot_of(a):
+    """The sum of products for a's coefficients: their type's
+    sum_of_products, or _fold.  Chosen once per series product."""
+    x = next((c for c in a if c is not None), None)
+    return getattr(type(x), "sum_of_products", _fold)
 
 
 def _fill(out: list, zero) -> list:
@@ -1015,17 +1079,17 @@ def _fill(out: list, zero) -> list:
 
 def series_mul(a, b, zero) -> list:
     """Truncated product of two coefficient lists of equal length."""
-    a_support, b_support = _support(a), set(_support(b))
-    return _fill([_convolve(a, b, a_support, b_support, k) for k in range(len(a))],
-                 zero)
+    a_support, b_support, dot = _support(a), set(_support(b)), _dot_of(a)
+    return _fill([_convolve(a, b, a_support, b_support, k, dot)
+                  for k in range(len(a))], zero)
 
 
 def series_inverse(a, inv0, zero) -> list:
     """1/(sum a_i X^i) modulo X^len(a), given inv0 = 1/a_0."""
     a_support = [i for i in _support(a) if i]
-    out, out_support = [inv0], {0}
+    out, out_support, dot = [inv0], {0}, _dot_of(a)
     for k in range(1, len(a)):
-        acc = _convolve(a, out, a_support, out_support, k)
+        acc = _convolve(a, out, a_support, out_support, k, dot)
         out.append(None if acc is None else -(inv0 * acc))
         if not _exact_zero(out[k]):
             out_support.add(k)

@@ -36,6 +36,7 @@ from .jets import Jet
 from .rings import (
     Poly,
     RatFunc,
+    _udot,
     _uinverse,
     _umul,
     pow_base_p,
@@ -232,6 +233,31 @@ class USeries:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def sum_of_products(pairs) -> "USeries":
+        """sum of x * y over a nonempty list of pairs, as one _udot.
+
+        Equal to the fold of + over the products, abs_prec included: the
+        sum is known below the least precision of its products, and a zero
+        product at a finite precision still caps it.
+        """
+        f = pairs[0][0].field
+        prec, parts = INF_PREC, []
+        for x, y in pairs:
+            if x.field is not f and x.field != f or y.field is not f and y.field != f:
+                raise FieldMismatch("series over different fields")
+            prec = min(prec, x.abs_prec + y.valuation(), y.abs_prec + x.valuation())
+            if x.coeffs and y.coeffs:
+                parts.append((x.min_exp + y.min_exp, x.coeffs, y.coeffs))
+        if not parts:
+            return USeries.zero(f, prec)
+        lo = min(e for e, _, _ in parts)
+        if prec == INF_PREC:
+            n = max(e + len(a) + len(b) - 1 for e, a, b in parts) - lo
+        else:
+            n = prec - lo
+        return USeries(f, lo, _udot([(e - lo, a, b) for e, a, b in parts], f, n), prec)
+
     def scale(self, c) -> "USeries":
         c = self.field.elem(c)
         if c.is_zero():
@@ -355,24 +381,32 @@ def theta_series(field: Field) -> USeries:
     return USeries.monomial(field, -(field.q - 1), field.elem(-1))
 
 
-def _theta_sum(field: Field, parts, prec) -> USeries:
-    """sum_k c_k theta^k known below prec, from parts (k, min_exp, coeffs) of c_k.
-
-    theta^k = (-1)^k u^(-k(q-1)) is an exact monomial, so the sum is one pass
-    that shifts each coefficient run and negates the runs of odd k.
-    """
-    s = field.q - 1
-    parts = [(e - k * s, k & 1, cs) for k, e, cs in parts if cs]
+def _run_sum(field: Field, parts, prec) -> USeries:
+    """sum of c * u^e * run known below prec, over parts (e, c, run) with c
+    a nonzero table index: one accumulator, each run shifted and scaled."""
+    parts = [part for part in parts if part[2]]
     if not parts:
         return USeries.zero(field, prec)
     lo = min(e for e, _, _ in parts)
     top = min(prec, max(e + len(cs) for e, _, cs in parts))
     dense = [0] * (top - lo)
-    add, neg = field.add_t, field.neg_t
-    for e, odd, cs in parts:
+    add, mul = field.add_t, field.mul_t
+    for e, c, cs in parts:
+        row = mul[c]
         for i, x in enumerate(cs[:max(0, top - e)], e - lo):
-            dense[i] = add[dense[i]][neg[x] if odd else x]
+            dense[i] = add[dense[i]][row[x]]
     return USeries(field, lo, dense, prec)
+
+
+def _theta_sum(field: Field, parts, prec) -> USeries:
+    """sum_k c_k theta^k known below prec, from parts (k, min_exp, coeffs) of c_k.
+
+    theta^k = (-1)^k u^(-k(q-1)) is an exact monomial, so the sum shifts
+    each coefficient run and negates the runs of odd k.
+    """
+    s, minus = field.q - 1, field.neg_t[1]
+    return _run_sum(field, [(e - k * s, minus if k & 1 else 1, cs)
+                            for k, e, cs in parts], prec)
 
 
 def _poly_series(p, field: Field) -> USeries:
@@ -492,14 +526,13 @@ def d_theta_useries(f: USeries, n: int) -> Jet:
     du = [f]
     for k in range(1, n + 1):
         du.append(hasse_du(f, k))
+    # coefficient m sums c[k][m] * du[k] * u^(k + m(q-1)) over k, all
+    # known below f.abs_prec + m(q-1)
     out = [f]
     for m in range(1, n + 1):
-        acc = USeries.zero(field, f.abs_prec + m * (q - 1))
-        for k in range(1, m + 1):
-            s = c[k][m]
-            if s:
-                acc = acc + du[k].scale(s).shift(k + m * (q - 1))
-        out.append(acc)
+        parts = [(du[k].min_exp + k + m * (q - 1), field.elem(c[k][m]).idx,
+                  du[k].coeffs) for k in range(1, m + 1) if c[k][m]]
+        out.append(_run_sum(field, parts, f.abs_prec + m * (q - 1)))
     return Jet(out)
 
 

@@ -386,6 +386,83 @@ def test_cli_out_env_dir(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+
+def _stdout_of(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_cli_out_rewrites_a_longer_file_to_exactly_the_new_bytes(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    long_argv = ["coords", "--q", "3", "--n", "6", "--json"]
+    short_argv = ["pitilde", "--q", "2", "--uprec", "8", "--json"]
+    assert main(long_argv + ["--out", str(target)]) == 0
+    assert target.read_text() == _stdout_of(long_argv, capsys)
+    want = _stdout_of(short_argv, capsys)
+    assert len(want) < target.stat().st_size
+    assert main(short_argv + ["--out", str(target)]) == 0
+    assert target.read_bytes() == want.encode()
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_out_writes_through_a_symlink_and_keeps_it(tmp_path, capsys):
+    real = tmp_path / "real.txt"
+    real.write_text("x" * 5000)
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    argv = ["pitilde", "--q", "2", "--uprec", "8"]
+    assert main(argv + ["--out", str(link)]) == 0
+    assert link.is_symlink() and real.read_text() == _stdout_of(argv, capsys)
+
+
+def test_cli_out_keeps_the_mode_of_an_existing_file(tmp_path, capsys):
+    target = tmp_path / "keep.txt"
+    target.write_text("old")
+    target.chmod(0o640)
+    assert main(["pitilde", "--q", "2", "--uprec", "8", "--out", str(target)]) == 0
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert target.read_text().startswith("pitilde over F_2")
+    capsys.readouterr()
+
+
+def test_cli_out_to_a_device_exits_0(capsys):
+    assert main(["pitilde", "--q", "2", "--uprec", "8", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cli_out_through_a_dangling_link_exits_2(tmp_path, capsys):
+    link = tmp_path / "dangling"
+    link.symlink_to(tmp_path / "missing" / "x.json")
+    assert main(["pitilde", "--q", "2", "--out", str(link)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+def test_cli_unexpected_error_exits_2_in_one_line(monkeypatch, capsys):
+    from carlitzhd import cli
+
+    def broken(ctx):
+        raise RuntimeError("kernel fell over\nsecond line")
+
+    monkeypatch.setattr(cli, "pitilde", broken)
+    assert main(["pitilde", "--q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: RuntimeError: kernel fell over second line\n"
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_cli_interrupt_and_exit_pass_through(exc, monkeypatch):
+    from carlitzhd import cli
+
+    def interrupted(ctx):
+        raise exc()
+
+    monkeypatch.setattr(cli, "pitilde", interrupted)
+    with pytest.raises(exc):
+        main(["pitilde", "--q", "2"])
+
+
 def test_cli_version_flag(capsys):
     from carlitzhd import __version__
 

@@ -32,7 +32,7 @@ from carlitzhd import (
     poly_gcd,
     useries_agree,
 )
-from carlitzhd import rings
+from carlitzhd import rings, useries
 
 SEED = 1729
 
@@ -481,3 +481,130 @@ def test_pitilde_matches_the_dict_series_oracle_to_1000_terms():
     pt = pitilde(CarlitzCtx(field_new(2), uprec=nterms - 2))
     got = [pt.coeff(e).idx for e in range(-2, nterms - 2)]
     assert got == oracle_pitilde_prefix(2, nterms)
+
+
+# -- sums of products: _udot and USeries.sum_of_products -----------------------------
+
+
+def ref_fold(pairs):
+    """acc = acc + x*y over the pairs, each product the schoolbook reference."""
+    acc = None
+    for x, y in pairs:
+        term = ref_series_mul(x, y)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def rand_pairs(rng, f, npairs, exact):
+    """Random pairs with negative and positive min_exp, some runs empty."""
+    pairs = []
+    for _ in range(npairs):
+        pair = []
+        for _ in range(2):
+            length, v = rng.randrange(1, 30), rng.randrange(-12, 12)
+            prec = INF_PREC if exact else v + length + rng.randrange(-3, 4)
+            if rng.random() < 0.1:
+                pair.append(USeries.zero(f, INF_PREC if exact else v))
+            elif length == 1:
+                pair.append(USeries.monomial(f, v, rng.randrange(1, f.q), prec))
+            else:
+                pair.append(rand_series(rng, f, length, v, prec))
+        pairs.append(tuple(pair))
+    return pairs
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (257, 1)])
+def test_sum_of_products_matches_the_fold(p, e, monkeypatch):
+    f = field_new(p, e)
+    rng = random.Random(SEED + 17 * f.q)
+    cut = 0
+    for npairs in (1, 1, 2, 3, 5, 8):
+        for exact in (True, False):
+            for _ in range(6):
+                pairs = rand_pairs(rng, f, npairs, exact)
+                want = ref_fold(pairs)
+                assert USeries.sum_of_products(pairs) == want
+                assert on_table_loop(
+                    monkeypatch, lambda: USeries.sum_of_products(pairs)) == want
+                if e == 1:
+                    with monkeypatch.context() as m:
+                        m.setattr(rings, "_packs", lambda *args: True)
+                        assert USeries.sum_of_products(pairs) == want
+                full = max((x.min_exp + y.min_exp + len(x.coeffs) + len(y.coeffs) - 1
+                            for x, y in pairs if x.coeffs and y.coeffs), default=None)
+                cut += full is not None and want.abs_prec < full
+    assert cut >= 10
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 2), (257, 1)])
+def test_sum_of_products_with_only_empty_runs_keeps_their_precision(p, e):
+    f = field_new(p, e)
+    x = rand_series(random.Random(SEED), f, 9, -4, 20)
+    for pairs in ([(USeries.zero(f, 7), x)], [(x, USeries.zero(f, -3)), (USeries.zero(f, 5), x)]):
+        got = USeries.sum_of_products(pairs)
+        assert got == ref_fold(pairs) and got.is_zero() and not got.is_exact()
+    # an empty run at finite precision still caps a sum with known terms
+    y = USeries(f, 0, [1, 1], INF_PREC)
+    got = USeries.sum_of_products([(y, y), (USeries.zero(f, 1), y)])
+    assert got.abs_prec == 1 and got == ref_fold([(y, y), (USeries.zero(f, 1), y)])
+    # an empty run can cap the sum below every known product's low exponent
+    u5 = USeries.monomial(f, 5)
+    for cap in (3, -100):
+        pairs = [(u5, u5), (USeries.zero(f, cap), USeries.one(f))]
+        assert USeries.sum_of_products(pairs) == USeries.zero(f, cap) == ref_fold(pairs)
+
+
+def test_udot_slot_width_sums_the_parts(monkeypatch):
+    # two all-(p-1) parts of L terms over F_257: slots L-1 and L sum 2L
+    # products of 256^2 = 2^16, i.e. 2^32 at L = 2^15, past 32 bits; the
+    # width must come from both parts, one part's count would take 32 bits
+    p, L = 257, 1 << 15
+    f = field_new(p)
+    run = [p - 1] * L
+    parts = [(0, run, run), (0, run, run)]
+    want = [2 * min(k + 1, 2 * L - 1 - k) % p for k in range(2 * L - 1)]
+    widths, real = [], rings._slot_type
+    monkeypatch.setattr(rings, "_slot_type",
+                        lambda n, q: widths.append(n) or real(n, q))
+    assert rings._udot(parts, f, 2 * L - 1) == want
+    assert widths == [2 * L] and real(2 * L, p)[0] == 8 and real(L, p)[0] == 4
+    # the mutant: a slot sized from one part carries into its neighbours
+    monkeypatch.setattr(rings, "_slot_type", lambda n, q: real(n // 2, q))
+    assert rings._udot(parts, f, 2 * L - 1) != want
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (257, 1)])
+def test_udot_matches_separate_products(p, e):
+    # offsets and cuts at n, against a sum of _umul products shifted by hand
+    f = field_new(p, e)
+    rng = random.Random(SEED + 19 * f.q)
+    for _ in range(40):
+        n = rng.randrange(1, 120)
+        parts = []
+        for _ in range(rng.randrange(1, 6)):
+            a = list(rand_series(rng, f, rng.randrange(2, 60)).coeffs)
+            b = list(rand_series(rng, f, rng.randrange(2, 60)).coeffs)
+            parts.append((rng.randrange(0, n + 10), a, b))
+        want = [0] * n
+        for off, a, b in parts:
+            for k, c in enumerate(rings._umul(a, b, f)[:max(0, n - off)], off):
+                want[k] = f.add_t[want[k]][c]
+        assert rings._udot(parts, f, n) == rings._utrim(want)
+
+
+def test_jet_products_take_one_sum_per_coefficient(monkeypatch):
+    from carlitzhd import Jet, RatFunc
+
+    f = field_new(3)
+    rng = random.Random(SEED)
+    a = Jet([rand_series(rng, f, 20, -2, 30) for _ in range(4)])
+    b = Jet([rand_series(rng, f, 20, 1, 40) for _ in range(4)])
+    calls, real = [], useries._udot
+    monkeypatch.setattr(useries, "_udot", lambda *args: calls.append(args) or real(*args))
+    prod = a * b
+    assert len(calls) == 4
+    for k in range(4):
+        assert prod[k] == ref_fold([(a[i], b[k - i]) for i in range(k + 1)])
+    # jets over other rings keep the fold
+    r = Jet([RatFunc.const(f, 1), RatFunc.const(f, 2)])
+    assert (r * r)[1] == RatFunc.const(f, 1) and len(calls) == 4

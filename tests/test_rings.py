@@ -91,6 +91,27 @@ def test_poly_ring_axioms_sampled(q, e):
         assert a - a == Poly.zero(f, VARS_TT)
 
 
+
+@pytest.mark.parametrize("q,e", [(2, 1), (3, 1), (2, 2), (257, 1)])
+def test_poly_sum_of_two_views_keeps_a_view(q, e):
+    f = field_new(q, e)
+    rng = random.Random(SEED + q)
+    for _ in range(100):
+        a, b = rand_poly(rng, f), rand_poly(rng, f)
+        a._view(), b._view()
+        for x, y in ((a, b), (a, -a), (a, -b)):
+            s = x + y
+            assert s.terms == dict(Poly.from_items(
+                f, list(x.coeff_items()) + list(y.coeff_items())).terms)
+            assert s._dv is not None and s._view() == Poly(f, VARS_T, s.terms).to_dense()
+    # a sum that cancels is the zero polynomial, view and hash included
+    a = Poly.from_items(f, [((0,), 1), ((2,), 1)])
+    assert a._dv is not None
+    z = a - a
+    assert z.is_zero() and z == Poly.zero(f) and hash(z) == hash(Poly.zero(f))
+    assert z._dv == [] and (z + a) == a and (z + a)._dv == a._dv
+
+
 def test_poly_pow_matches_repeated_multiplication():
     f = field_new(3)
     rng = random.Random(SEED)

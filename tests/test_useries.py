@@ -396,6 +396,29 @@ def test_d_theta_useries_recompute_overlap():
         assert j2[k].abs_prec > j1[k].abs_prec
 
 
+
+@pytest.mark.parametrize("q,e", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)])
+def test_d_theta_useries_matches_the_sum_of_shifted_derivatives(q, e):
+    # the one-pass accumulator against the fold of + over scaled, shifted
+    # u-derivatives, exact and at finite precision
+    from carlitzhd.useries import _delta_scalars
+
+    f = field_new(q, e)
+    rng = random.Random(SEED + q)
+    for prec in (None, 14, 3, -2):
+        s = rand_useries(rng, f, -6, 12, prec)
+        n = 4
+        c = _delta_scalars(f, n)
+        got = d_theta_useries(s, n)
+        assert got[0] == s
+        for m in range(1, n + 1):
+            want = USeries.zero(f, s.abs_prec + m * (f.q - 1))
+            for k in range(1, m + 1):
+                if c[k][m]:
+                    want = want + hasse_du(s, k).scale(c[k][m]).shift(k + m * (f.q - 1))
+            assert got[m] == want
+
+
 # -- truncated t-expansions ----------------------------------------------------------
 
 def test_tpoly_construction_and_coeff():
