@@ -360,9 +360,14 @@ def _packed_dense_mul(parts, n: int, p: int, nonzero: int) -> array | None:
     slot = _slot_type(nonzero, p)
     if slot is None:
         return None
-    bits, acc = 8 * slot[0], 0
+    # each product is added as it comes, and neither 0 + x nor x << 0,
+    # which copy x, is formed
+    bits, acc = 8 * slot[0], None
     for off, a, b in parts:
-        acc += (_pack(a, slot, n) * _pack(b, slot, n)) << (bits * off)
+        prod = _pack(a, slot, n) * _pack(b, slot, n)
+        if off:
+            prod <<= bits * off
+        acc = prod if acc is None else acc + prod
     return _unpack(acc, slot, n)
 
 
