@@ -7,7 +7,9 @@ installed.  Dense USeries products and Newton inverses are checked against
 the table loop and the recurrence they replace, the support-only product,
 inverse and u-derivative against a plain convolution, the dense recurrence
 and per-coefficient binomials, and the period against the dict-series
-oracle.
+oracle.  Sums of products (_udot, USeries.sum_of_products) are checked
+against the fold of + over schoolbook products, and their slot width
+against a mutant that sizes it from one part.
 """
 
 import random
