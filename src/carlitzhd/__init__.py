@@ -18,7 +18,6 @@ from .errors import (
     InsufficientL,
     NonPrimeCharacteristic,
     NonUnitConstantTerm,
-    NonUnitLeadingCoefficient,
     PoleAtTheta,
     PrecisionExhausted,
     ReducibleModulus,
@@ -53,8 +52,6 @@ from .useries import (
     embed_k,
     hasse_du,
     theta_series,
-    tpoly_agree,
-    tpoly_diff_witness,
     useries_agree,
     useries_diff_witness,
 )
@@ -72,7 +69,6 @@ from .carlitz import (
     carlitz_combinatorics,
     curlyL_poly,
     dtheta_pitilde,
-    eta,
     eta_rat,
     eta_sjet,
     gamma_poly,
@@ -93,8 +89,7 @@ __all__ = [
     "CarlitzhdError", "ConstraintViolated", "DegreeMismatch",
     "DivisionByZero", "FieldMismatch",
     "InsufficientL", "NonPrimeCharacteristic", "NonUnitConstantTerm",
-    "NonUnitLeadingCoefficient", "PoleAtTheta", "PrecisionExhausted",
-    "ReducibleModulus",
+    "PoleAtTheta", "PrecisionExhausted", "ReducibleModulus",
     # gf / binomials
     "Field", "FqElem", "field_new", "binom_mod_p",
     # rings
@@ -105,12 +100,11 @@ __all__ = [
     "to_rho_matrix",
     # useries
     "INF_PREC", "TPoly", "USeries", "d_theta_useries", "embed_k", "hasse_du",
-    "theta_series", "tpoly_agree", "tpoly_diff_witness", "useries_agree",
-    "useries_diff_witness",
+    "theta_series", "useries_agree", "useries_diff_witness",
     # carlitz
     "CarlitzCtx", "CheckCell", "PeriodCoords", "Report", "VERIFY_SELECTORS",
     "Gamma_poly", "D_poly", "L_poly", "at_poly", "b_rat",
-    "carlitz_combinatorics", "curlyL_poly", "dtheta_pitilde", "eta",
+    "carlitz_combinatorics", "curlyL_poly", "dtheta_pitilde",
     "eta_rat", "eta_sjet", "gamma_poly", "minimal_l", "omega_theta_eval_jet",
     "omega_tpoly", "pitilde", "verify_lagrange", "verify_suite", "z_via_at",
     "z_via_eta", "z_via_omega",

@@ -43,7 +43,6 @@ from .useries import (
     d_theta_useries,
     embed_k,
     theta_series,
-    tpoly_diff_witness,
     useries_diff_witness,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
     "Gamma_poly",
     "carlitz_combinatorics",
     "at_poly",
-    "eta",
     "eta_rat",
     "eta_sjet",
     "minimal_l",
@@ -78,17 +76,6 @@ __all__ = [
 
 
 # -- small integer helpers -----------------------------------------------------
-
-
-def _ilog(base: int, n: int) -> int:
-    """Largest e with base**e <= n (n >= 1)."""
-    if n < 1:
-        raise ConstraintViolated(f"integer log needs a positive argument, got {n}")
-    e, v = 0, base
-    while v <= n:
-        e += 1
-        v *= base
-    return e
 
 
 def _pow_at_least(base: int, bound: int) -> int:
@@ -408,8 +395,8 @@ def b_rat(field: Field, j: int) -> RatFunc:
     """Transfer coefficient b_j in F_q(theta, t).
 
     The theta-derivative of order j of the inverse Omega t-series equals b_j
-    times the inverse itself.  Closed form: with l = ilog_q(j) + 1 and
-    P the degree-(l-1) t-product, b_j = P * d^j(P^{-1}) = n_j / P^j, where
+    times the inverse itself.  Closed form: with l the least l with q^l > j
+    and P the degree-(l-1) t-product, b_j = P * d^j(P^{-1}) = n_j / P^j, where
     n_j is the quotient-jet numerator of 1/P.  b_0 = 1 and b_j = 0 for
     1 <= j <= q-1.
     """
@@ -418,7 +405,7 @@ def b_rat(field: Field, j: int) -> RatFunc:
     if j == 0:
         return RatFunc.one(field, VARS_TT)
     q = field.q
-    l = _ilog(q, j) + 1
+    l = _pow_at_least(q, j + 1)
     if l == 1:
         # both products are empty: derivative of the constant 1
         return RatFunc.zero(field, VARS_TT)
@@ -492,7 +479,7 @@ def at_poly(field: Field, n: int) -> tuple[Poly, Poly]:
     q = field.q
     gam = Gamma_poly(field, n)
     alpha = Poly.zero(field, VARS_TT)
-    for j in range(_ilog(q, n - 1) + 1):
+    for j in range(_pow_at_least(q, n)):
         a_prev, g_prev = at_poly(field, n - q ** j)
         cof = poly_divexact(gam, D_poly(field, j) * g_prev)
         alpha = alpha + a_prev * (gamma_poly(field, j) * cof.lift_tt())
@@ -512,10 +499,10 @@ def _eta_num(field: Field, l: int) -> Poly:
     return out
 
 
-# eta_rat's numerator has t-degree q + q^2 + ... + q^l and 2^l terms, and
-# reducing the fraction costs most: (q, l) = (2, 6), t-degree 126, takes about
-# 14 s, while (3, 5), t-degree 363, runs past 40 s.  Above this t-degree
-# eta_rat is refused before any product is formed.
+# eta_rat's numerator has t-degree q + q^2 + ... + q^l and 2^l terms.  The
+# fraction needs no gcd, so its cost is the product and its output size; this
+# bound keeps both small and refuses a larger eta_l before any product is
+# formed.
 ETA_MAX_T_DEGREE = 200
 
 
@@ -534,7 +521,10 @@ def eta_rat(field: Field, l: int) -> RatFunc:
             raise ConstraintViolated(
                 f"eta_{l} over F_{field.q} has numerator t-degree above the "
                 f"largest supported, {ETA_MAX_T_DEGREE}")
-    return RatFunc.make(_eta_num(field, l), L_poly(field, l).lift_tt())
+    # the numerator is monic in t, so by Gauss's lemma it has no factor in
+    # F_q[theta]; the denominator L_l lies in F_q[theta] and is monic in
+    # theta.  The pair is coprime and deglex-monic: already canonical.
+    return RatFunc(_eta_num(field, l), L_poly(field, l).lift_tt())
 
 
 def eta_sjet(field: Field, l: int, M: int) -> SJet:
@@ -549,17 +539,6 @@ def eta_sjet(field: Field, l: int, M: int) -> SJet:
         raise ConstraintViolated(f"eta_l needs l >= 0, got {l}")
     # binom(1, k) vanishes for k >= 2, so each factor keeps only its s^{q^m} term
     return _eta_inv_pow_sjet(field, l, M, -1)
-
-
-def eta(field: Field, l: int, form: str = "rational", M: int | None = None):
-    """eta_l either as an exact rational function or as an s-expansion."""
-    if form == "rational":
-        return eta_rat(field, l)
-    if form == "sjet":
-        if M is None:
-            raise ConstraintViolated("the sjet form needs an s-order M")
-        return eta_sjet(field, l, M)
-    raise ConstraintViolated(f"unknown form {form!r}; expected rational or sjet")
 
 
 def _eta_inv_pow_sjet(field: Field, l: int, M: int, npow: int) -> SJet:
@@ -801,12 +780,6 @@ class Report:
         return f"Report({good}/{len(self.cells)} passed)"
 
 
-def _tpoly_witness(tag: str, w) -> str:
-    k, e, left, right = w
-    return (f"{tag}: first differing coefficient at t^{k} u^{e}: "
-            f"{left!r} != {right!r}")
-
-
 def _first_gap(tag: str, lhs, rhs, uprec: int | None = None) -> str | None:
     """Witness of the first order k with lhs[k] != rhs[k]; None if there is none.
 
@@ -834,26 +807,18 @@ def _first_gap(tag: str, lhs, rhs, uprec: int | None = None) -> str | None:
 
 
 def _cells_omega(ctx: CarlitzCtx, t_terms: int) -> list[CheckCell]:
+    """x * x^{-1} = 1 mod t^t_terms for x = Omega and for its unit-series
+    partner (t - theta) * Omega, whose constant term is exactly u, so that
+    its inverse aw is a genuine t-series."""
     F = ctx.field
-    cells = []
     om = omega_tpoly(ctx)
-    one = TPoly.one(F, t_prec=t_terms)
-
-    winv = om.inverse_tseries(t_terms)
-    w = tpoly_diff_witness(om * winv, one)
-    cells.append(CheckCell(
-        "omega_inverse", {"t_terms": t_terms}, w is None,
-        None if w is None else _tpoly_witness("Omega * Omega^{-1} - 1", w)))
-
-    # unit-series partner: ((t - theta) * Omega)^{-1}; constant term is
-    # exactly u, so the inverse is a genuine t-series
-    tm = TPoly(F, {0: -theta_series(F), 1: USeries.one(F)})
-    unit = tm * om
-    aw = unit.inverse_tseries(t_terms)
-    w = tpoly_diff_witness(unit * aw, one)
-    cells.append(CheckCell(
-        "aw_unit", {"t_terms": t_terms}, w is None,
-        None if w is None else _tpoly_witness("(t-theta)*Omega*aw - 1", w)))
+    unit = TPoly(F, {0: -theta_series(F), 1: USeries.one(F)}) * om
+    one = TPoly.one(F).jet(t_terms)
+    cells = []
+    for name, tag, x in (("omega_inverse", "Omega * Omega^-1 vs 1", om),
+                         ("aw_unit", "(t-theta)*Omega*aw vs 1", unit)):
+        witness = _first_gap(tag, x.jet(t_terms) * x.inverse_tseries(t_terms), one)
+        cells.append(CheckCell(name, {"t_terms": t_terms}, witness is None, witness))
     return cells
 
 
@@ -892,9 +857,9 @@ def _cells_b_transfer(ctx: CarlitzCtx, jmax: int, t_terms: int,
         "b_vanishing", {"range": f"1..{hi}"}, vanish,
         None if vanish else "a transfer coefficient below index q is nonzero"))
 
-    om = omega_tpoly(ctx)
-    winv = om.inverse_tseries(t_terms)
-    lhs = winv.d_theta_jet(jmax)
+    # t is theta-free, so d^j acts on each t-coefficient of the inverse
+    winv = omega_tpoly(ctx).inverse_tseries(t_terms)
+    lhs = [d_theta_useries(c, jmax) for c in winv]
     for j in range(jmax + 1):
         params = {"j": j}
         if overrides and j in overrides:
@@ -902,12 +867,9 @@ def _cells_b_transfer(ctx: CarlitzCtx, jmax: int, t_terms: int,
             params["override"] = repr(b)
         else:
             b = b_rat(F, j)
-        rhs = _tpoly_scale_ratfunc(winv, b, t_terms)
-        w = tpoly_diff_witness(lhs[j], rhs)
-        cells.append(CheckCell(
-            "b_transfer", params, w is None,
-            None if w is None else _tpoly_witness(
-                f"d^{j}(Omega^-1) - b_{j}*Omega^-1", w)))
+        witness = _first_gap(f"d^{j}(Omega^-1) vs b_{j}*Omega^-1",
+                             [d[j] for d in lhs], _tseries_times_ratfunc(winv, b))
+        cells.append(CheckCell("b_transfer", params, witness is None, witness))
     return cells
 
 
@@ -933,17 +895,16 @@ def _tpoly_from_poly_tt(p: Poly) -> TPoly:
     return TPoly(field, coeffs)
 
 
-def _tpoly_scale_ratfunc(tser: TPoly, b: RatFunc, t_terms: int) -> TPoly:
-    """Multiply a t-series by an exact rational function of (theta, t)."""
-    field = tser.field
-    if b.is_zero():
-        return TPoly.zero(field, t_terms)
-    prod = tser * _tpoly_from_poly_tt(b.num)
+def _tseries_times_ratfunc(tser: Jet, b: RatFunc) -> Jet:
+    """A t-series mod t^len(tser) times an exact rational function of
+    (theta, t), cut at the same length."""
+    n = len(tser)
+    prod = tser * _tpoly_from_poly_tt(b.num).jet(n)
     if b.den.is_constant():
         return prod
     # t^0 coefficient of the denominator is an exact monomial, so the
     # t-series inverse needs no precision target
-    return prod * _tpoly_from_poly_tt(b.den).inverse_tseries(t_terms)
+    return prod * _tpoly_from_poly_tt(b.den).inverse_tseries(n)
 
 
 def _cells_span(ctx: CarlitzCtx, n: int) -> list[CheckCell]:
@@ -983,7 +944,7 @@ def _cells_bjet_eta(field: Field, nmax: int) -> list[CheckCell]:
     q = field.q
     big = _b_theta_jet(field, nmax - 1) if nmax >= 1 else None
     for n in range(1, nmax + 1):
-        l = max(1, _pow_at_least(q, n))
+        l = minimal_l(q, n)
         lhs = big.truncated(n - 1)
         rhs = _ratio_theta_jet(
             d_theta_jet(_eta_num(field, l - 1), n - 1),

@@ -197,15 +197,19 @@ def ser_sjet(j: SJet) -> dict:
 
 
 def ser_tpoly(t: TPoly) -> dict:
+    # "t_prec" is always null: a TPoly is an exact polynomial in t
     return {
-        "t_prec": t.t_prec,
+        "t_prec": None,
         "coeffs": {str(k): ser_useries(v) for k, v in sorted(t.coeffs.items())},
     }
 
 
 def parse_tpoly(field: Field, d: dict) -> TPoly:
+    if d["t_prec"] is not None:
+        raise ConstraintViolated(
+            f"a t-polynomial record needs t_prec null, got {d['t_prec']!r}")
     coeffs = {int(k): parse_useries(field, v) for k, v in d["coeffs"].items()}
-    return TPoly(field, coeffs, d["t_prec"])
+    return TPoly(field, coeffs)
 
 
 def ser_coords(c: PeriodCoords) -> dict:

@@ -37,10 +37,6 @@ class NonUnitConstantTerm(CarlitzhdError):
     """Inversion of a truncated object whose constant term is not a unit."""
 
 
-class NonUnitLeadingCoefficient(CarlitzhdError):
-    """A series inverse needs a unit leading coefficient and none is known."""
-
-
 class PrecisionExhausted(CarlitzhdError):
     """Requested precision cannot be met; the message names the failing bound."""
 

@@ -13,7 +13,8 @@ of their polynomials.  SJet is a truncated expansion in s = t - theta with
 exact coefficients in K = F_q(theta).
 
 series_mul, series_inverse, series_frobenius and pow_base_p are the one
-truncated-series algebra behind SJet, jets.Jet, useries.TPoly and
+truncated-series algebra behind SJet, jets.Jet (a t-series of
+useries.TPoly mod t^n is a Jet), the exact TPoly product and
 useries.USeries.  They skip a term only when a factor is an exact zero, so
 a coefficient that is zero only up to its precision still caps the
 precision of every term it enters.  Each coefficient of a product is one

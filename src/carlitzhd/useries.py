@@ -7,8 +7,9 @@ carries abs_prec: the exponent below which its coefficients are known.
 Arithmetic propagates precision pessimistically by the non-archimedean rules;
 an exact value has abs_prec = math.inf.
 
-TPoly is a polynomial (or truncated power series) in t whose coefficients are
-USeries; it models the entire-function products and their t-expansions.
+TPoly is a polynomial in t whose coefficients are USeries; it models the
+entire-function products.  Their t-expansions mod t^n are Jets of USeries
+(TPoly.jet), which multiply and invert by the shared series algebra.
 
 d_theta_useries extends the theta-derivation: on u it acts by
 D_theta(u) = u * (1 + X/theta)^(-1/(q-1)), the branch with constant term u,
@@ -40,7 +41,6 @@ from .rings import (
     _uinverse,
     _umul,
     pow_base_p,
-    series_inverse,
     series_mul,
 )
 
@@ -539,59 +539,51 @@ def d_theta_useries(f: USeries, n: int) -> Jet:
 # -- polynomials in t over USeries ---------------------------------------------
 
 class TPoly:
-    """Polynomial (t_prec None) or truncated power series (mod t^t_prec) in t.
+    """Polynomial in t whose coefficients are u-series.
 
     coeffs maps t-degree to USeries; absent degrees are exactly zero.  Each
-    coefficient carries its own u-precision.
+    coefficient carries its own u-precision.  A t-series mod t^n is the Jet
+    of its first n coefficients (jet(n)).
     """
 
-    __slots__ = ("field", "coeffs", "t_prec")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: Field, coeffs: dict, t_prec: int | None = None):
-        clean = {}
-        for k, v in coeffs.items():
-            if t_prec is not None and k >= t_prec:
-                continue
-            if v is None or v.is_exact_zero():
-                continue
-            clean[k] = v
+    def __init__(self, field: Field, coeffs: dict):
+        clean = {k: v for k, v in coeffs.items()
+                 if v is not None and not v.is_exact_zero()}
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "t_prec", t_prec)
 
     def __setattr__(self, *a):
         raise AttributeError("TPoly is immutable")
 
     @classmethod
-    def zero(cls, field: Field, t_prec: int | None = None) -> "TPoly":
-        return cls(field, {}, t_prec)
+    def zero(cls, field: Field) -> "TPoly":
+        return cls(field, {})
 
     @classmethod
-    def const(cls, field: Field, c: USeries, t_prec: int | None = None) -> "TPoly":
-        return cls(field, {0: c}, t_prec)
+    def const(cls, field: Field, c: USeries) -> "TPoly":
+        return cls(field, {0: c})
 
     @classmethod
-    def one(cls, field: Field, t_prec: int | None = None) -> "TPoly":
-        return cls.const(field, USeries.one(field), t_prec)
+    def one(cls, field: Field) -> "TPoly":
+        return cls.const(field, USeries.one(field))
 
     def tdegree(self) -> int:
         return max(self.coeffs) if self.coeffs else -1
 
     def coeff(self, k: int) -> USeries:
-        if self.t_prec is not None and k >= self.t_prec:
-            raise PrecisionExhausted(
-                f"t^{k} coefficient beyond t-truncation {self.t_prec}"
-            )
         return self.coeffs.get(k, USeries.zero(self.field))
 
     def _dense(self, n: int) -> list:
         """Coefficients of t^0 .. t^(n-1); None where absent (exactly zero)."""
         return [self.coeffs.get(k) for k in range(n)]
 
-    def t_valuation(self):
-        if self.coeffs:
-            return min(self.coeffs)
-        return self.t_prec if self.t_prec is not None else INF_PREC
+    def jet(self, n: int) -> Jet:
+        """The t-series mod t^n: coefficients of t^0 .. t^(n-1), exact zeros
+        where a degree is absent."""
+        zero = USeries.zero(self.field)
+        return Jet([self.coeffs.get(k, zero) for k in range(n)])
 
     def _compat(self, other: "TPoly"):
         if self.field != other.field:
@@ -601,21 +593,9 @@ class TPoly:
         if not isinstance(other, TPoly):
             return NotImplemented
         self._compat(other)
-        tp = None
-        if self.t_prec is not None or other.t_prec is not None:
-            cands = []
-            if self.t_prec is not None:
-                v = other.t_valuation()
-                cands.append(self.t_prec + (v if v != INF_PREC else 0))
-            if other.t_prec is not None:
-                v = self.t_valuation()
-                cands.append(other.t_prec + (v if v != INF_PREC else 0))
-            tp = min(cands)
         n = self.tdegree() + other.tdegree() + 1
-        if tp is not None:
-            n = min(n, tp)
         out = series_mul(self._dense(n), other._dense(n), lambda: None)
-        return TPoly(self.field, dict(enumerate(out)), tp)
+        return TPoly(self.field, dict(enumerate(out)))
 
     __rmul__ = __mul__
 
@@ -630,43 +610,23 @@ class TPoly:
                 b = binom_mod_p(k, i, p)
                 if b:
                     out[k - i] = v.scale(b)
-        tp = None if self.t_prec is None else max(self.t_prec - i, 0)
-        return TPoly(self.field, out, tp)
+        return TPoly(self.field, out)
 
     def d_t_jet(self, order: int) -> list["TPoly"]:
         return [self.d_t(i) for i in range(order + 1)]
 
-    def d_theta_jet(self, order: int) -> list["TPoly"]:
-        """Jet of D_theta applied coefficientwise (t is theta-free)."""
-        per_coeff = {k: d_theta_useries(v, order) for k, v in self.coeffs.items()}
-        return [
-            TPoly(self.field, {k: j[m] for k, j in per_coeff.items()}, self.t_prec)
-            for m in range(order + 1)
-        ]
-
     def eval_t_at_theta(self) -> USeries:
-        """Substitute t = theta (exact polynomials only)."""
-        if self.t_prec is not None:
-            raise ConstraintViolated(
-                "evaluation at t = theta is only defined for exact t-polynomials"
-            )
+        """Substitute t = theta."""
         s = self.field.q - 1
         prec = min((c.abs_prec - k * s for k, c in self.coeffs.items()), default=INF_PREC)
         return _theta_sum(self.field, [(k, c.min_exp, c.coeffs)
                                        for k, c in self.coeffs.items()], prec)
 
-    def inverse_tseries(self, t_terms: int, u_target=None) -> "TPoly":
+    def inverse_tseries(self, t_terms: int) -> Jet:
         """Inverse as a t-power series mod t^t_terms."""
-        if self.t_prec is not None and self.t_prec < t_terms:
-            raise PrecisionExhausted(
-                f"need {t_terms} t-coefficients, input truncated at {self.t_prec}"
-            )
-        c0 = self.coeffs.get(0)
-        if c0 is None:
+        if 0 not in self.coeffs:
             raise DivisionByZero("t-series inverse needs a nonzero constant term")
-        g0 = c0.inverse(u_target) if u_target is not None else c0.inverse()
-        out = series_inverse(self._dense(t_terms), g0, lambda: None)
-        return TPoly(self.field, dict(enumerate(out)), t_terms)
+        return self.jet(t_terms).inverse()
 
     def with_uprec(self, cap) -> "TPoly":
         """Cap each coefficient's abs_prec; cap may be a value or fn(k)."""
@@ -674,49 +634,18 @@ class TPoly:
             out = {k: v.with_prec(cap(k)) for k, v in self.coeffs.items()}
         else:
             out = {k: v.with_prec(cap) for k, v in self.coeffs.items()}
-        return TPoly(self.field, out, self.t_prec)
-
-    def with_tprec(self, t_prec: int | None) -> "TPoly":
-        if t_prec is None:
-            return self
-        if self.t_prec is not None and self.t_prec < t_prec:
-            return self
-        return TPoly(self.field, self.coeffs, t_prec)
+        return TPoly(self.field, out)
 
     def __eq__(self, other):
         return (
             isinstance(other, TPoly)
             and self.field == other.field
-            and self.t_prec == other.t_prec
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.field, self.t_prec, frozenset(self.coeffs.items())))
+        return hash((self.field, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         bits = [f"({v!r})*t^{k}" for k, v in sorted(self.coeffs.items())]
-        body = " + ".join(bits) if bits else "0"
-        if self.t_prec is not None:
-            body += f" + O(t^{self.t_prec})"
-        return body
-
-
-def tpoly_agree(a: TPoly, b: TPoly) -> bool:
-    return tpoly_diff_witness(a, b) is None
-
-
-def tpoly_diff_witness(a: TPoly, b: TPoly):
-    """(t-degree, u-exponent, left, right) of the first disagreement, else None."""
-    if a.field != b.field:
-        raise FieldMismatch("comparing t-polynomials over different fields")
-    hi = max(a.tdegree(), b.tdegree()) + 1
-    for tp in (a.t_prec, b.t_prec):
-        if tp is not None:
-            hi = min(hi, tp)
-    zero = USeries.zero(a.field)
-    for k in range(hi):
-        w = useries_diff_witness(a.coeffs.get(k, zero), b.coeffs.get(k, zero))
-        if w is not None:
-            return (k,) + w
-    return None
+        return " + ".join(bits) if bits else "0"

@@ -28,7 +28,6 @@ from carlitzhd import (
     compose_substitute,
     curlyL_poly,
     dtheta_pitilde,
-    eta,
     eta_rat,
     eta_sjet,
     field_new,
@@ -252,6 +251,20 @@ def test_eta_rat_recursion():
         assert eta_rat(f, l) == eta_rat(f, l - 1) * factor
 
 
+@pytest.mark.parametrize("q,e,lmax", [(2, 1, 4), (3, 1, 2), (2, 2, 2), (5, 1, 1),
+                                       (3, 2, 1)])
+def test_eta_rat_is_the_reduced_fraction(q, e, lmax):
+    # eta_rat builds its fraction without a gcd; RatFunc.make reduces the
+    # same pair and must find nothing to cancel
+    from carlitzhd.carlitz import _eta_num
+
+    f = field_new(q, e)
+    for l in range(lmax + 1):
+        got = eta_rat(f, l)
+        want = RatFunc.make(_eta_num(f, l), L_poly(f, l).lift_tt())
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+
+
 def test_eta_rat_refuses_numerators_above_the_t_degree_bound(monkeypatch):
     from carlitzhd import carlitz
 
@@ -295,16 +308,6 @@ def test_eta_sjet_matches_rational_expansion():
         M = q + 2
         l = 2
         assert eta_sjet(f, l, M) == sjet_from_ratfunc(eta_rat(f, l), M)
-
-
-def test_eta_dispatcher():
-    f = field_new(2)
-    assert eta(f, 2) == eta_rat(f, 2)
-    assert eta(f, 2, form="sjet", M=3) == eta_sjet(f, 2, 3)
-    with pytest.raises(ConstraintViolated):
-        eta(f, 2, form="sjet")  # M is required
-    with pytest.raises(ConstraintViolated):
-        eta(f, 2, form="other")
 
 
 # -- the polynomials alpha_n ---------------------------------------------------------

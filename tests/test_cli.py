@@ -132,9 +132,19 @@ def test_ratfunc_serialization_roundtrip():
 
 def test_tpoly_serialization_roundtrip():
     f = field_new(2)
-    t = TPoly(f, {0: USeries.one(f), 2: theta_series(f).with_prec(9)}, t_prec=5)
+    t = TPoly(f, {0: USeries.one(f), 2: theta_series(f).with_prec(9)})
     d = json.loads(json.dumps(ser_tpoly(t)))
+    assert d["t_prec"] is None
     assert parse_tpoly(f, d) == t
+
+
+def test_parse_tpoly_refuses_a_truncated_record():
+    # a TPoly is an exact polynomial in t; a t-series mod t^n has no record
+    f = field_new(2)
+    d = ser_tpoly(TPoly.one(f))
+    d["t_prec"] = 5
+    with pytest.raises(ConstraintViolated, match="t_prec"):
+        parse_tpoly(f, d)
 
 
 def test_coords_serialization_roundtrip():
@@ -623,9 +633,7 @@ def test_serializer_round_trips_on_random_values():
         if not den.is_zero():
             r = RatFunc.make(num, den)
             assert parse_ratfunc(f, through_text(ser_ratfunc(r))) == r
-        t_prec = draw(st.none() | st.integers(1, 4))
-        t = TPoly(f, {k: useries(draw, f) for k in range(draw(st.integers(0, 4)))},
-                  t_prec)
+        t = TPoly(f, {k: useries(draw, f) for k in range(draw(st.integers(0, 4)))})
         assert parse_tpoly(f, through_text(ser_tpoly(t))) == t
         n = draw(st.integers(1, 3))
         route = draw(st.sampled_from(["omega", "eta", "at"]))

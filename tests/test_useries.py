@@ -20,11 +20,10 @@ from carlitzhd import (
     field_new,
     hasse_du,
     theta_series,
-    tpoly_agree,
-    tpoly_diff_witness,
     useries_agree,
     useries_diff_witness,
 )
+from carlitzhd.carlitz import _first_gap
 from carlitzhd.useries import _binom_neg_inv
 
 SEED = 1729
@@ -427,12 +426,15 @@ def test_tpoly_construction_and_coeff():
     assert p.tdegree() == 2
     assert p.coeff(0) == USeries.one(f)
     assert p.coeff(1).is_zero()
-    assert p.t_valuation() == 0
-    # exact zero coefficients are dropped; t_prec truncates
+    # exact zero coefficients are dropped
     p2 = TPoly(f, {0: USeries.one(f), 5: USeries.zero(f)})
     assert p2.tdegree() == 0
-    p3 = TPoly(f, {0: USeries.one(f), 2: theta_series(f)}, t_prec=2)
-    assert p3.tdegree() == 0
+    # the t-series mod t^n is the Jet of the first n coefficients, with
+    # exact zeros where a degree is absent
+    assert p.jet(2) == Jet([USeries.one(f), USeries.zero(f)])
+    assert p.jet(4) == Jet([USeries.one(f), USeries.zero(f), theta_series(f),
+                            USeries.zero(f)])
+    assert all(c.is_exact_zero() for c in p.jet(4)[1::2])
 
 
 def test_tpoly_mul_matches_convolution():
@@ -525,39 +527,50 @@ def test_tpoly_inverse_tseries_geometric():
     f = field_new(3)
     u = USeries.monomial(f, 1)
     p = TPoly(f, {0: USeries.one(f), 1: u.scale(f.elem(-1))})
-    inv = p.inverse_tseries(6, u_target=30)
-    for k in range(6):
-        assert useries_agree(inv.coeff(k), USeries.monomial(f, k).with_prec(30))
+    inv = p.inverse_tseries(6)
+    assert inv == Jet([USeries.monomial(f, k) for k in range(6)])
     # and the product is 1 mod t^6
-    prod = (p.with_tprec(6) * inv).with_tprec(6)
-    assert useries_agree(prod.coeff(0), USeries.one(f))
-    for k in range(1, 6):
-        assert useries_agree(prod.coeff(k), USeries.zero(f))
+    prod = p.jet(6) * inv
+    assert prod == TPoly.one(f).jet(6)
+
+
+def test_tpoly_inverse_tseries_needs_a_constant_term():
+    f = field_new(3)
+    with pytest.raises(DivisionByZero):
+        TPoly(f, {1: USeries.one(f)}).inverse_tseries(4)
+    with pytest.raises(DivisionByZero):
+        TPoly.zero(f).inverse_tseries(1)
 
 
 def test_tpoly_inverse_tseries_with_absent_degrees():
-    # (1 + t^2)^{-1} = 1 - t^2 + t^4 mod t^6: degrees 1, 3, 5 stay absent
+    # (1 + t^2)^{-1} = 1 - t^2 + t^4 mod t^6: degrees 1, 3, 5 are exact zeros
     f = field_new(3)
-    one = USeries.one(f)
+    one, zero = USeries.one(f), USeries.zero(f)
     inv = TPoly(f, {0: one, 2: one}).inverse_tseries(6)
-    assert inv == TPoly(f, {0: one, 2: -one, 4: one}, 6)
+    assert inv == Jet([one, zero, -one, zero, one, zero])
+    assert all(c.is_exact_zero() for c in inv[1::2])
 
 
 def test_tpoly_agree_and_witness():
+    # t-series jets compare through _first_gap, on the common u-precision
     f = field_new(2)
-    a = TPoly(f, {0: USeries.one(f), 1: theta_series(f)})
-    b = TPoly(f, {0: USeries.one(f), 1: theta_series(f).with_prec(10)})
-    assert tpoly_agree(a, b)
-    c = TPoly(f, {0: USeries.one(f), 1: theta_series(f) + USeries.one(f)})
-    assert not tpoly_agree(a, c)
-    assert tpoly_diff_witness(a, c) is not None
+    a = TPoly(f, {0: USeries.one(f), 1: theta_series(f)}).jet(3)
+    b = TPoly(f, {0: USeries.one(f), 1: theta_series(f).with_prec(10)}).jet(3)
+    assert _first_gap("x", a, b) is None
+    c = TPoly(f, {0: USeries.one(f), 1: theta_series(f) + USeries.one(f)}).jet(3)
+    assert _first_gap("x", a, c) == "x: order-1 first differs at u^0: 0 != 1"
 
 
 def test_tpoly_d_theta_jet_leibniz_with_t_coeff():
-    # theta-derivation treats t-coefficients serieswise
+    # t is theta-free, so the theta-derivation acts on each t-coefficient of
+    # a t-series jet, and by Leibniz on a product of those coefficients
     f = field_new(2)
     th = theta_series(f)
-    p = TPoly(f, {1: th})
-    jets = p.d_theta_jet(2)
-    assert useries_agree(jets[0].coeff(1), th)
-    assert useries_agree(jets[1].coeff(1), d_theta_useries(th, 1)[1])
+    per_coeff = [d_theta_useries(c, 2) for c in TPoly(f, {1: th}).jet(3)]
+    assert all(c.is_exact_zero() for k in (0, 2) for c in per_coeff[k])
+    assert per_coeff[1][0] == th
+    assert useries_agree(per_coeff[1][1], USeries.one(f))
+    assert per_coeff[1][2].is_zero()
+    # theta * theta at t^1 * t^1: the jet of the t^2 coefficient of the square
+    sq = TPoly(f, {1: th}) * TPoly(f, {1: th})
+    assert d_theta_useries(sq.jet(3)[2], 2) == per_coeff[1] * per_coeff[1]

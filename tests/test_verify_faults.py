@@ -53,8 +53,7 @@ def _bumped(jet, k):
 
 def _u_times_inverse(real):
     def fake(self, *args, **kw):
-        out = real(self, *args, **kw)
-        return out * TPoly.const(out.field, USeries.monomial(out.field, 1))
+        return real(self, *args, **kw).scale(USeries.monomial(self.field, 1))
     return fake
 
 
