@@ -197,7 +197,8 @@ def ser_sjet(j: SJet) -> dict:
 
 
 def ser_tpoly(t: TPoly) -> dict:
-    # "t_prec" is always null: a TPoly is an exact polynomial in t
+    # a TPoly is an exact polynomial in t; "t_prec" stays in the record,
+    # always null, so the format is unchanged
     return {
         "t_prec": None,
         "coeffs": {str(k): ser_useries(v) for k, v in sorted(t.coeffs.items())},
