@@ -30,7 +30,6 @@ from .rings import (
     Poly,
     RatFunc,
     SJet,
-    eval_t_at_theta,
     poly_divexact,
     poly_gcd,
     sjet_from_ratfunc,
@@ -93,7 +92,7 @@ __all__ = [
     # gf / binomials
     "Field", "FqElem", "field_new", "binom_mod_p",
     # rings
-    "VARS_T", "VARS_TT", "Poly", "RatFunc", "SJet", "eval_t_at_theta",
+    "VARS_T", "VARS_TT", "Poly", "RatFunc", "SJet",
     "poly_divexact", "poly_gcd", "sjet_from_ratfunc", "taylor_shift",
     # jets
     "Jet", "RhoMatrix", "compose_substitute", "d_t_jet", "d_theta_jet",

@@ -20,18 +20,17 @@ from .binomials import binom_mod_p
 from .errors import (
     ConstraintViolated,
     InsufficientL,
-    PoleAtTheta,
     PrecisionExhausted,
 )
 from .gf import Field
-from .jets import Jet, d_t_jet, d_theta_jet
+from .jets import Jet, compose_substitute, d_t_jet, d_theta_jet
 from .rings import (
     VARS_T,
     VARS_TT,
     Poly,
     RatFunc,
     SJet,
-    _quotient_jet,
+    _quotient_jet_at_theta,
     _quotient_jet_numerators,
     poly_divexact,
     taylor_shift,
@@ -87,6 +86,12 @@ def _pow_at_least(base: int, bound: int) -> int:
     return l
 
 
+def _least_cutoff(q: int, need: int, least: int) -> int:
+    """Least J >= least with (q - 1)*(q**(J + 1) - 1) > need; for need >= 0
+    that bound is q**(J + 1) >= need // (q - 1) + 2."""
+    return max(least, _pow_at_least(q, need // (q - 1) + 2) - 1)
+
+
 # -- computation context -------------------------------------------------------
 
 
@@ -129,10 +134,7 @@ class CarlitzCtx:
             # plus the period's own shift q), whichever is bigger
             margin = max(max(1, jet_order) * (q - 1) * q,
                          3 * q + jet_order * (2 * q - 1) + 1)
-            need = uprec + margin
-            cutoff = 1
-            while (q - 1) * (q ** (cutoff + 1) - 1) <= need:
-                cutoff += 1
+            cutoff = _least_cutoff(q, uprec + margin, 1)
         else:
             if cutoff < 1:
                 raise ConstraintViolated("cutoff must retain at least one factor")
@@ -263,11 +265,18 @@ def omega_tpoly(ctx: CarlitzCtx) -> TPoly:
 @lru_cache(maxsize=None)
 def omega_theta_eval_jet(ctx: CarlitzCtx, order: int) -> Jet:
     """Jet of t-derivatives of Omega, each substituted at t = theta."""
-    om = omega_tpoly(ctx)
-    return Jet([g.eval_t_at_theta() for g in om.d_t_jet(order)])
+    return omega_tpoly(ctx).jet_at_theta(order)
 
 
 # -- product polynomials -------------------------------------------------------
+
+
+def _brackets(field: Field, vars, pairs) -> Poly:
+    """prod (x^a - x^b) over the exponent-tuple pairs (a, b), in order."""
+    out = Poly.one(field, vars)
+    for a, b in pairs:
+        out = out * (Poly.monomial(field, a, vars=vars) - Poly.monomial(field, b, vars=vars))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -276,10 +285,7 @@ def L_poly(field: Field, l: int) -> Poly:
     if l < 0:
         raise ConstraintViolated(f"L_l needs l >= 0, got {l}")
     q = field.q
-    out = Poly.one(field, VARS_T)
-    for m in range(1, l + 1):
-        out = out * (Poly.monomial(field, (q ** m,)) - Poly.monomial(field, (1,)))
-    return out
+    return _brackets(field, VARS_T, [((q ** m,), (1,)) for m in range(1, l + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -288,10 +294,7 @@ def curlyL_poly(field: Field, l: int) -> Poly:
     if l < 0:
         raise ConstraintViolated(f"the t-product needs l >= 0, got {l}")
     q = field.q
-    out = Poly.one(field, VARS_TT)
-    for m in range(1, l + 1):
-        out = out * (Poly.monomial(field, (q ** m, 0)) - Poly.monomial(field, (0, 1)))
-    return out
+    return _brackets(field, VARS_TT, [((q ** m, 0), (0, 1)) for m in range(1, l + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -300,10 +303,7 @@ def gamma_poly(field: Field, m: int) -> Poly:
     if m < 0:
         raise ConstraintViolated(f"gamma_m needs m >= 0, got {m}")
     q = field.q
-    out = Poly.one(field, VARS_TT)
-    for k in range(1, m + 1):
-        out = out * (Poly.monomial(field, (q ** m, 0)) - Poly.monomial(field, (0, q ** k)))
-    return out
+    return _brackets(field, VARS_TT, [((q ** m, 0), (0, q ** k)) for k in range(1, m + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -312,10 +312,7 @@ def D_poly(field: Field, m: int) -> Poly:
     if m < 0:
         raise ConstraintViolated(f"D_m needs m >= 0, got {m}")
     q = field.q
-    out = Poly.one(field, VARS_T)
-    for k in range(m):
-        out = out * (Poly.monomial(field, (q ** m,)) - Poly.monomial(field, (q ** k,)))
-    return out
+    return _brackets(field, VARS_T, [((q ** m,), (q ** k,)) for k in range(m)])
 
 
 @lru_cache(maxsize=None)
@@ -360,24 +357,19 @@ def carlitz_combinatorics(field: Field, kind: str, index: int) -> Poly:
 
 
 def _ratio_theta_jet(num_jet: Jet, den_jet: Jet) -> Jet:
-    """Jet of num/den, substituted at t = theta.
-
-    Inputs are jets of polynomials under one derivation.  Every coefficient
-    is substituted at t = theta first, once; rings._quotient_jet then runs
-    on univariate polynomials.  This gives the same jet as substituting the
-    finished bivariate coefficients, because evaluation at t = theta is a
-    ring homomorphism and RatFunc.make returns the canonical form.
-    """
+    """Jet of num/den at t = theta, for polynomial jets of one derivation."""
     if num_jet.order != den_jet.order:
         raise ConstraintViolated("numerator and denominator jets differ in order")
-    dth = [c.eval_t_at_theta() for c in den_jet.coeffs]
-    if dth[0].is_zero():
-        raise PoleAtTheta("denominator vanishes at t = theta")
-    return Jet(_quotient_jet([c.eval_t_at_theta() for c in num_jet.coeffs], dth))
+    return Jet(_quotient_jet_at_theta(num_jet.coeffs, den_jet.coeffs))
 
 
 def _embed_jet(jet: Jet, prec: int) -> Jet:
     return Jet([embed_k(c, prec) for c in jet.coeffs])
+
+
+def _times_period_power(ctx: CarlitzCtx, kjet: Jet, n: int) -> Jet:
+    """The embedded K-jet times the theta-jet of period^n to the same order."""
+    return _embed_jet(kjet, ctx.work_prec) * d_theta_useries(pitilde(ctx) ** n, kjet.order)
 
 
 # -- transfer coefficients b_j ---------------------------------------------------
@@ -435,22 +427,9 @@ def b_rat(field: Field, j: int) -> RatFunc:
 
 @lru_cache(maxsize=None)
 def _b_theta_jet(field: Field, order: int) -> Jet:
-    """Coefficient m: sum over i+j=m of d_t^i(b_j), substituted at t = theta.
-
-    Uses the known-denominator quotient-jet path per b_j; agreement with the
-    generic substitution rule on jets is covered by tests.
-    """
-    out = [RatFunc.zero(field) for _ in range(order + 1)]
-    for j in range(order + 1):
-        bj = b_rat(field, j)
-        if bj.is_zero():
-            continue
-        sub = order - j
-        tj = _ratio_theta_jet(d_t_jet(bj.num, sub), d_t_jet(bj.den, sub))
-        for i in range(sub + 1):
-            if not tj[i].is_zero():
-                out[i + j] = out[i + j] + tj[i]
-    return Jet(out)
+    """Coefficient m: sum over i+j=m of d_t^i(b_j), substituted at t = theta:
+    the total substitution of the jet (b_0, ..., b_order)."""
+    return compose_substitute(Jet([b_rat(field, j) for j in range(order + 1)]))
 
 
 # -- Anderson-Thakur polynomials -------------------------------------------------
@@ -493,10 +472,7 @@ def at_poly(field: Field, n: int) -> tuple[Poly, Poly]:
 def _eta_num(field: Field, l: int) -> Poly:
     # prod_{m=1}^{l} (t^{q^m} - theta)
     q = field.q
-    out = Poly.one(field, VARS_TT)
-    for m in range(1, l + 1):
-        out = out * (Poly.monomial(field, (0, q ** m)) - Poly.monomial(field, (1, 0)))
-    return out
+    return _brackets(field, VARS_TT, [((0, q ** m), (1, 0)) for m in range(1, l + 1)])
 
 
 # eta_rat's numerator has t-degree q + q^2 + ... + q^l and 2^l terms.  The
@@ -683,9 +659,7 @@ def z_via_eta(ctx: CarlitzCtx, n: int, l: int) -> PeriodCoords:
             f"need l >= 1 with q^l >= n, got l={l} for n={n}"
         )
     ajet = _eta_inv_pow_theta_jet(ctx.field, l - 1, n, n - 1)
-    pjet = d_theta_useries(pitilde(ctx) ** n, n - 1)
-    zjet = _embed_jet(ajet, ctx.work_prec) * pjet
-    return _coords_from_jet(ctx, zjet, "eta")
+    return _coords_from_jet(ctx, _times_period_power(ctx, ajet, n), "eta")
 
 
 def z_via_at(ctx: CarlitzCtx, n: int) -> PeriodCoords:
@@ -693,9 +667,7 @@ def z_via_at(ctx: CarlitzCtx, n: int) -> PeriodCoords:
     if n < 1:
         raise ConstraintViolated(f"tensor power must be >= 1, got {n}")
     ajet = _at_ratio_theta_jet(ctx.field, n, n - 1)
-    pjet = d_theta_useries(pitilde(ctx) ** n, n - 1)
-    zjet = _embed_jet(ajet, ctx.work_prec) * pjet
-    return _coords_from_jet(ctx, zjet, "at")
+    return _coords_from_jet(ctx, _times_period_power(ctx, ajet, n), "at")
 
 
 def dtheta_pitilde(ctx: CarlitzCtx, n: int, route: str = "direct") -> Jet:
@@ -829,17 +801,14 @@ def _cell_omega_pow(ctx: CarlitzCtx, n: int) -> CheckCell:
     # this cell deepens the cutoff for its own computation; the comparison
     # target still comes from the caller's context
     need = ctx.uprec + (n - 1) * (q - 1) + (3 * n + 1) * q + 8
-    J2 = ctx.cutoff
-    while (q - 1) * (q ** (J2 + 1) - 1) <= need:
-        J2 += 1
+    J2 = _least_cutoff(q, need, ctx.cutoff)
     ctx2 = ctx.replace(cutoff=J2) if J2 != ctx.cutoff else ctx
     budget = need + n * J2 * (q - 1) + n * q
     om = _omega_capped(ctx2, budget)
     omn = om
     for _ in range(n - 1):
         omn = omn * om
-    ejet = Jet([g.eval_t_at_theta() for g in omn.d_t_jet(n - 1)])
-    zj2 = ejet.inverse().scale(ctx.field.elem(-1) ** n)
+    zj2 = omn.jet_at_theta(n - 1).inverse().scale(ctx.field.elem(-1) ** n)
     witness = _first_gap("jet-then-power vs power-then-jet",
                          z_via_omega(ctx, n).jet(), zj2, ctx.uprec)
     return CheckCell("omega_pow_order", {"n": n}, witness is None, witness)
@@ -1046,8 +1015,7 @@ def _cell_span_combination(ctx: CarlitzCtx, n: int) -> CheckCell:
     """
     co = z_via_omega(ctx, n)
     cjet = _b_theta_jet(ctx.field, n - 1) ** (-n)
-    pjet = d_theta_useries(pitilde(ctx) ** n, n - 1)
-    combo = _embed_jet(cjet, ctx.work_prec) * pjet
+    combo = _times_period_power(ctx, cjet, n)
     witness = _first_gap("combination vs (z_n..z_1)", combo, co.jet(), ctx.uprec)
     if witness is not None:
         witness += f"; K-coefficients: {cjet.coeffs!r}"

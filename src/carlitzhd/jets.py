@@ -10,6 +10,8 @@ theta and t:
 
     d_theta: theta |-> theta + X, t |-> t
     d_t:     t |-> t + X, theta |-> theta
+
+compose_substitute is the span route's total substitution theta, t |-> theta.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .rings import (
     _exact_zero,
     _poly_hasse,
     _quotient_jet,
+    _quotient_jet_at_theta,
     pow_base_p,
     series_frobenius,
     series_inverse,
@@ -102,11 +105,9 @@ class Jet:
             raise NonUnitConstantTerm("jet inversion needs a unit order-0 part")
         return Jet(series_inverse(self.coeffs, c0.inverse(), self._zero))
 
-    def frobenius_power(self, k: int = 1, p: int | None = None) -> "Jet":
+    def frobenius_power(self, k: int = 1) -> "Jet":
         """self**(p^k) using coefficientwise Frobenius; needs ring support."""
-        if p is None:
-            p = self.coeffs[0].field.p
-        return Jet(series_frobenius(self.coeffs, k, p, self._zero))
+        return Jet(series_frobenius(self.coeffs, k, self.coeffs[0].field.p, self._zero))
 
     def __pow__(self, k: int):
         c0 = self.coeffs[0]
@@ -172,9 +173,10 @@ def d_t_jet(f, order: int) -> Jet:
 def compose_substitute(f_jet_theta: Jet, order: int | None = None) -> Jet:
     """Jet of theta |-> f(theta, theta) from the theta-jet of f(theta, t).
 
-    Coefficient m of the result is the sum over i + j = m of
-    d_t^i(d_theta^j f) evaluated at t = theta.  Input coefficients must be
-    RatFunc in theta and t.
+    The span route's total substitution: coefficient m is the sum over
+    i + j = m of d_t^i(d_theta^j f) at t = theta.  For each RatFunc or Poly
+    coefficient, _quotient_jet_at_theta forms the t-jet from its substituted
+    numerator and denominator jets, so no bivariate fraction is built.
     """
     if order is None:
         order = f_jet_theta.order
@@ -184,9 +186,11 @@ def compose_substitute(f_jet_theta: Jet, order: int | None = None) -> Jet:
     out = [RatFunc.zero(field, VARS_T) for _ in range(order + 1)]
     for j in range(order + 1):
         cj = f_jet_theta[j]
-        inner = d_t_jet(cj, order - j)
-        for i in range(order - j + 1):
-            term = inner[i].eval_t_at_theta()
+        if isinstance(cj, Poly):
+            cj = RatFunc.from_poly(cj)
+        num, den = ([_poly_hasse(g, 1, i) for i in range(order - j + 1)]
+                    for g in (cj.num, cj.den))
+        for i, term in enumerate(_quotient_jet_at_theta(num, den)):
             if not term.is_zero():
                 out[i + j] = out[i + j] + term
     return Jet(out)

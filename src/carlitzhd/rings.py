@@ -15,12 +15,14 @@ exact coefficients in K = F_q(theta).
 series_mul, series_inverse, series_frobenius and pow_base_p are the one
 truncated-series algebra behind SJet, jets.Jet (a t-series of
 useries.TPoly mod t^n is a Jet), the exact TPoly product and
-useries.USeries.  They skip a term only when a factor is an exact zero, so
-a coefficient that is zero only up to its precision still caps the
-precision of every term it enters.  Each coefficient of a product is one
-sum of products: one _udot for USeries (USeries.sum_of_products), a fold
-of + for any other ring.  A jet of polynomial quotients N/D runs one
-fraction-free recurrence (_quotient_jet) instead of a series inverse.
+useries.USeries; pow_base_p is also Poly's (and so RatFunc's) power.  They
+skip a term only when a factor is an exact zero, so a coefficient that is
+zero only up to its precision still caps the precision of every term it
+enters.  Each coefficient of a product is one sum of products: one _udot
+for USeries (USeries.sum_of_products), a fold of + for any other ring.  A
+jet of polynomial quotients N/D runs one fraction-free recurrence
+(_quotient_jet) instead of a series inverse, and _quotient_jet_at_theta
+runs it on jets substituted at t = theta.
 
 The gcd is a primitive polynomial-remainder-sequence Euclidean algorithm on
 the univariate-in-main-variable view; bivariate content is split off
@@ -601,17 +603,7 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ConstraintViolated("negative power of a polynomial")
-        if k == 0:
-            return Poly.one(self.field, self.vars)
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return pow_base_p(self, k, self.field.p, lambda: Poly.one(self.field, self.vars))
 
     def frobenius_power(self, k: int = 1) -> "Poly":
         """self**(p^k); exact and cheap in characteristic p."""
@@ -1024,11 +1016,6 @@ class RatFunc:
         return f"({self.num!r})/({self.den!r})"
 
 
-def eval_t_at_theta(f):
-    """Substitute t = theta in a Poly or RatFunc."""
-    return f.eval_t_at_theta()
-
-
 # -- truncated power series over any coefficient ring -------------------------
 #
 # A series is the list (c_0, ..., c_{n-1}) of its coefficients modulo X^n.
@@ -1117,8 +1104,10 @@ def pow_base_p(x, k: int, p: int, one):
     """x**k in characteristic p from the base-p digits of k.
 
     x**k is the product over the digits d_i of (x^(p^i))^d_i, and each
-    x^(p^i) is a Frobenius power of the one before.  x needs *, inverse()
-    and frobenius_power(1); ``one`` makes the identity for k = 0.
+    x^(p^i) is a Frobenius power of the one before.  Each digit power is
+    binary: a squaring per bit below the top one and a product per further
+    set bit.  x needs *, inverse() and frobenius_power(1); ``one`` makes
+    the identity for k = 0.
     """
     if k < 0:
         x, k = x.inverse(), -k
@@ -1127,12 +1116,15 @@ def pow_base_p(x, k: int, p: int, one):
     result = None
     stage = x
     while k:
-        d = k % p
-        k //= p
-        if d:
-            piece = stage
-            for _ in range(d - 1):
-                piece = piece * stage
+        k, d = divmod(k, p)
+        piece, base = None, stage
+        while d:
+            if d & 1:
+                piece = base if piece is None else piece * base
+            d >>= 1
+            if d:
+                base = base * base
+        if piece is not None:
             result = piece if result is None else result * piece
         if k:
             stage = stage.frobenius_power(1)
@@ -1177,6 +1169,17 @@ def _quotient_jet(nums: list[Poly], dens: list[Poly]) -> list[RatFunc]:
     zero = RatFunc.zero(dens[0].field, dens[0].vars)
     return [zero if c.is_zero() else RatFunc.make(c, dpow(k + 1))
             for k, c in enumerate(cs)]
+
+
+def _quotient_jet_at_theta(nums: list[Poly], dens: list[Poly]) -> list[RatFunc]:
+    """The jet N/D at t = theta: _quotient_jet on the substituted
+    coefficients, which equals the substituted bivariate quotient jet (a ring
+    homomorphism, and a unique canonical form).  PoleAtTheta if D(theta,
+    theta) = 0, for D = dens[0]; empty jets give an empty jet."""
+    den = [d.eval_t_at_theta() for d in dens]
+    if den and den[0].is_zero():
+        raise PoleAtTheta(f"denominator {dens[0]!r} vanishes at t = theta")
+    return _quotient_jet([n.eval_t_at_theta() for n in nums], den)
 
 
 # -- truncated expansions in s = t - theta ------------------------------------
@@ -1308,11 +1311,8 @@ def taylor_shift(f: Poly, order: int) -> SJet:
 def sjet_from_ratfunc(f: RatFunc, order: int) -> SJet:
     """Expansion of a rational function around t = theta (no pole allowed).
 
-    The Taylor coefficients d_t^k at t = theta of numerator and denominator
-    go through _quotient_jet, so the expansion never inverts a series.
+    The Taylor coefficients d_t^k of numerator and denominator go through
+    _quotient_jet_at_theta, so the expansion never inverts a series.
     """
-    if f.den.eval_t_at_theta().is_zero():
-        raise PoleAtTheta(f"denominator {f.den!r} vanishes at t = theta")
-    num, den = ([_poly_hasse(g, 1, k).eval_t_at_theta() for k in range(order)]
-                for g in (f.num, f.den))
-    return SJet(f.field, _quotient_jet(num, den))
+    num, den = ([_poly_hasse(g, 1, k) for k in range(order)] for g in (f.num, f.den))
+    return SJet(f.field, _quotient_jet_at_theta(num, den))

@@ -355,7 +355,8 @@ def useries_agree(a: USeries, b: USeries) -> bool:
 
 
 def useries_diff_witness(a: USeries, b: USeries):
-    """First exponent (with both values) where a and b disagree, else None."""
+    """First exponent (with both values) where a and b disagree, else None;
+    the walk runs only when the runs differ as slices of the common window."""
     if a.field != b.field:
         raise FieldMismatch("comparing series over different fields")
     prec = min(a.abs_prec, b.abs_prec)
@@ -366,6 +367,9 @@ def useries_diff_witness(a: USeries, b: USeries):
     hi = max([s.min_exp + len(s.coeffs) for s in (a, b) if s.coeffs])
     if prec != INF_PREC:
         hi = min(hi, prec)
+    if a.min_exp == b.min_exp and (a.coeffs[:max(0, hi - a.min_exp)]
+                                   == b.coeffs[:max(0, hi - b.min_exp)]):
+        return None
     for e in range(lo, hi):
         ca = a.coeffs[e - a.min_exp] if 0 <= e - a.min_exp < len(a.coeffs) else 0
         cb = b.coeffs[e - b.min_exp] if 0 <= e - b.min_exp < len(b.coeffs) else 0
@@ -612,8 +616,9 @@ class TPoly:
                     out[k - i] = v.scale(b)
         return TPoly(self.field, out)
 
-    def d_t_jet(self, order: int) -> list["TPoly"]:
-        return [self.d_t(i) for i in range(order + 1)]
+    def jet_at_theta(self, order: int) -> Jet:
+        """The Jet of d_t^i(self) at t = theta, i = 0..order."""
+        return Jet([self.d_t(i).eval_t_at_theta() for i in range(order + 1)])
 
     def eval_t_at_theta(self) -> USeries:
         """Substitute t = theta."""
@@ -629,12 +634,8 @@ class TPoly:
         return self.jet(t_terms).inverse()
 
     def with_uprec(self, cap) -> "TPoly":
-        """Cap each coefficient's abs_prec; cap may be a value or fn(k)."""
-        if callable(cap):
-            out = {k: v.with_prec(cap(k)) for k, v in self.coeffs.items()}
-        else:
-            out = {k: v.with_prec(cap) for k, v in self.coeffs.items()}
-        return TPoly(self.field, out)
+        """Cap the abs_prec of the t^k coefficient at cap(k)."""
+        return TPoly(self.field, {k: v.with_prec(cap(k)) for k, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return (

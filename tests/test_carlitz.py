@@ -44,7 +44,9 @@ from carlitzhd import (
     z_via_eta,
     z_via_omega,
 )
-from carlitzhd.carlitz import _b_theta_jet
+from carlitzhd import rings
+from carlitzhd.carlitz import _b_theta_jet, _least_cutoff
+from carlitzhd.jets import d_t_jet
 
 # Leading u-coefficients of the period starting at u^{-q}, computed with an
 # independent dense-series implementation of the defining product and frozen.
@@ -222,13 +224,89 @@ def test_b_negative_index_rejected():
         b_rat(field_new(2), -1)
 
 
-@pytest.mark.parametrize("q,order", [(2, 4), (3, 3)])
+def bivariate_compose_substitute(fjet, order=None):
+    """Total substitution by the bivariate route: the t-jet of each
+    coefficient as fractions in theta and t (d_t_jet), each then substituted
+    with RatFunc.eval_t_at_theta."""
+    order = fjet.order if order is None else order
+    out = [RatFunc.zero(fjet[0].field) for _ in range(order + 1)]
+    for j in range(order + 1):
+        inner = d_t_jet(fjet[j], order - j)
+        for i in range(order - j + 1):
+            term = inner[i].eval_t_at_theta()
+            if not term.is_zero():
+                out[i + j] = out[i + j] + term
+    return Jet(out)
+
+
+@pytest.mark.parametrize("q,order", [(2, 4), (3, 3), (4, 3)])
 def test_b_substituted_jet_matches_generic_rule(q, order):
-    # the dedicated known-denominator path agrees with the generic
-    # substitution of the jet of transfer coefficients
-    f = field_new(q)
+    # the transfer jet substituted at t = theta agrees with the bivariate
+    # route on the jet of transfer coefficients
+    f = field_new(*{4: (2, 2)}.get(q, (q,)))
     bjet = Jet([b_rat(f, j) for j in range(order + 1)])
-    assert _b_theta_jet(f, order) == compose_substitute(bjet)
+    assert _b_theta_jet(f, order) == bivariate_compose_substitute(bjet)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_compose_substitute_matches_the_bivariate_route(p, e):
+    f = field_new(p, e)
+    q = f.q
+    rng = random.Random(1729 + q)
+
+    def rand_poly_tt(deg, terms):
+        return Poly.from_items(f, [((rng.randrange(deg + 1), rng.randrange(deg + 1)),
+                                    f.from_index(rng.randrange(q)))
+                                   for _ in range(terms)], VARS_TT)
+
+    def rand_coeff():
+        num = rand_poly_tt(3, 3)
+        if rng.random() < 0.25:
+            return num  # a Poly coefficient
+        while True:
+            den = rand_poly_tt(2, 3)
+            if not den.is_zero() and not den.eval_t_at_theta().is_zero():
+                return RatFunc.make(num, den)
+
+    for _ in range(12):
+        order = rng.randrange(5)
+        fjet = Jet([rand_coeff() for _ in range(order + 1)])
+        for k in range(order + 1):
+            assert compose_substitute(fjet, k) == bivariate_compose_substitute(fjet, k)
+
+
+def test_compose_substitute_runs_no_gcd(monkeypatch):
+    f = field_new(3)
+    bjet = Jet([b_rat(f, j) for j in range(8)])
+    calls = []
+    real = rings.poly_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(rings, "poly_gcd", counting)
+    got = compose_substitute(bjet)
+    assert calls == []
+    # the counter sees the bivariate fractions of the other route
+    assert bivariate_compose_substitute(bjet) == got and calls
+
+
+def search_least_cutoff(q, need, least):
+    """The search loop: step J up from least until the bound clears need."""
+    cutoff = least
+    while (q - 1) * (q ** (cutoff + 1) - 1) <= need:
+        cutoff += 1
+    return cutoff
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 257])
+def test_least_cutoff_matches_the_search_loop(q):
+    for need in range(10 ** 5 + 1):
+        assert _least_cutoff(q, need, 1) == search_least_cutoff(q, need, 1), need
+    for least in (2, 3, 5, 9):
+        for need in range(0, 10 ** 5 + 1, 97):
+            assert _least_cutoff(q, need, least) == search_least_cutoff(q, need, least)
 
 
 # -- eta -----------------------------------------------------------------------

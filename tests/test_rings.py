@@ -15,7 +15,6 @@ from carlitzhd import (
     VARS_T,
     VARS_TT,
     binom_mod_p,
-    eval_t_at_theta,
     field_new,
     poly_divexact,
     poly_gcd,
@@ -123,13 +122,27 @@ def test_poly_pow_matches_repeated_multiplication():
             acc = acc * a
 
 
+def base_p_products(k, p):
+    """Products of base-p powering: each nonzero digit d is raised by
+    squaring (a squaring per bit below the top one, a product per further
+    set bit), and the digit powers are multiplied together; a digit's
+    p-power stage is a Frobenius power, which is no product."""
+    count, pieces = 0, 0
+    while k:
+        k, d = divmod(k, p)
+        if d:
+            count += d.bit_length() - 1 + bin(d).count("1") - 1
+            pieces += 1
+    return count + max(0, pieces - 1)
+
+
 def test_poly_pow_makes_only_the_products_it_needs(monkeypatch):
-    # binary powering: one squaring per bit below the top one, and one
-    # product per further set bit; k = 1 is the base itself
+    # base-p powering at q = 3: 8 = 22_3 and 26 = 222_3 square each digit,
+    # 3 is one Frobenius power and 13 = 111_3 multiplies three stages
     f = field_new(3)
     a = Poly(f, VARS_T, {(0,): 1, (1,): 2, (4,): 1})
     want = [Poly.one(f)]
-    for _ in range(13):
+    for _ in range(80):
         want.append(want[-1] * a)
     calls = []
     real = Poly.__mul__
@@ -139,10 +152,41 @@ def test_poly_pow_makes_only_the_products_it_needs(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(Poly, "__mul__", counting)
-    for k, products in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (13, 5)):
+    for k, products in ((0, 0), (1, 0), (2, 1), (3, 0), (8, 3), (13, 2),
+                        (26, 5), (80, 7)):
         calls.clear()
         assert a ** k == want[k]
-        assert len(calls) == products
+        assert len(calls) == products == base_p_products(k, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
+def test_poly_pow_base_p_matches_repeated_products(monkeypatch, p):
+    # digits above 2 (up to 256 at p = 257) take the squaring path
+    f = field_new(p)
+    rng = random.Random(SEED + p)
+    ks = sorted(k for k in {0, 1, p - 1, p, p + 1, 2 * p - 1, p * p - 1, 600}
+                | {rng.randrange(601) for _ in range(40)} if k <= 600)
+    for terms in (((0,), (1,)), ((1, 0), (0, 1))):
+        vars = VARS_T if len(terms[0]) == 1 else VARS_TT
+        a = Poly.from_items(f, [(terms[0], 1), (terms[1], rng.randrange(1, p))], vars)
+        powers = {}
+        acc = Poly.one(f, vars)
+        for k in range(max(ks) + 1):
+            powers[k] = acc
+            acc = acc * a
+        calls = []
+        real = Poly.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        for k in ks:
+            calls.clear()
+            assert a ** k == powers[k], (p, k)
+            assert len(calls) == base_p_products(k, p), (p, k)
+        monkeypatch.undo()
 
 
 def test_poly_frobenius_power_is_pth_power():
@@ -322,8 +366,7 @@ def test_ratfunc_eval_t_at_theta_and_pole():
                                Poly.monomial(f, (1,)) + Poly.one(f))
     with pytest.raises(PoleAtTheta):
         RatFunc.make(Poly.one(f, VARS_TT), t - th).eval_t_at_theta()
-    # module-level helper dispatches on both Poly and RatFunc
-    assert eval_t_at_theta(t * t) == Poly.monomial(f, (2,))
+    assert (t * t).eval_t_at_theta() == Poly.monomial(f, (2,))
 
 
 def test_ratfunc_frobenius_power_is_pth_power():

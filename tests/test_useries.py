@@ -1,5 +1,6 @@
 """Laurent series in u, the theta-embedding, and Hasse derivations."""
 
+import math
 import random
 
 import pytest
@@ -98,6 +99,65 @@ def test_useries_equality_and_agreement():
     # disagreement hidden beyond the precision window is invisible
     d = USeries.from_coeff_map(f, {0: 1, 2: 2, 12: 1}).with_prec(10)
     assert useries_agree(b, d)
+
+
+def walk_diff_witness(a, b):
+    """The comparison walk: every exponent of the common window, one at a time."""
+    prec = min(a.abs_prec, b.abs_prec)
+    runs = [s for s in (a, b) if s.coeffs]
+    if not runs:
+        return None
+    lo = min(s.min_exp for s in runs)
+    hi = max(s.min_exp + len(s.coeffs) for s in runs)
+    hi = min(hi, prec) if prec != math.inf else hi
+    for e in range(lo, hi):
+        ca, cb = (s.coeffs[e - s.min_exp] if 0 <= e - s.min_exp < len(s.coeffs) else 0
+                  for s in (a, b))
+        if ca != cb:
+            return (e, a.field.from_index(ca), b.field.from_index(cb))
+    return None
+
+
+def test_useries_diff_witness_matches_the_walk():
+    f = field_new(5)
+    base = {-3: 1, 0: 2, 4: 3, 9: 4}
+    a = USeries.from_coeff_map(f, base)
+
+    def varied(e, c):
+        return USeries.from_coeff_map(f, {**base, e: c})
+
+    cases = [
+        (a, a),                                       # equal runs
+        (a, a.with_prec(5)),                          # equal below a smaller abs_prec
+        (a.with_prec(20), a.with_prec(7)),
+        (a, varied(-3, 4)),                           # differ at the first exponent
+        (a, varied(2, 1)),                            # in the middle, at a zero of a
+        (a, varied(4, 1)),
+        (a, varied(9, 1)),                            # at the last exponent
+        (a, varied(9, 0)),                            # the last term dropped
+        (a.with_prec(9), varied(9, 1)),               # a difference at abs_prec is invisible
+        (a, varied(12, 1).with_prec(11)),             # one run longer than the other
+        (a, USeries.from_coeff_map(f, {-5: 1, **base})),   # min_exp differ
+        (USeries.from_coeff_map(f, {1: 2}), USeries.from_coeff_map(f, {2: 2})),
+        (USeries.zero(f), USeries.zero(f, 4)),        # empty runs
+        (USeries.zero(f, 4), a),                      # one empty run, differing below 4
+        (USeries.zero(f, -4), a),                     # empty run whose abs_prec is below a
+        (USeries.zero(f), USeries.monomial(f, 7, 1, 7)),  # a term at abs_prec
+    ]
+    rng = random.Random(SEED)
+    for _ in range(200):
+        m = {e: rng.randrange(5) for e in range(rng.randrange(-4, 4), rng.randrange(4, 12))}
+        x = USeries.from_coeff_map(f, m, rng.choice([math.inf, 6, 11]))
+        m[rng.randrange(-4, 12)] = rng.randrange(5)
+        y = USeries.from_coeff_map(f, m, rng.choice([math.inf, 4, 9]))
+        cases.append((x, y))
+    for x, y in cases:
+        for left, right in ((x, y), (y, x)):
+            assert useries_diff_witness(left, right) == walk_diff_witness(left, right), (
+                left, right)
+    assert useries_diff_witness(a, varied(-3, 4)) == (-3, f.one, f.elem(4))
+    assert useries_diff_witness(a, varied(9, 1)) == (9, f.elem(4), f.one)
+    assert useries_diff_witness(a, a.with_prec(5)) is None
 
 
 def test_useries_cross_field_rejected():
