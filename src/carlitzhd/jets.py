@@ -186,6 +186,8 @@ def compose_substitute(f_jet_theta: Jet, order: int | None = None) -> Jet:
     out = [RatFunc.zero(field, VARS_T) for _ in range(order + 1)]
     for j in range(order + 1):
         cj = f_jet_theta[j]
+        if cj.is_zero():
+            continue
         if isinstance(cj, Poly):
             cj = RatFunc.from_poly(cj)
         num, den = ([_poly_hasse(g, 1, i) for i in range(order - j + 1)]

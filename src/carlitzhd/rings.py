@@ -1103,11 +1103,10 @@ def series_frobenius(a, k: int, p: int, zero) -> list:
 def pow_base_p(x, k: int, p: int, one):
     """x**k in characteristic p from the base-p digits of k.
 
-    x**k is the product over the digits d_i of (x^(p^i))^d_i, and each
-    x^(p^i) is a Frobenius power of the one before.  Each digit power is
-    binary: a squaring per bit below the top one and a product per further
-    set bit.  x needs *, inverse() and frobenius_power(1); ``one`` makes
-    the identity for k = 0.
+    x**k is the product over the digits d_i of (x^(p^i))^d_i, each digit
+    power by squaring, and each x^(p^i) is a Frobenius power of the one
+    before.  x needs *, inverse() and frobenius_power(1); ``one`` makes the
+    identity for k = 0.
     """
     if k < 0:
         x, k = x.inverse(), -k
