@@ -550,10 +550,37 @@ def _eta_inv_pow_sjet(field: Field, l: int, M: int, npow: int) -> SJet:
 
 @lru_cache(maxsize=None)
 def _eta_inv_pow_theta_jet(field: Field, lm: int, npow: int, order: int) -> Jet:
-    """Jet of eta_{lm}^{-npow}, coefficients substituted at t = theta."""
-    num_jet = d_theta_jet(L_poly(field, lm) ** npow, order)
-    den_jet = d_theta_jet(_eta_num(field, lm) ** npow, order)
-    return _ratio_theta_jet(num_jet, den_jet)
+    """Jet of eta_{lm}^{-npow}, coefficients substituted at t = theta.
+
+    f -> f(theta + X, theta) is a ring map and eta(theta, theta) = 1, so over
+    the base-p digits d_i of npow the jet is the product of Frob^i of the jet
+    of eta^{-d_i}.  That factor is needed only mod X^(order // p^i + 1),
+    where its coefficient k lands on X^(k p^i), and a digit with p^i > order
+    adds only its constant 1.  A single digit is one quotient jet of
+    L^d / eta_num^d; one quotient jet of L^npow / eta_num^npow would carry
+    denominators of degree npow * deg L through its recurrence.
+    """
+    p = field.p
+    if lm == 0:  # eta_0 = 1
+        npow = 0
+    if npow < p:
+        num_jet = d_theta_jet(L_poly(field, lm) ** npow, order)
+        den_jet = d_theta_jet(_eta_num(field, lm) ** npow, order)
+        return _ratio_theta_jet(num_jet, den_jet)
+    out, i, pi = None, 0, 1
+    while npow and pi <= order:
+        npow, d = divmod(npow, p)
+        if d:
+            m = order // pi
+            jet = _eta_inv_pow_theta_jet(field, lm, d, m)
+            if i:
+                zero = RatFunc.zero(field, VARS_T)
+                jet = Jet(jet.coeffs + (zero,) * (order - m)).frobenius_power(i)
+            out = jet if out is None else out * jet
+        i, pi = i + 1, pi * p
+    if out is None:
+        return _eta_inv_pow_theta_jet(field, lm, 0, order)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -171,7 +171,7 @@ def ser_poly(p: Poly) -> dict:
     return {
         "vars": list(p.vars),
         "terms": {",".join(map(str, e)): list(digits[c])
-                  for e, c in sorted(p.terms.items())},
+                  for e, c in p._items()},
     }
 
 

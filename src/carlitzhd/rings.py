@@ -403,22 +403,51 @@ def _accumulate(terms: dict, items, f: Field) -> dict:
     return terms
 
 
-class Poly:
-    """Sparse polynomial over F_q in theta (1 var) or theta, t (2 vars).
+# A univariate polynomial of degree above this keeps its sparse term map: its
+# dense list would cost a pointer per slot (theta^(q^3) - theta at q = 1024
+# has 2^30 slots).  The dense kernels behind RatFunc, gcd and exact division
+# refuse it.
+_MAX_DENSE_DEGREE = 1 << 22
 
-    terms maps exponent tuples to nonzero field-table indices; use
-    coeff()/coeff_items() for the FqElem view.  A univariate polynomial
-    caches its dense list (_view) on first use, so terms must never change.
+
+class Poly:
+    """Polynomial over F_q in theta (1 var) or theta, t (2 vars).
+
+    A univariate polynomial is stored as its trimmed dense list of field-table
+    indices, low degree first (_dv), and its term map ``terms`` is built on
+    first read.  A bivariate one, or a univariate one of degree above
+    _MAX_DENSE_DEGREE, is stored as terms alone (_dv is None).  terms maps
+    exponent tuples to nonzero table indices; use coeff()/coeff_items() for
+    the FqElem view.  Neither form may change after construction.
     """
 
     __slots__ = ("field", "vars", "terms", "_hash", "_dv")
 
-    def __init__(self, field: Field, vars: tuple[str, ...], terms: dict, dense=None):
+    def __init__(self, field: Field, vars: tuple[str, ...], terms: dict | None,
+                 dense: list[int] | None = None):
+        """From a term map; a univariate one also gets its dense list.
+        from_dense passes the list alone."""
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", terms)
+        if terms is not None:
+            object.__setattr__(self, "terms", terms)
+            if len(vars) == 1 and dense is None:
+                top = max((i for i, in terms), default=-1)
+                if top <= _MAX_DENSE_DEGREE:
+                    dense = [0] * (top + 1)
+                    for (i,), c in terms.items():
+                        dense[i] = c
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_dv", dense)
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the terms of a polynomial that was
+        # built from its dense list, made once
+        if name != "terms":
+            raise AttributeError(name)
+        terms = {(i,): c for i, c in enumerate(self._dv) if c}
+        object.__setattr__(self, "terms", terms)
+        return terms
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -427,18 +456,24 @@ class Poly:
 
     @classmethod
     def zero(cls, field: Field, vars=VARS_T) -> "Poly":
-        return cls(field, vars, {})
+        return cls(field, vars, None, []) if len(vars) == 1 else cls(field, vars, {})
 
     @classmethod
     def const(cls, field: Field, value, vars=VARS_T) -> "Poly":
         c = field.elem(value)
         if c.is_zero():
             return cls.zero(field, vars)
-        return cls(field, vars, {(0,) * len(vars): c.idx})
+        return cls._const(field, c.idx, vars)
 
     @classmethod
     def one(cls, field: Field, vars=VARS_T) -> "Poly":
-        return cls(field, vars, {(0,) * len(vars): 1})  # index 1 is the one
+        return cls._const(field, 1, vars)  # index 1 is the one
+
+    @classmethod
+    def _const(cls, field: Field, c: int, vars) -> "Poly":
+        if len(vars) == 1:
+            return cls(field, vars, None, [c])
+        return cls(field, vars, {(0,) * len(vars): c})
 
     @classmethod
     def monomial(cls, field: Field, exps: tuple[int, ...], coeff=1, vars=None) -> "Poly":
@@ -453,31 +488,55 @@ class Poly:
 
     @classmethod
     def from_items(cls, field: Field, items, vars=VARS_T) -> "Poly":
-        """The sum of the items; a univariate one with at most four slots
-        per term gets its dense view at once, for sums that keep views."""
+        """The sum of the items (exponent tuple, coefficient)."""
         items = ((tuple(exps), field.elem(coeff).idx) for exps, coeff in items)
-        p = cls(field, vars, _accumulate({}, items, field))
-        if len(vars) == 1 and p.degree() < 4 * len(p.terms):
-            p._view()
-        return p
+        return cls(field, vars, _accumulate({}, items, field))
+
+    @classmethod
+    def from_dense(cls, field: Field, dense: list[int]) -> "Poly":
+        """The univariate polynomial of a list, low degree first.  It keeps
+        the list, trimmed in place, as its stored form: the caller must not
+        reuse it."""
+        _utrim(dense)
+        if len(dense) > _MAX_DENSE_DEGREE + 1:
+            return cls(field, VARS_T, {(i,): c for i, c in enumerate(dense) if c})
+        return cls(field, VARS_T, None, dense)
 
     # views
 
+    def _items(self) -> list:
+        """(exponent tuple, table index) pairs in ascending order."""
+        d = self._dv
+        if d is None:
+            return sorted(self.terms.items())
+        return [((i,), c) for i, c in enumerate(d) if c]
+
     def coeff(self, exps: tuple[int, ...]) -> FqElem:
-        return self.field.from_index(self.terms.get(tuple(exps), 0))
+        d = self._dv
+        if d is None:
+            return self.field.from_index(self.terms.get(tuple(exps), 0))
+        i = exps[0]
+        return self.field.from_index(d[i] if i < len(d) else 0)
 
     def coeff_items(self):
-        return [(e, self.field.from_index(c)) for e, c in sorted(self.terms.items())]
+        return [(e, self.field.from_index(c)) for e, c in self._items()]
 
     def is_zero(self) -> bool:
-        return not self.terms
+        d = self._dv
+        return not (self.terms if d is None else d)
 
     def is_constant(self) -> bool:
+        d = self._dv
+        if d is not None:
+            return len(d) <= 1
         t = self.terms
         return not t or (len(t) == 1 and not any(next(iter(t))))
 
     def degree(self, var: int = 0) -> int:
         """Degree in the given variable index; -1 for the zero polynomial."""
+        d = self._dv
+        if d is not None and var == 0:
+            return len(d) - 1
         if not self.terms:
             return -1
         return max(e[var] for e in self.terms)
@@ -489,13 +548,16 @@ class Poly:
 
     def leading_term(self) -> tuple[tuple[int, ...], FqElem]:
         """Leading exponent and coefficient under deglex with theta > t."""
-        if not self.terms:
+        if self.is_zero():
             raise DivisionByZero("zero polynomial has no leading term")
+        d = self._dv
+        if d is not None:
+            return (len(d) - 1,), self.field.from_index(d[-1])
         e = max(self.terms, key=_deglex_key)
         return e, self.field.from_index(self.terms[e])
 
     def monic(self) -> "Poly":
-        if not self.terms:
+        if self.is_zero():
             return self
         _, lc = self.leading_term()
         if lc.idx == 1:
@@ -549,10 +611,18 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._compat(other)
-        if not self.terms or not other.terms:
-            return Poly.zero(self.field, self.vars)
-        f, nvars = self.field, len(self.vars)
-        # a constant factor (most often a RatFunc denominator 1) only scales
+        f, a, b = self.field, self._dv, other._dv
+        if a is not None and b is not None:
+            # the one (most often a RatFunc denominator) returns the other
+            if a == [1]:
+                return other
+            if b == [1]:
+                return self
+            return Poly.from_dense(f, _umul(a, b, f))
+        if self.is_zero() or other.is_zero():
+            return Poly.zero(f, self.vars)
+        nvars = len(self.vars)
+        # a constant factor only scales
         for x, y in ((self, other), (other, self)):
             if len(y.terms) == 1 and (c := y.terms.get((0,) * nvars)):
                 return x if c == 1 else x.scale(f.from_index(c))
@@ -590,7 +660,7 @@ class Poly:
         return self._scaled(self.field.elem(c).idx)
 
     def _scaled(self, c: int) -> "Poly":
-        """self times the element of table index c; keeps the dense view."""
+        """self times the element of table index c."""
         if c == 0:
             return Poly.zero(self.field, self.vars)
         if c == 1:
@@ -609,6 +679,11 @@ class Poly:
         """self**(p^k); exact and cheap in characteristic p."""
         pk = self.field.p ** k
         row = self.field.frob_t[k % self.field.e]
+        d = self._dv
+        if d is not None and (len(d) - 1) * pk <= _MAX_DENSE_DEGREE:
+            out = [0] * ((len(d) - 1) * pk + 1)
+            out[::pk] = [row[c] for c in d]
+            return Poly.from_dense(self.field, out)
         return Poly(self.field, self.vars,
                     {tuple(x * pk for x in e): row[c] for e, c in self.terms.items()})
 
@@ -617,7 +692,7 @@ class Poly:
     def lift_tt(self) -> "Poly":
         if self.vars == VARS_TT:
             return self
-        return Poly(self.field, VARS_TT, {(i, 0): c for (i,), c in self.terms.items()})
+        return Poly(self.field, VARS_TT, {(i, 0): c for (i,), c in self._items()})
 
     def drop_t(self) -> "Poly":
         """Inverse of lift_tt for polynomials with no t."""
@@ -631,32 +706,39 @@ class Poly:
         """Substitute t = theta; collapses to a univariate polynomial."""
         if self.vars == VARS_T:
             return self
-        items = (((i + j,), c) for (i, j), c in self.terms.items())
-        return Poly(self.field, VARS_T, _accumulate({}, items, self.field))
+        f, terms = self.field, self.terms
+        top = max((i + j for i, j in terms), default=-1)
+        if top > _MAX_DENSE_DEGREE:
+            items = (((i + j,), c) for (i, j), c in terms.items())
+            return Poly(f, VARS_T, _accumulate({}, items, f))
+        out, add = [0] * (top + 1), f.add_t
+        for (i, j), c in terms.items():
+            out[i + j] = add[out[i + j]][c]
+        return Poly.from_dense(f, out)
 
     def to_dense(self) -> list[int]:
-        if self.vars != VARS_T:
-            raise ConstraintViolated("dense view is for univariate polynomials")
         return list(self._view())
 
     def _view(self) -> list[int]:
-        """The cached dense list of a univariate polynomial; never mutate it."""
+        """The stored dense list of a univariate polynomial; never mutate it."""
         d = self._dv
         if d is None:
-            d = _dense(_kron(self, 1)) if self.terms else []
-            object.__setattr__(self, "_dv", d)
+            if self.vars != VARS_T:
+                raise ConstraintViolated("dense view is for univariate polynomials")
+            raise ConstraintViolated(
+                f"a polynomial of degree {self.degree()} is above the largest "
+                f"dense degree, {_MAX_DENSE_DEGREE}")
         return d
-
-    @classmethod
-    def from_dense(cls, field: Field, dense: list[int]) -> "Poly":
-        """The polynomial of a list, low degree first.  It keeps the list,
-        trimmed in place, as its dense view: the caller must not reuse it."""
-        _utrim(dense)
-        return cls(field, VARS_T, {(i,): c for i, c in enumerate(dense) if c}, dense)
 
     def __eq__(self, other):
         if isinstance(other, Poly) and self.vars == other.vars:
-            return self.field == other.field and self.terms == other.terms
+            if self.field != other.field:
+                return False
+            # each value has one stored form, fixed by its degree
+            a, b = self._dv, other._dv
+            if a is not None and b is not None:
+                return a == b
+            return self.terms == other.terms
         # a scalar, or a Poly in other variables, equals only a constant, and
         # FqElem.__eq__ rules on the field and on the int's range
         if isinstance(other, (int, FqElem, Poly)):
@@ -666,19 +748,27 @@ class Poly:
     def __hash__(self):
         h = self._hash
         if h is None:
+            d = self._dv
             if self.is_constant():  # a RatFunc equal to it may equal an FqElem
                 h = hash(self.coeff((0,) * len(self.vars)))
+            elif d is not None:
+                h = hash((self.field, self.vars, tuple(d)))
             else:
                 h = hash((self.field, self.vars, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __repr__(self):
-        if not self.terms:
+        d = self._dv
+        if d is not None:
+            items = [((i,), d[i]) for i in range(len(d) - 1, -1, -1) if d[i]]
+        else:
+            items = [(e, self.terms[e])
+                     for e in sorted(self.terms, key=_deglex_key, reverse=True)]
+        if not items:
             return "0"
         bits = []
-        for e in sorted(self.terms, key=_deglex_key, reverse=True):
-            c = self.terms[e]
+        for e, c in items:
             factors = []
             if self.field.e == 1:
                 if c != 1 or all(x == 0 for x in e):
@@ -914,9 +1004,7 @@ class RatFunc:
     @classmethod
     def _monic(cls, num: Poly, den: Poly) -> "RatFunc":
         """num/den with den scaled monic (deglex); no gcd is taken."""
-        t = den.terms
-        lead = den._view()[-1] if len(den.vars) == 1 else t[max(t, key=_deglex_key)]
-        c = den.field.inv_t[lead]
+        c = den.field.inv_t[den.leading_term()[1].idx]
         return cls(num._scaled(c), den._scaled(c))
 
     @classmethod
@@ -1286,6 +1374,10 @@ def _poly_hasse(f: Poly, var: int, k: int) -> Poly:
         return Poly.zero(f.field, f.vars)
     p = f.field.p
     mul = f.field.mul_t
+    d = f._dv
+    if d is not None:  # univariate, so var is 0
+        return Poly.from_dense(f.field, [mul[binom_mod_p(i, k, p)][c] if c else 0
+                                         for i, c in enumerate(d[k:], k)])
     out = {}
     for e, c in f.terms.items():
         i = e[var]

@@ -414,7 +414,7 @@ def _theta_sum(field: Field, parts, prec) -> USeries:
 
 
 def _poly_series(p, field: Field) -> USeries:
-    return _theta_sum(field, [(i, 0, (c,)) for (i,), c in p.terms.items()], INF_PREC)
+    return _theta_sum(field, [(i, 0, (c,)) for (i,), c in p._items()], INF_PREC)
 
 
 def embed_k(f, prec: int) -> USeries:

@@ -6,7 +6,9 @@ cell and `sjet_from_ratfunc` are checked against the generic route, a jet of
 `RatFunc` coefficients times the series inverse of another, and `at_poly`
 (one exact cofactor per term) against the recursion that carries
 alpha_n/Gamma_n as one unreduced fraction.  Frozen b_j values pin the same
-recurrence on the path `b_rat` takes, and product counts pin its cost.
+recurrence on the path `b_rat` takes, and product counts pin its cost.  The
+eta K-jet, a product of Frobenius images of base-p digit jets, is checked
+against the single quotient jet of L^n / eta_num^n.
 """
 
 import random
@@ -30,13 +32,14 @@ from carlitzhd import (
     eta_rat,
     field_new,
     gamma_poly,
+    minimal_l,
     poly_divexact,
     sjet_from_ratfunc,
     taylor_shift,
     verify_suite,
 )
 from carlitzhd import carlitz
-from carlitzhd.carlitz import _eta_num, _ratio_theta_jet
+from carlitzhd.carlitz import _eta_inv_pow_theta_jet, _eta_num, _ratio_theta_jet
 from carlitzhd.jets import d_t_jet, d_theta_jet
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
@@ -160,6 +163,27 @@ def test_eta_quotient_cell_fails_on_a_perturbed_numerator(monkeypatch, bad_l):
     assert clean.all_passed and len(faulted.cells) == len(clean.cells) == 4
     assert [c.params["l"] for c in bad] == [bad_l]
     assert bad[0].witness.startswith(f"eta_{bad_l} quotient: order-0 ")
+
+
+# -- the eta K-jet by base-p digits ---------------------------------------------------
+
+def single_quotient_eta_jet(f, lm: int, n: int, order: int) -> Jet:
+    """The jet of eta_lm^(-n) as one quotient jet of L^n / eta_num^n."""
+    return _ratio_theta_jet(d_theta_jet(L_poly(f, lm) ** n, order),
+                            d_theta_jet(_eta_num(f, lm) ** n, order))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 49])
+def test_eta_jet_by_digits_matches_single_quotient(q):
+    f = field_new(*FIELDS.get(q, (7, 2)))
+    cells = [(n, lm) for n in range(1, 13)
+             for lm in (minimal_l(q, n) - 1, minimal_l(q, n))]
+    # n = 20 is 202 in base 3: a Frobenius-squared digit jet
+    cells += {3: [(20, 2)], 9: [(20, 1)]}.get(q, [])
+    for n, lm in cells:
+        got = _eta_inv_pow_theta_jet(f, lm, n, n - 1)
+        want = single_quotient_eta_jet(f, lm, n, n - 1)
+        assert got == want and repr(got) == repr(want), (n, lm)
 
 
 # -- product counts ----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from carlitzhd import (
     ConstraintViolated,
+    L_poly,
     DivisionByZero,
     FieldMismatch,
     PoleAtTheta,
@@ -109,6 +110,86 @@ def test_poly_sum_of_two_views_keeps_a_view(q, e):
     z = a - a
     assert z.is_zero() and z == Poly.zero(f) and hash(z) == hash(Poly.zero(f))
     assert z._dv == [] and (z + a) == a and (z + a)._dv == a._dv
+
+
+# -- the dense-first univariate Poly ---------------------------------------------
+
+def rand_terms(rng, field, vars=VARS_T, max_deg=9, nterms=5) -> dict:
+    """A random term map {exponent tuple: nonzero table index}."""
+    return {tuple(rng.randrange(max_deg + 1) for _ in vars): rng.randrange(1, field.q)
+            for _ in range(rng.randrange(nterms + 1))}
+
+
+def summed_terms(field, pairs) -> dict:
+    """The univariate term map of sum c*theta^e over (e, FqElem c) pairs,
+    added up with FqElem arithmetic."""
+    acc = {}
+    for e, c in pairs:
+        acc[e] = acc.get(e, field.zero) + c
+    return {(e,): c.idx for e, c in acc.items() if not c.is_zero()}
+
+
+def elems(field, terms: dict) -> list:
+    return [(e[0], field.from_index(c)) for e, c in terms.items()]
+
+
+def assert_same_value(p: Poly, terms: dict):
+    """p is the value of the term map, against the Poly built from it."""
+    ref = Poly(p.field, VARS_T, dict(terms))
+    assert p == ref and ref == p and hash(p) == hash(ref)
+    assert repr(p) == repr(ref)
+    assert p.terms == ref.terms == terms
+    assert p._dv == ref._dv == p.to_dense()
+
+
+@pytest.mark.parametrize("q,e", [(2, 1), (3, 1), (2, 2), (3, 2), (257, 1)])
+def test_univariate_poly_built_any_way_is_the_same_value(q, e):
+    f = field_new(q, e)
+    rng = random.Random(SEED + q * e)
+    for c in [0] + f.elements()[:5]:
+        assert_same_value(Poly.const(f, c), summed_terms(f, [(0, c)]))
+    assert_same_value(Poly.zero(f), {})
+    assert_same_value(Poly.one(f), {(0,): 1})
+    for _ in range(40):
+        ta, tb = rand_terms(rng, f), rand_terms(rng, f)
+        a, b = Poly(f, VARS_T, dict(ta)), Poly(f, VARS_T, dict(tb))
+        dense = [0] * 12
+        for (i,), c in ta.items():
+            dense[i] = c
+        assert_same_value(Poly.from_dense(f, dense), ta)
+        items = [((i,), c) for i, c in elems(f, ta) + elems(f, tb)]
+        assert_same_value(Poly.from_items(f, items), summed_terms(f, [
+            (i, c) for (i,), c in items]))
+        assert_same_value(a + b, summed_terms(f, elems(f, ta) + elems(f, tb)))
+        assert_same_value(a - b, summed_terms(f, elems(f, ta) + [
+            (i, -c) for i, c in elems(f, tb)]))
+        assert_same_value(a - a, {})
+        assert_same_value(a * b, summed_terms(f, [
+            (i + j, x * y) for i, x in elems(f, ta) for j, y in elems(f, tb)]))
+        c = f.from_index(rng.randrange(f.q))
+        assert_same_value(a._scaled(c.idx), summed_terms(f, [(i, x * c) for i, x in elems(f, ta)]))
+        k = rng.randrange(3)
+        assert_same_value(a.frobenius_power(k), summed_terms(f, [
+            (i * f.p ** k, x ** (f.p ** k)) for i, x in elems(f, ta)]))
+        tt = rand_terms(rng, f, VARS_TT, 6, 6)
+        assert_same_value(Poly(f, VARS_TT, tt).eval_t_at_theta(), summed_terms(f, [
+            (i + j, f.from_index(x)) for (i, j), x in tt.items()]))
+
+
+def test_univariate_poly_above_the_dense_bound_keeps_its_terms():
+    # the three-bracket product over F_256 has degree 256^3 + 256^2 + 256,
+    # above rings._MAX_DENSE_DEGREE, and 8 terms: it is stored by terms alone
+    f = field_new(2, 8)
+    big = L_poly(f, 3)
+    assert big._dv is None and len(big.terms) == 8
+    assert big == Poly(f, VARS_T, dict(big.terms))
+    assert hash(big) == hash(Poly(f, VARS_T, dict(big.terms)))
+    assert big.degree() == 256 ** 3 + 256 ** 2 + 256
+    # a sum that cancels the high terms comes back to the dense form
+    small = (big + Poly.one(f)) - big
+    assert small._dv == [1] and small == Poly.one(f)
+    with pytest.raises(ConstraintViolated, match="largest dense degree"):
+        RatFunc.make(Poly.one(f), big)
 
 
 def test_poly_pow_matches_repeated_multiplication():
