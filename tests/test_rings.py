@@ -6,9 +6,9 @@ import pytest
 
 from carlitzhd import (
     ConstraintViolated,
-    L_poly,
     DivisionByZero,
     FieldMismatch,
+    L_poly,
     PoleAtTheta,
     Poly,
     RatFunc,
