@@ -37,11 +37,9 @@ from .rings import (
 )
 from .jets import (
     Jet,
-    RhoMatrix,
     compose_substitute,
     d_t_jet,
     d_theta_jet,
-    to_rho_matrix,
 )
 from .useries import (
     INF_PREC,
@@ -95,8 +93,7 @@ __all__ = [
     "VARS_T", "VARS_TT", "Poly", "RatFunc", "SJet",
     "poly_divexact", "poly_gcd", "sjet_from_ratfunc", "taylor_shift",
     # jets
-    "Jet", "RhoMatrix", "compose_substitute", "d_t_jet", "d_theta_jet",
-    "to_rho_matrix",
+    "Jet", "compose_substitute", "d_t_jet", "d_theta_jet",
     # useries
     "INF_PREC", "TPoly", "USeries", "d_theta_useries", "embed_k", "hasse_du",
     "theta_series", "useries_agree", "useries_diff_witness",

@@ -33,6 +33,7 @@ from .rings import (
     _quotient_jet_at_theta,
     _quotient_jet_numerators,
     poly_divexact,
+    poly_gcd,
     taylor_shift,
 )
 from .useries import (
@@ -548,6 +549,13 @@ def _eta_inv_pow_sjet(field: Field, l: int, M: int, npow: int) -> SJet:
     return out
 
 
+def _frobenius_padded(field: Field, jet: Jet, order: int, k: int) -> Jet:
+    """Frob^k of a K-jet known mod X^(jet.order + 1), as a jet of the given
+    order: coefficient i lands on X^(i p^k), so order // p^k suffices."""
+    zero = RatFunc.zero(field, VARS_T)
+    return Jet(jet.coeffs + (zero,) * (order - jet.order)).frobenius_power(k)
+
+
 @lru_cache(maxsize=None)
 def _eta_inv_pow_theta_jet(field: Field, lm: int, npow: int, order: int) -> Jet:
     """Jet of eta_{lm}^{-npow}, coefficients substituted at t = theta.
@@ -574,8 +582,7 @@ def _eta_inv_pow_theta_jet(field: Field, lm: int, npow: int, order: int) -> Jet:
             m = order // pi
             jet = _eta_inv_pow_theta_jet(field, lm, d, m)
             if i:
-                zero = RatFunc.zero(field, VARS_T)
-                jet = Jet(jet.coeffs + (zero,) * (order - m)).frobenius_power(i)
+                jet = _frobenius_padded(field, jet, order, i)
             out = jet if out is None else out * jet
         i, pi = i + 1, pi * p
     if out is None:
@@ -585,8 +592,22 @@ def _eta_inv_pow_theta_jet(field: Field, lm: int, npow: int, order: int) -> Jet:
 
 @lru_cache(maxsize=None)
 def _at_ratio_theta_jet(field: Field, n: int, order: int) -> Jet:
-    """Jet of alpha_n/Gamma_n, coefficients substituted at t = theta."""
+    """Jet of alpha_n/Gamma_n, coefficients substituted at t = theta.
+
+    alpha_{nq} * Gamma_n^q = alpha_n^q * Gamma_{nq}, so R_{nq} = R_n^q for
+    R_n = alpha_n/Gamma_n, and f -> f(theta + X, theta) is a ring map: when
+    q | n the jet is the Frobenius image of the jet of R_{n/q} mod
+    X^(order // q + 1), and alpha_n is never built.  Otherwise alpha_n and
+    Gamma_n lose their common factor before the quotient recurrence, which
+    would carry it through every coefficient.
+    """
+    if n % field.q == 0:
+        jet = _at_ratio_theta_jet(field, n // field.q, order // field.q)
+        return _frobenius_padded(field, jet, order, field.e)
     alpha, gam = at_poly(field, n)
+    if not gam.is_constant():
+        g = poly_gcd(alpha, gam.lift_tt())
+        alpha, gam = poly_divexact(alpha, g), poly_divexact(gam, g.drop_t())
     return _ratio_theta_jet(d_theta_jet(alpha, order), d_theta_jet(gam, order))
 
 

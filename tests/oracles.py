@@ -1,0 +1,103 @@
+"""Test-only oracles: the upper-triangular Toeplitz matrix view of a jet.
+
+A jet (c_0, ..., c_n) acts on jets of the same order as the matrix with
+entry (i, j) = c_{j-i}, so jet products are matrix products.  The tests
+check the series algebra of `carlitzhd.jets` against this plain matrix
+product.
+"""
+
+from carlitzhd import DegreeMismatch, Jet
+from carlitzhd.jets import _ring_is_zero
+from carlitzhd.rings import _exact_zero
+
+
+def _ring_exact_zero(a):
+    """The exact zero of a's ring (a ** 0 is the exact identity)."""
+    one = a ** 0
+    return one - one
+
+
+class RhoMatrix:
+    """The (n+1)x(n+1) matrix of a jet: entry (i, j) = coefficient j - i."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        entries = tuple(tuple(row) for row in entries)
+        n = len(entries)
+        if any(len(row) != n for row in entries):
+            raise DegreeMismatch("matrix must be square")
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, *a):
+        raise AttributeError("RhoMatrix is immutable")
+
+    @classmethod
+    def from_jet(cls, jet: Jet) -> "RhoMatrix":
+        n = len(jet.coeffs)
+        zero = _ring_exact_zero(jet[0])
+        rows = []
+        for i in range(n):
+            rows.append([zero] * i + list(jet.coeffs[: n - i]))
+        return cls(rows)
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
+
+    def top_row(self):
+        return self.entries[0]
+
+    def __mul__(self, other):
+        if not isinstance(other, RhoMatrix):
+            return NotImplemented
+        n = self.size
+        if n != other.size:
+            raise DegreeMismatch("matrix sizes differ")
+        # the series zero rule: skip a term only for an exact-zero factor, so
+        # an entry known only up to precision caps every entry it enters;
+        # a sum with no term left is exactly zero
+        zero = None
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = None
+                for k in range(n):
+                    a, b = self.entries[i][k], other.entries[k][j]
+                    if _exact_zero(a) or _exact_zero(b):
+                        continue
+                    term = a * b
+                    acc = term if acc is None else acc + term
+                if acc is None:
+                    if zero is None:
+                        zero = _ring_exact_zero(self.entries[0][0])
+                    acc = zero
+                row.append(acc)
+            rows.append(row)
+        return RhoMatrix(rows)
+
+    def is_upper_toeplitz(self) -> bool:
+        n = self.size
+        for i in range(n):
+            for j in range(n):
+                if j < i:
+                    if not _ring_is_zero(self.entries[i][j]):
+                        return False
+                elif i > 0:
+                    if self.entries[i][j] != self.entries[0][j - i]:
+                        return False
+        return True
+
+    def __eq__(self, other):
+        return isinstance(other, RhoMatrix) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return "RhoMatrix(" + repr([list(r) for r in self.entries]) + ")"
+
+
+def to_rho_matrix(jet: Jet) -> RhoMatrix:
+    return RhoMatrix.from_jet(jet)

@@ -11,6 +11,7 @@ import time
 from functools import lru_cache
 
 from conftest import record_summary
+from oracles import to_rho_matrix
 
 from carlitzhd import (
     CarlitzCtx,
@@ -30,7 +31,6 @@ from carlitzhd import (
     field_new,
     minimal_l,
     pitilde,
-    to_rho_matrix,
     useries_agree,
     verify_lagrange,
     verify_suite,

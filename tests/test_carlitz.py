@@ -7,6 +7,7 @@ import time
 import pytest
 
 from conftest import oracle_pitilde_prefix
+from oracles import to_rho_matrix
 
 from carlitzhd import (
     CarlitzCtx,
@@ -36,7 +37,6 @@ from carlitzhd import (
     omega_theta_eval_jet,
     omega_tpoly,
     pitilde,
-    to_rho_matrix,
     useries_agree,
     verify_lagrange,
     verify_suite,

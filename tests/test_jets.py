@@ -9,7 +9,6 @@ from carlitzhd import (
     Jet,
     Poly,
     RatFunc,
-    RhoMatrix,
     USeries,
     VARS_T,
     VARS_TT,
@@ -18,9 +17,10 @@ from carlitzhd import (
     d_t_jet,
     d_theta_jet,
     field_new,
-    to_rho_matrix,
 )
 from carlitzhd.jets import _ring_zero_like
+
+from oracles import RhoMatrix, to_rho_matrix
 
 SEED = 1729
 

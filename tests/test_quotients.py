@@ -8,7 +8,9 @@ cell and `sjet_from_ratfunc` are checked against the generic route, a jet of
 alpha_n/Gamma_n as one unreduced fraction.  Frozen b_j values pin the same
 recurrence on the path `b_rat` takes, and product counts pin its cost.  The
 eta K-jet, a product of Frobenius images of base-p digit jets, is checked
-against the single quotient jet of L^n / eta_num^n.
+against the single quotient jet of L^n / eta_num^n, and the AT K-jet, a
+Frobenius image of a smaller one when q | n, against the single quotient jet
+of alpha_n / Gamma_n.
 """
 
 import random
@@ -39,7 +41,12 @@ from carlitzhd import (
     verify_suite,
 )
 from carlitzhd import carlitz
-from carlitzhd.carlitz import _eta_inv_pow_theta_jet, _eta_num, _ratio_theta_jet
+from carlitzhd.carlitz import (
+    _at_ratio_theta_jet,
+    _eta_inv_pow_theta_jet,
+    _eta_num,
+    _ratio_theta_jet,
+)
 from carlitzhd.jets import d_t_jet, d_theta_jet
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
@@ -184,6 +191,59 @@ def test_eta_jet_by_digits_matches_single_quotient(q):
         got = _eta_inv_pow_theta_jet(f, lm, n, n - 1)
         want = single_quotient_eta_jet(f, lm, n, n - 1)
         assert got == want and repr(got) == repr(want), (n, lm)
+
+
+# -- the AT K-jet by the q-power identity --------------------------------------------
+
+def single_quotient_at_jet(f, n: int, order: int) -> Jet:
+    """The jet of alpha_n/Gamma_n as one quotient jet of the unreduced pair."""
+    alpha, gam = at_poly(f, n)
+    return _ratio_theta_jet(d_theta_jet(alpha, order), d_theta_jet(gam, order))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_at_jet_matches_single_quotient(q):
+    f = field_new(*FIELDS[q])
+    ns = set(range(1, 3 * q + 3)) | {n for n in (q * q, 2 * q * q) if n <= 40}
+    ns |= {2: {24, 31}, 3: {26, 27}}.get(q, set())
+    # R_n = 1 for n < q, so these are the cells where the Frobenius image of
+    # a nontrivial jet is taken at every q, e > 1 included
+    ns |= {q * (q + 1), q * (q + 2)}
+    for n in sorted(ns):
+        got = _at_ratio_theta_jet(f, n, n - 1)
+        want = single_quotient_at_jet(f, n, n - 1)
+        assert got == want and repr(got) == repr(want), n
+
+
+@pytest.mark.parametrize("q,n,largest", [(2, 24, 3), (3, 27, 1)])
+def test_at_jet_at_q_multiples_builds_only_the_q_free_part(monkeypatch, q, n, largest):
+    # 24 = 3 * 2^3 and 27 = 1 * 3^3: only alpha_3 and alpha_1 are needed
+    f = field_new(*FIELDS[q])
+    built = []
+    real = carlitz.at_poly
+
+    def recording(field, m):
+        built.append(m)
+        return real(field, m)
+
+    at_poly.cache_clear()
+    carlitz._at_ratio_theta_jet.cache_clear()
+    monkeypatch.setattr(carlitz, "at_poly", recording)
+    try:
+        _at_ratio_theta_jet(f, n, n - 1)
+    finally:
+        carlitz._at_ratio_theta_jet.cache_clear()
+    assert max(built) == largest
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_alpha_q_power_identity_over_larger_fields(q):
+    # the AT K-jet at q | n rests on alpha_{nq} Gamma_n^q = alpha_n^q Gamma_{nq}
+    f = field_new(*FIELDS[q])
+    for n in range(1, 60 // q + 1):
+        a_n, g_n = at_poly(f, n)
+        a_nq, g_nq = at_poly(f, n * q)
+        assert a_nq * g_n.lift_tt() ** q == a_n ** q * g_nq.lift_tt(), n
 
 
 # -- product counts ----------------------------------------------------------------
