@@ -32,7 +32,6 @@ from .rings import (
     SJet,
     poly_divexact,
     poly_gcd,
-    sjet_from_ratfunc,
     taylor_shift,
 )
 from .jets import (
@@ -91,7 +90,7 @@ __all__ = [
     "Field", "FqElem", "field_new", "binom_mod_p",
     # rings
     "VARS_T", "VARS_TT", "Poly", "RatFunc", "SJet",
-    "poly_divexact", "poly_gcd", "sjet_from_ratfunc", "taylor_shift",
+    "poly_divexact", "poly_gcd", "taylor_shift",
     # jets
     "Jet", "compose_substitute", "d_t_jet", "d_theta_jet",
     # useries

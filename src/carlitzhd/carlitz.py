@@ -368,9 +368,54 @@ def _embed_jet(jet: Jet, prec: int) -> Jet:
     return Jet([embed_k(c, prec) for c in jet.coeffs])
 
 
+def _p_valuation(n: int, p: int) -> int:
+    """v with p^v the largest power of p dividing n >= 1."""
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+def _frobenius_lift(jet: Jet, order: int, k: int, zero) -> Jet:
+    """Frob^k of a jet known mod X^(order // p^k + 1), as a jet of the given
+    order: coefficient i goes to its p^k-th power on X^(i p^k), and every
+    other slot i holds zero(i).  With k = 0 the jet is only padded."""
+    pk = jet[0].field.p ** k
+    out = [zero(i) for i in range(order + 1)]
+    for i, c in enumerate(jet.coeffs[: order // pk + 1]):
+        out[i * pk] = c.frobenius_power(k) if k else c
+    return Jet(out)
+
+
+def _inverse_power(field: Field, jet_at, n: int) -> Jet:
+    """jet_at(n - 1) ** (-n), inverting only jet_at(r), r = (n - 1) // p^v.
+
+    For n = p^v m, pow_base_p takes v Frobenius steps before its first
+    product, and they read only coefficients 0..r, so the rest is padding.
+    """
+    inv = jet_at((n - 1) // field.p ** _p_valuation(n, field.p)).inverse()
+    return _frobenius_lift(inv, n - 1, 0, lambda i: inv._zero()) ** n
+
+
+def _period_power_jet(ctx: CarlitzCtx, n: int, order: int) -> Jet:
+    """d_theta_useries(pitilde(ctx) ** n, order), from the period^m jet.
+
+    For n = p^v m the theta-jet is Frob^v of the jet of period^m mod
+    X^(order // p^v + 1); off the multiples of p^v it holds the zeros that
+    d_theta_useries gives period^n, whose precision is p^v times period^m's.
+    """
+    F = ctx.field
+    v = _p_valuation(n, F.p)
+    pv = F.p ** v
+    base = pitilde(ctx) ** (n // pv)
+    prec = base.abs_prec * pv
+    return _frobenius_lift(d_theta_useries(base, order // pv), order, v,
+                           lambda i: USeries.zero(F, prec + i * (F.q - 1)))
+
+
 def _times_period_power(ctx: CarlitzCtx, kjet: Jet, n: int) -> Jet:
     """The embedded K-jet times the theta-jet of period^n to the same order."""
-    return _embed_jet(kjet, ctx.work_prec) * d_theta_useries(pitilde(ctx) ** n, kjet.order)
+    return _embed_jet(kjet, ctx.work_prec) * _period_power_jet(ctx, n, kjet.order)
 
 
 # -- transfer coefficients b_j ---------------------------------------------------
@@ -549,13 +594,6 @@ def _eta_inv_pow_sjet(field: Field, l: int, M: int, npow: int) -> SJet:
     return out
 
 
-def _frobenius_padded(field: Field, jet: Jet, order: int, k: int) -> Jet:
-    """Frob^k of a K-jet known mod X^(jet.order + 1), as a jet of the given
-    order: coefficient i lands on X^(i p^k), so order // p^k suffices."""
-    zero = RatFunc.zero(field, VARS_T)
-    return Jet(jet.coeffs + (zero,) * (order - jet.order)).frobenius_power(k)
-
-
 @lru_cache(maxsize=None)
 def _eta_inv_pow_theta_jet(field: Field, lm: int, npow: int, order: int) -> Jet:
     """Jet of eta_{lm}^{-npow}, coefficients substituted at t = theta.
@@ -582,7 +620,7 @@ def _eta_inv_pow_theta_jet(field: Field, lm: int, npow: int, order: int) -> Jet:
             m = order // pi
             jet = _eta_inv_pow_theta_jet(field, lm, d, m)
             if i:
-                jet = _frobenius_padded(field, jet, order, i)
+                jet = _frobenius_lift(jet, order, i, lambda _: RatFunc.zero(field, VARS_T))
             out = jet if out is None else out * jet
         i, pi = i + 1, pi * p
     if out is None:
@@ -603,7 +641,7 @@ def _at_ratio_theta_jet(field: Field, n: int, order: int) -> Jet:
     """
     if n % field.q == 0:
         jet = _at_ratio_theta_jet(field, n // field.q, order // field.q)
-        return _frobenius_padded(field, jet, order, field.e)
+        return _frobenius_lift(jet, order, field.e, lambda _: RatFunc.zero(field, VARS_T))
     alpha, gam = at_poly(field, n)
     if not gam.is_constant():
         g = poly_gcd(alpha, gam.lift_tt())
@@ -681,8 +719,8 @@ def z_via_omega(ctx: CarlitzCtx, n: int) -> PeriodCoords:
     """
     if n < 1:
         raise ConstraintViolated(f"tensor power must be >= 1, got {n}")
-    ejet = omega_theta_eval_jet(ctx, n - 1)
-    zjet = (ejet ** (-n)).scale(ctx.field.elem(-1) ** n)
+    einv = _inverse_power(ctx.field, lambda k: omega_theta_eval_jet(ctx, k), n)
+    zjet = einv.scale(ctx.field.elem(-1) ** n)
     return _coords_from_jet(ctx, zjet, "omega")
 
 
@@ -1062,7 +1100,7 @@ def _cell_span_combination(ctx: CarlitzCtx, n: int) -> CheckCell:
     coordinates to vanish on all retained coefficients.
     """
     co = z_via_omega(ctx, n)
-    cjet = _b_theta_jet(ctx.field, n - 1) ** (-n)
+    cjet = _inverse_power(ctx.field, lambda k: _b_theta_jet(ctx.field, k), n)
     combo = _times_period_power(ctx, cjet, n)
     witness = _first_gap("combination vs (z_n..z_1)", combo, co.jet(), ctx.uprec)
     if witness is not None:

@@ -41,7 +41,6 @@ from .errors import (
     DegreeMismatch,
     DivisionByZero,
     FieldMismatch,
-    NonUnitConstantTerm,
     PoleAtTheta,
 )
 from .gf import Field, FqElem
@@ -1336,12 +1335,6 @@ class SJet:
             c = RatFunc.const(self.field, c, self.coeffs[0].vars)
         return SJet(self.field, [a * c for a in self.coeffs])
 
-    def inverse(self) -> "SJet":
-        c0 = self.coeffs[0]
-        if c0.is_zero():
-            raise NonUnitConstantTerm("sjet inversion needs a unit constant term")
-        return SJet(self.field, series_inverse(self.coeffs, c0.inverse(), self._zero))
-
     def frobenius_power(self, k: int = 1) -> "SJet":
         """self**(p^k), exact via the Frobenius homomorphism."""
         return SJet(self.field,
@@ -1398,12 +1391,3 @@ def taylor_shift(f: Poly, order: int) -> SJet:
     return SJet(f.field, [RatFunc.from_poly(_poly_hasse(f, 1, k).eval_t_at_theta())
                           for k in range(order)])
 
-
-def sjet_from_ratfunc(f: RatFunc, order: int) -> SJet:
-    """Expansion of a rational function around t = theta (no pole allowed).
-
-    The Taylor coefficients d_t^k of numerator and denominator go through
-    _quotient_jet_at_theta, so the expansion never inverts a series.
-    """
-    num, den = ([_poly_hasse(g, 1, k) for k in range(order)] for g in (f.num, f.den))
-    return SJet(f.field, _quotient_jet_at_theta(num, den))

@@ -1,14 +1,21 @@
-"""Test-only oracles: the upper-triangular Toeplitz matrix view of a jet.
+"""Test-only oracles for the series algebra of `carlitzhd`.
 
-A jet (c_0, ..., c_n) acts on jets of the same order as the matrix with
-entry (i, j) = c_{j-i}, so jet products are matrix products.  The tests
-check the series algebra of `carlitzhd.jets` against this plain matrix
-product.
+A jet (c_0, ..., c_n) acts on jets of the same order as the upper-triangular
+Toeplitz matrix with entry (i, j) = c_{j-i}, so jet products are matrix
+products; the tests check `carlitzhd.jets` against this plain matrix
+product.  An `SJet` expansion of a rational function around t = theta and
+the series inverse of an `SJet` serve as references for `eta_sjet` and the
+quotient-jet recurrence.
 """
 
-from carlitzhd import DegreeMismatch, Jet
+from carlitzhd import DegreeMismatch, Jet, NonUnitConstantTerm, RatFunc, SJet
 from carlitzhd.jets import _ring_is_zero
-from carlitzhd.rings import _exact_zero
+from carlitzhd.rings import (
+    _exact_zero,
+    _poly_hasse,
+    _quotient_jet_at_theta,
+    series_inverse,
+)
 
 
 def _ring_exact_zero(a):
@@ -101,3 +108,21 @@ class RhoMatrix:
 
 def to_rho_matrix(jet: Jet) -> RhoMatrix:
     return RhoMatrix.from_jet(jet)
+
+
+def sjet_from_ratfunc(f: RatFunc, order: int) -> SJet:
+    """Expansion of a rational function around t = theta (no pole allowed).
+
+    The Taylor coefficients d_t^k of numerator and denominator go through
+    _quotient_jet_at_theta, so the expansion never inverts a series.
+    """
+    num, den = ([_poly_hasse(g, 1, k) for k in range(order)] for g in (f.num, f.den))
+    return SJet(f.field, _quotient_jet_at_theta(num, den))
+
+
+def sjet_inverse(s: SJet) -> SJet:
+    """1/s modulo s^order by the series recurrence."""
+    c0 = s.coeffs[0]
+    if c0.is_zero():
+        raise NonUnitConstantTerm("sjet inversion needs a unit constant term")
+    return SJet(s.field, series_inverse(s.coeffs, c0.inverse(), s._zero))

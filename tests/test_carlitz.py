@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import oracle_pitilde_prefix
-from oracles import to_rho_matrix
+from oracles import sjet_from_ratfunc, to_rho_matrix
 
 from carlitzhd import (
     CarlitzCtx,
@@ -45,8 +45,16 @@ from carlitzhd import (
     z_via_omega,
 )
 from carlitzhd import rings
-from carlitzhd.carlitz import _b_theta_jet, _least_cutoff
+from carlitzhd import carlitz
+from carlitzhd.carlitz import (
+    _b_theta_jet,
+    _coords_from_jet,
+    _inverse_power,
+    _least_cutoff,
+    _period_power_jet,
+)
 from carlitzhd.jets import d_t_jet
+from carlitzhd.useries import d_theta_useries
 
 # Leading u-coefficients of the period starting at u^{-q}, computed with an
 # independent dense-series implementation of the defining product and frozen.
@@ -379,8 +387,6 @@ def test_eta_sjet_requires_enough_factors():
 
 
 def test_eta_sjet_matches_rational_expansion():
-    from carlitzhd import sjet_from_ratfunc
-
     for q in (2, 3):
         f = field_new(q)
         M = q + 2
@@ -544,6 +550,101 @@ def test_dtheta_pitilde_rejects_unknown_route():
     ctx = CarlitzCtx(f, uprec=40, jet_order=1)
     with pytest.raises(ConstraintViolated):
         dtheta_pitilde(ctx, 1, route="sideways")
+
+
+# -- Frobenius lifts of the u-series jets -----------------------------------------------
+#
+# For n = p^v m the theta-jet of period^n and the inverse n-th power of a jet
+# read only order (n - 1) // p^v; each must equal its full-order computation,
+# abs_prec included.
+
+LIFT_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}
+LIFT_EXTRA = {2: (24, 64), 3: (27,)}
+# the full-order inverse is slow at q = 8, 9 for n near q^2, so there
+# only multiples of q are checked
+OMEGA_NS = {q: range(1, q * q + 2) for q in (2, 3, 4, 5)} | {8: (8, 16, 24), 9: (9, 18, 27)}
+
+
+def _lift_ctx(q, n, uprec=12):
+    return CarlitzCtx(field_new(*LIFT_FIELDS[q]), uprec=uprec, jet_order=n)
+
+
+@pytest.mark.parametrize("q", sorted(LIFT_FIELDS))
+def test_period_power_jet_equals_the_full_order_jet(q):
+    for n in [*range(1, q * q + 2), *LIFT_EXTRA.get(q, ())]:
+        ctx = _lift_ctx(q, n)
+        for order in {0, n - 1}:
+            assert (_period_power_jet(ctx, n, order)
+                    == d_theta_useries(pitilde(ctx) ** n, order)), (q, n, order)
+
+
+@pytest.mark.parametrize("q,n", [(2, 24), (3, 27), (2, 64)])
+def test_period_power_jet_at_working_precision(q, n):
+    ctx = _lift_ctx(q, n, uprec=80)
+    assert (_period_power_jet(ctx, n, n - 1)
+            == d_theta_useries(pitilde(ctx) ** n, n - 1))
+
+
+@pytest.mark.parametrize("q,n,order,read", [
+    (2, 8, 7, 0),    # n = p^v: only the period's own value is differentiated
+    (4, 16, 15, 0),
+    (3, 9, 4, 0),    # p^v > order
+    (2, 24, 23, 2),  # 24 = 2^3 * 3
+    (3, 27, 26, 0),
+    (9, 18, 17, 1),  # p = 3, 18 = 3^2 * 2
+    (2, 6, 0, 0),    # order 0
+    (3, 4, 3, 3),    # p does not divide n: the full order, as before
+    (5, 4, 3, 3),
+])
+def test_period_power_jet_reads_order_n_over_p_v(monkeypatch, q, n, order, read):
+    ctx = _lift_ctx(q, n)
+    want = d_theta_useries(pitilde(ctx) ** n, order)
+    seen = []
+
+    def recording(f, k):
+        seen.append(k)
+        return d_theta_useries(f, k)
+
+    monkeypatch.setattr(carlitz, "d_theta_useries", recording)
+    assert _period_power_jet(ctx, n, order) == want
+    assert seen == [read]
+
+
+def _omega_full_order(ctx, n):
+    """The transfer route as it read before the lift: invert the whole jet."""
+    zjet = (omega_theta_eval_jet(ctx, n - 1) ** (-n)).scale(ctx.field.elem(-1) ** n)
+    return _coords_from_jet(ctx, zjet, "omega")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_z_via_omega_equals_the_full_order_inverse(q):
+    for n in [*OMEGA_NS[q], *LIFT_EXTRA.get(q, ())]:
+        ctx = _lift_ctx(q, n)
+        assert z_via_omega(ctx, n) == _omega_full_order(ctx, n), (q, n)
+
+
+@pytest.mark.parametrize("q,n,read", [(2, 8, 0), (2, 24, 2), (3, 27, 0), (3, 4, 3),
+                                      (4, 12, 2), (5, 1, 0)])
+def test_inverse_power_inverts_only_order_n_over_p_v(q, n, read):
+    ctx = _lift_ctx(q, n)
+    seen = []
+
+    def jet_at(k):
+        seen.append(k)
+        return omega_theta_eval_jet(ctx, k)
+
+    got = _inverse_power(ctx.field, jet_at, n)
+    assert got == omega_theta_eval_jet(ctx, n - 1) ** (-n)
+    assert seen == [read]
+
+
+@pytest.mark.parametrize("q,ns", [(2, range(1, 17)), (3, range(1, 19)),
+                                  (4, range(1, 13)), (9, (9, 18))])
+def test_span_combination_k_jet_equals_the_full_order_inverse(q, ns):
+    f = field_new(*LIFT_FIELDS[q])
+    for n in ns:
+        cjet = _inverse_power(f, lambda k: _b_theta_jet(f, k), n)
+        assert cjet == _b_theta_jet(f, n - 1) ** (-n), (q, n)
 
 
 # -- the verification suite ------------------------------------------------------------
