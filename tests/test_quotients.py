@@ -47,6 +47,7 @@ from carlitzhd.carlitz import (
     _ratio_theta_jet,
 )
 from carlitzhd.jets import d_t_jet, d_theta_jet
+
 from oracles import sjet_from_ratfunc, sjet_inverse
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
