@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the golden coordinate files under tests/golden/.
+"""Regenerate the golden CLI outputs under tests/golden/.
 
-Each file is the byte-exact CLI JSON output for one (q, n) grid cell of
-the omega-route period coordinates at u-precision 6n(q-1)+40.  Run from
-anywhere; paths are anchored to this script's location.
+Each coords file is the byte-exact CLI JSON output for one (q, n) grid cell
+of the omega-route period coordinates at u-precision 6n(q-1)+40.  Each
+verify file is the byte-exact report of the full identity suite and the
+Lagrange check (``verify --q Q --n N``) in JSON or CSV.  Run from anywhere;
+paths are anchored to this script's location.
 """
 
 import os
@@ -15,6 +17,9 @@ from carlitzhd.cli import main
 
 GRID_Q = (2, 3, 4, 5)
 GRID_N = (1, 2, 3, 4, 5, 6)
+
+# (q, n, format) of the verify reports
+VERIFY_CELLS = ((2, 4, "json"), (3, 4, "json"), (9, 4, "json"), (3, 4, "csv"))
 
 
 def golden_dir() -> str:
@@ -30,6 +35,15 @@ def cell_args(q: int, n: int, out_path: str) -> list[str]:
     ]
 
 
+def verify_name(q: int, n: int, fmt: str) -> str:
+    return f"verify_q{q}_n{n}.{fmt}"
+
+
+def verify_args(q: int, n: int, fmt: str, out_path: str) -> list[str]:
+    return ["verify", "--q", str(q), "--n", str(n), "--format", fmt,
+            "--out", out_path]
+
+
 def regen() -> None:
     os.environ.pop("CARLITZHD_OUT_DIR", None)
     dest = golden_dir()
@@ -41,6 +55,12 @@ def regen() -> None:
             if code != 0:
                 raise SystemExit(f"cell q={q} n={n} exited {code}")
             print(f"wrote {path}")
+    for q, n, fmt in VERIFY_CELLS:
+        path = os.path.join(dest, verify_name(q, n, fmt))
+        code = main(verify_args(q, n, fmt, path))
+        if code != 0:
+            raise SystemExit(f"verify q={q} n={n} exited {code}")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
-"""Golden regression files: CLI coordinate output compared bit-exactly.
+"""Golden regression files: CLI output compared bit-exactly.
 
 The stored files pin the omega-route coordinates for the whole (q, n)
-grid; scripts/regen_golden.py rewrites them when an intentional format
-or precision change lands.
+grid, and the full verify report (suite and Lagrange check) at n = 4 for a
+few fields in JSON and CSV; scripts/regen_golden.py rewrites them when an
+intentional format or precision change lands.
 """
 
 import os
@@ -13,6 +14,7 @@ from carlitzhd.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GRID = [(q, n) for q in (2, 3, 4, 5) for n in (1, 2, 3, 4, 5, 6)]
+VERIFY_CELLS = [(2, 4, "json"), (3, 4, "json"), (9, 4, "json"), (3, 4, "csv")]
 
 
 @pytest.mark.parametrize("q,n", GRID)
@@ -25,4 +27,14 @@ def test_golden_coords_bit_exact(q, n, tmp_path):
     ])
     assert code == 0
     stored = os.path.join(GOLDEN_DIR, f"coords_q{q}_n{n}.json")
+    assert out.read_bytes() == open(stored, "rb").read()
+
+
+@pytest.mark.parametrize("q,n,fmt", VERIFY_CELLS)
+def test_golden_verify_bit_exact(q, n, fmt, tmp_path):
+    out = tmp_path / f"report.{fmt}"
+    code = main(["verify", "--q", str(q), "--n", str(n), "--format", fmt,
+                 "--out", str(out)])
+    assert code == 0
+    stored = os.path.join(GOLDEN_DIR, f"verify_q{q}_n{n}.{fmt}")
     assert out.read_bytes() == open(stored, "rb").read()
