@@ -1227,31 +1227,10 @@ def verify_lagrange(field: Field, s: int = 3, trials: int = 50,
     if pool <= s:
         raise ConstraintViolated(
             f"need more than s={s} distinct samples, pool holds {pool}")
-    rng = random.Random(seed)
-    one = Poly.one(field, VARS_T)
     cells = []
-    for trial in range(trials):
-        chosen: list[Poly] = []
-        while len(chosen) < s + 1:
-            cand = Poly.from_items(
-                field,
-                [((d,), field.from_index(rng.randrange(field.q)))
-                 for d in range(max_degree + 1)],
-                VARS_T,
-            )
-            if cand not in chosen:
-                chosen.append(cand)
-        a, b = chosen[:s], chosen[s]
-        prod = RatFunc.one(field)
-        for ai in a:
-            prod = prod * RatFunc.make(one, ai - b)
-        total = RatFunc.zero(field)
-        for i, ai in enumerate(a):
-            term = RatFunc.make(one, ai - b)
-            for k, ak in enumerate(a):
-                if k != i:
-                    term = term * RatFunc.make(one, ak - ai)
-            total = total + term
+    for trial, (a, b) in enumerate(
+            _lagrange_tuples(field, s, trials, seed, max_degree)):
+        prod, total = _lagrange_sides(a, b)
         expr = prod - total
         cells.append(CheckCell(
             "lagrange",
@@ -1260,3 +1239,46 @@ def verify_lagrange(field: Field, s: int = 3, trials: int = 50,
             None if expr.is_zero() else f"evaluates to {expr!r}"))
     return Report(cells, {"q": field.q, "s": s, "trials": trials, "seed": seed,
                           "max_degree": max_degree})
+
+
+def _lagrange_tuples(field: Field, s: int, trials: int, seed: int, max_degree: int):
+    """The nodes a_1..a_s and the point b of each trial: s + 1 pairwise
+    distinct polynomials, each drawn as max_degree + 1 random table indices,
+    low degree first."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        chosen: list[Poly] = []
+        while len(chosen) < s + 1:
+            cand = Poly.from_dense(
+                field, [rng.randrange(field.q) for _ in range(max_degree + 1)])
+            if cand not in chosen:
+                chosen.append(cand)
+        yield chosen[:s], chosen[s]
+
+
+def _lagrange_sides(a: list[Poly], b: Poly) -> tuple[RatFunc, RatFunc]:
+    """The product side and the alternating sum of E as canonical fractions.
+
+    Each difference is formed once: a_i - b, and a_k - a_i for i < k, whose
+    negation is a_i - a_k.  The product side and each term of the sum is one
+    fraction 1/den, with den multiplied out as a Poly, and the terms are
+    added by RatFunc's +, so E is decided in canonical F_q(theta).
+    """
+    one = Poly.one(b.field, VARS_T)
+    s = len(a)
+    to_b = [ai - b for ai in a]
+    gaps = {(i, k): a[k] - a[i] for i in range(s) for k in range(i + 1, s)}
+    den = to_b[0]
+    for x in to_b[1:]:
+        den = den * x
+    prod = RatFunc.make(one, den)
+    total = RatFunc.zero(b.field)
+    for i in range(s):
+        # prod_{k != i} (a_k - a_i)
+        #     = (-1)^i prod_{k < i} (a_i - a_k) prod_{k > i} (a_k - a_i)
+        den = to_b[i]
+        for k in range(s):
+            if k != i:
+                den = den * gaps[min(i, k), max(i, k)]
+        total = total + RatFunc.make(one, -den if i % 2 else den)
+    return prod, total

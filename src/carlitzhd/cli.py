@@ -337,7 +337,9 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _emit_compute(cfg: RunConfig, command: str, extra_config: dict,
-                  results: list, text_lines: list[str]) -> int:
+                  results: list, text_lines) -> int:
+    """Write the JSON envelope of results, or the text lines; text_lines
+    makes them, and runs only for text output (a repr of each value)."""
     if cfg.fmt == "csv":
         raise ConstraintViolated(
             "csv output applies to verify reports; use json or text here")
@@ -348,7 +350,7 @@ def _emit_compute(cfg: RunConfig, command: str, extra_config: dict,
         envelope = {"version": __version__, "config": config, "results": results}
         _write_output(_render_json(envelope), cfg.out)
     else:
-        _write_output("".join(line + "\n" for line in text_lines), cfg.out)
+        _write_output("".join(line + "\n" for line in text_lines()), cfg.out)
     return 0
 
 
@@ -361,8 +363,8 @@ def _cmd_pitilde(cfg: RunConfig, args) -> int:
     return _emit_compute(
         cfg, "pitilde", {"cutoff_used": ctx.cutoff},
         [{"name": "pitilde", "value": ser_useries(val)}],
-        [f"pitilde over F_{ctx.q} (uprec={ctx.uprec}, cutoff={ctx.cutoff}):",
-         f"  {val!r}"])
+        lambda: [f"pitilde over F_{ctx.q} (uprec={ctx.uprec}, cutoff={ctx.cutoff}):",
+                 f"  {val!r}"])
 
 
 def _cmd_omega(cfg: RunConfig, args) -> int:
@@ -371,7 +373,7 @@ def _cmd_omega(cfg: RunConfig, args) -> int:
     return _emit_compute(
         cfg, "omega", {"cutoff_used": ctx.cutoff},
         [{"name": "omega", "value": ser_tpoly(om)}],
-        [f"omega over F_{ctx.q} (uprec={ctx.uprec}, cutoff={ctx.cutoff}):"]
+        lambda: [f"omega over F_{ctx.q} (uprec={ctx.uprec}, cutoff={ctx.cutoff}):"]
         + [f"  t^{k}: {v!r}" for k, v in sorted(om.coeffs.items())])
 
 
@@ -382,7 +384,7 @@ def _cmd_atpoly(cfg: RunConfig, args) -> int:
         cfg, "atpoly", {"n": args.n},
         [{"name": f"alpha_{args.n}", "value": ser_poly(alpha)},
          {"name": f"Gamma_{args.n}", "value": ser_poly(gamma)}],
-        [f"alpha_{args.n} = {alpha!r}", f"Gamma_{args.n} = {gamma!r}"])
+        lambda: [f"alpha_{args.n} = {alpha!r}", f"Gamma_{args.n} = {gamma!r}"])
 
 
 def _cmd_gamma(cfg: RunConfig, args) -> int:
@@ -392,7 +394,7 @@ def _cmd_gamma(cfg: RunConfig, args) -> int:
     return _emit_compute(
         cfg, "gamma", {"kind": args.kind, "m": args.m},
         [{"name": name, "value": ser_poly(val)}],
-        [f"{name} = {val!r}"])
+        lambda: [f"{name} = {val!r}"])
 
 
 def _cmd_eta(cfg: RunConfig, args) -> int:
@@ -400,14 +402,18 @@ def _cmd_eta(cfg: RunConfig, args) -> int:
     if args.form == "rational":
         val = eta_rat(field, args.l)
         results = [{"name": f"eta_{args.l}", "value": ser_ratfunc(val)}]
-        lines = [f"eta_{args.l} = {val!r}"]
+
+        def lines():
+            return [f"eta_{args.l} = {val!r}"]
     else:
         if args.sjet_order is None:
             raise ConstraintViolated("--form sjet needs --sjet-order")
         val = eta_sjet(field, args.l, args.sjet_order)
         results = [{"name": f"eta_{args.l}", "value": ser_sjet(val)}]
-        lines = [f"eta_{args.l} mod s^{args.sjet_order}:"] + [
-            f"  s^{k}: {c!r}" for k, c in enumerate(val.coeffs)]
+
+        def lines():
+            return [f"eta_{args.l} mod s^{args.sjet_order}:"] + [
+                f"  s^{k}: {c!r}" for k, c in enumerate(val.coeffs)]
     return _emit_compute(cfg, "eta",
                          {"l": args.l, "form": args.form,
                           "sjet_order": args.sjet_order},
@@ -420,7 +426,7 @@ def _cmd_bj(cfg: RunConfig, args) -> int:
     return _emit_compute(
         cfg, "bj", {"j": args.j},
         [{"name": f"b_{args.j}", "value": ser_ratfunc(val)}],
-        [f"b_{args.j} = {val!r}"])
+        lambda: [f"b_{args.j} = {val!r}"])
 
 
 def _cmd_coords(cfg: RunConfig, args) -> int:
@@ -434,15 +440,14 @@ def _cmd_coords(cfg: RunConfig, args) -> int:
     else:
         l = args.l if args.l is not None else minimal_l(ctx.q, args.n)
         co = z_via_eta(ctx, args.n, l)
-    lines = [f"coordinates over F_{ctx.q}, n={co.n}, route={co.route} "
-             f"(uprec={ctx.uprec}, cutoff={ctx.cutoff}):"]
-    lines += [f"  z_{i + 1} = {z!r}" for i, z in enumerate(co.z)]
     return _emit_compute(
         cfg, "coords",
         {"n": args.n, "route": args.route, "l": args.l,
          "cutoff_used": ctx.cutoff},
         [{"name": "coords", "value": ser_coords(co)}],
-        lines)
+        lambda: [f"coordinates over F_{ctx.q}, n={co.n}, route={co.route} "
+                 f"(uprec={ctx.uprec}, cutoff={ctx.cutoff}):"]
+        + [f"  z_{i + 1} = {z!r}" for i, z in enumerate(co.z)])
 
 
 # -- verify subcommand --------------------------------------------------------------------

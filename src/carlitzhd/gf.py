@@ -259,8 +259,8 @@ class FqElem:
     __slots__ = ("field", "idx")
 
     def __init__(self, field: Field, idx: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "idx", idx)
+        _elem_set_field(self, field)
+        _elem_set_idx(self, idx)
 
     def __setattr__(self, *a):
         raise AttributeError("FqElem is immutable")
@@ -353,3 +353,8 @@ class FqElem:
         if self.field.e == 1:
             return str(self.idx)
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
+
+
+# the slot setters, bound once for the constructor: they skip the name lookup
+# of object.__setattr__ and the immutability guard of __setattr__
+_elem_set_field, _elem_set_idx = (FqElem.field.__set__, FqElem.idx.__set__)

@@ -49,7 +49,7 @@ class Jet:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise DegreeMismatch("a jet needs at least the order-0 coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
+        _jet_set_coeffs(self, coeffs)
 
     def __setattr__(self, *a):
         raise AttributeError("Jet is immutable")
@@ -105,8 +105,14 @@ class Jet:
         return Jet(series_inverse(self.coeffs, c0.inverse(), self._zero))
 
     def frobenius_power(self, k: int = 1) -> "Jet":
-        """self**(p^k) using coefficientwise Frobenius; needs ring support."""
-        return Jet(series_frobenius(self.coeffs, k, self.coeffs[0].field.p, self._zero))
+        """self**(p^k) using coefficientwise Frobenius; needs ring support.
+
+        A slot off the multiples of p^k holds the zero that k steps of
+        frobenius_power(1) leave there: the zero of the order-0 product,
+        lifted k - 1 more times (for a USeries, p^(k-1) times its precision).
+        """
+        zero = self._zero if k <= 1 else lambda: self._zero().frobenius_power(k - 1)
+        return Jet(series_frobenius(self.coeffs, k, self.coeffs[0].field.p, zero))
 
     def __pow__(self, k: int):
         c0 = self.coeffs[0]
@@ -121,6 +127,10 @@ class Jet:
 
     def __repr__(self):
         return "Jet(" + ", ".join(repr(c) for c in self.coeffs) + ")"
+
+
+# the slot setter, bound once for the constructor (as in rings.Poly)
+_jet_set_coeffs = Jet.coeffs.__set__
 
 
 def _ring_is_zero(x) -> bool:

@@ -52,10 +52,11 @@ VARS_TT = ("theta", "t")
 # -- dense univariate kernels (lists of table indices, low degree first) -----
 
 def _utrim(c: list[int]) -> list[int]:
-    end = len(c)
-    while end and c[end - 1] == 0:
-        end -= 1
-    del c[end:]
+    if c and not c[-1]:  # most lists come trimmed: one test for them
+        end = len(c) - 1
+        while end and not c[end - 1]:
+            end -= 1
+        del c[end:]
     return c
 
 
@@ -223,23 +224,31 @@ def _udivmod(a: list[int], b: list[int], f: Field) -> tuple[list[int], list[int]
     if not b:
         raise DivisionByZero("univariate division by zero")
     r = list(a)
+    q = [0] * max(0, len(r) - len(b) + 1)
+    _ureduce(r, b, f, q)
+    return _utrim(q), r
+
+
+def _ureduce(r: list[int], b: list[int], f: Field, q: list[int] | None = None) -> None:
+    """r <- r mod b in place, trimmed, for a trimmed nonzero b; the quotient's
+    coefficients go into q when it is given."""
     add, mul, neg = f.add_t, f.mul_t, f.neg_t
     inv_lead = f.inv_t[b[-1]]
     # the nonzero lower terms of -b; the leading term would cancel r[top],
     # which is not read again, and r[db:] is cut off once at the end
     lower = [(j, neg[y]) for j, y in enumerate(b[:-1]) if y]
     db = len(b) - 1
-    q = [0] * max(0, len(r) - db)
     for top in range(len(r) - 1, db - 1, -1):
         if r[top]:
             c = mul[r[top]][inv_lead]
             shift = top - db
-            q[shift] = c
+            if q is not None:
+                q[shift] = c
             row = mul[c]
             for j, y in lower:
                 r[shift + j] = add[r[shift + j]][row[y]]
     del r[db:]
-    return _utrim(q), _utrim(r)
+    _utrim(r)
 
 
 def _udivexact(a: list[int], b: list[int], f: Field) -> list[int]:
@@ -250,10 +259,11 @@ def _udivexact(a: list[int], b: list[int], f: Field) -> list[int]:
 
 
 def _ugcd(a: list[int], b: list[int], f: Field) -> list[int]:
-    a, b = list(a), list(b)
+    """The monic gcd by Euclid, each remainder reduced in place."""
+    a, b = _utrim(list(a)), _utrim(list(b))
     while b:
-        _, r = _udivmod(a, b, f)
-        a, b = b, r
+        _ureduce(a, b, f)
+        a, b = b, a
     if a and a[-1] != 1:
         a = _uscale(a, f.inv_t[a[-1]], f)
     return a
@@ -426,18 +436,18 @@ class Poly:
                  dense: list[int] | None = None):
         """From a term map; a univariate one also gets its dense list.
         from_dense passes the list alone."""
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "vars", vars)
+        _poly_set_field(self, field)
+        _poly_set_vars(self, vars)
         if terms is not None:
-            object.__setattr__(self, "terms", terms)
+            _poly_set_terms(self, terms)
             if len(vars) == 1 and dense is None:
                 top = max((i for i, in terms), default=-1)
                 if top <= _MAX_DENSE_DEGREE:
                     dense = [0] * (top + 1)
                     for (i,), c in terms.items():
                         dense[i] = c
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_dv", dense)
+        _poly_set_hash(self, None)
+        _poly_set_dv(self, dense)
 
     def __getattr__(self, name):
         # reached only for an unset slot: the terms of a polynomial that was
@@ -445,7 +455,7 @@ class Poly:
         if name != "terms":
             raise AttributeError(name)
         terms = {(i,): c for i, c in enumerate(self._dv) if c}
-        object.__setattr__(self, "terms", terms)
+        _poly_set_terms(self, terms)
         return terms
 
     def __setattr__(self, *a):
@@ -754,7 +764,7 @@ class Poly:
                 h = hash((self.field, self.vars, tuple(d)))
             else:
                 h = hash((self.field, self.vars, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _poly_set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -781,6 +791,13 @@ class Poly:
                     factors.append(f"{name}^{x}")
             bits.append("*".join(factors) or "1")
         return " + ".join(bits)
+
+
+# the slot setters, bound once: a constructor stores through them directly,
+# without the name lookup of object.__setattr__ and past the immutability
+# guard of __setattr__
+_poly_set_field, _poly_set_vars, _poly_set_terms, _poly_set_hash, _poly_set_dv = (
+    getattr(Poly, name).__set__ for name in Poly.__slots__)
 
 
 # -- gcd machinery ------------------------------------------------------------
@@ -911,11 +928,11 @@ class RatFunc:
     __slots__ = ("field", "vars", "num", "den", "_hash")
 
     def __init__(self, num: Poly, den: Poly):
-        object.__setattr__(self, "field", num.field)
-        object.__setattr__(self, "vars", num.vars)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        _rf_set_field(self, num.field)
+        _rf_set_vars(self, num.vars)
+        _rf_set_num(self, num)
+        _rf_set_den(self, den)
+        _rf_set_hash(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
@@ -1094,13 +1111,17 @@ class RatFunc:
             # the monic denominator is constant only when it is 1, and then
             # self equals its numerator
             h = hash(self.num) if self.den.is_constant() else hash((self.num, self.den))
-            object.__setattr__(self, "_hash", h)
+            _rf_set_hash(self, h)
         return h
 
     def __repr__(self):
         if self.den.is_constant():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
+
+
+_rf_set_field, _rf_set_vars, _rf_set_num, _rf_set_den, _rf_set_hash = (
+    getattr(RatFunc, name).__set__ for name in RatFunc.__slots__)
 
 
 # -- truncated power series over any coefficient ring -------------------------

@@ -82,10 +82,10 @@ class USeries:
             min_exp += lead
         if not coeffs:
             min_exp = 0
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "min_exp", min_exp)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "abs_prec", abs_prec)
+        _us_set_field(self, field)
+        _us_set_min_exp(self, min_exp)
+        _us_set_coeffs(self, coeffs)
+        _us_set_abs_prec(self, abs_prec)
 
     def __setattr__(self, *a):
         raise AttributeError("USeries is immutable")
@@ -347,6 +347,11 @@ class USeries:
         if self.abs_prec == INF_PREC:
             return body
         return f"{body} + O(u^{self.abs_prec})"
+
+
+# the slot setters, bound once for the constructor (as in rings.Poly)
+_us_set_field, _us_set_min_exp, _us_set_coeffs, _us_set_abs_prec = (
+    getattr(USeries, name).__set__ for name in USeries.__slots__)
 
 
 def useries_agree(a: USeries, b: USeries) -> bool:

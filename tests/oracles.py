@@ -5,10 +5,22 @@ Toeplitz matrix with entry (i, j) = c_{j-i}, so jet products are matrix
 products; the tests check `carlitzhd.jets` against this plain matrix
 product.  An `SJet` expansion of a rational function around t = theta and
 the series inverse of an `SJet` serve as references for `eta_sjet` and the
-quotient-jet recurrence.
+quotient-jet recurrence.  The factor-by-factor evaluation of the alternating
+interpolation expression, with its own sampler, is the reference for
+`verify_lagrange`.
 """
 
-from carlitzhd import DegreeMismatch, Jet, NonUnitConstantTerm, RatFunc, SJet
+import random
+
+from carlitzhd import (
+    VARS_T,
+    DegreeMismatch,
+    Jet,
+    NonUnitConstantTerm,
+    Poly,
+    RatFunc,
+    SJet,
+)
 from carlitzhd.jets import _ring_is_zero
 from carlitzhd.rings import (
     _exact_zero,
@@ -126,3 +138,37 @@ def sjet_inverse(s: SJet) -> SJet:
     if c0.is_zero():
         raise NonUnitConstantTerm("sjet inversion needs a unit constant term")
     return SJet(s.field, series_inverse(s.coeffs, c0.inverse(), s._zero))
+
+
+def lagrange_factorwise(field, s: int, trials: int, seed: int, max_degree: int):
+    """Per trial, (a, b, product side, alternating sum) of the interpolation
+    expression, each side a product of the canonical fractions 1/(a_i - b)
+    and 1/(a_k - a_i), one RatFunc product per factor; the nodes are drawn
+    term by term through Poly.from_items."""
+    rng = random.Random(seed)
+    one = Poly.one(field, VARS_T)
+    out = []
+    for _ in range(trials):
+        chosen = []
+        while len(chosen) < s + 1:
+            cand = Poly.from_items(
+                field,
+                [((d,), field.from_index(rng.randrange(field.q)))
+                 for d in range(max_degree + 1)],
+                VARS_T,
+            )
+            if cand not in chosen:
+                chosen.append(cand)
+        a, b = chosen[:s], chosen[s]
+        prod = RatFunc.one(field)
+        for ai in a:
+            prod = prod * RatFunc.make(one, ai - b)
+        total = RatFunc.zero(field)
+        for i, ai in enumerate(a):
+            term = RatFunc.make(one, ai - b)
+            for k, ak in enumerate(a):
+                if k != i:
+                    term = term * RatFunc.make(one, ak - ai)
+            total = total + term
+        out.append((a, b, prod, total))
+    return out

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import oracle_pitilde_prefix
-from oracles import sjet_from_ratfunc, to_rho_matrix
+from oracles import lagrange_factorwise, sjet_from_ratfunc, to_rho_matrix
 
 from carlitzhd import (
     CarlitzCtx,
@@ -50,6 +50,8 @@ from carlitzhd.carlitz import (
     _b_theta_jet,
     _coords_from_jet,
     _inverse_power,
+    _lagrange_sides,
+    _lagrange_tuples,
     _least_cutoff,
     _period_power_jet,
 )
@@ -708,6 +710,25 @@ def test_verify_lagrange_zero_constant():
     # deterministic under a fixed seed
     rep2 = verify_lagrange(f, s=3, trials=20, seed=1729)
     assert rep.to_dict() == rep2.to_dict()
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (3, 2), (7, 2), (257, 1)])
+@pytest.mark.parametrize("s", [3, 5])
+def test_lagrange_sides_equal_the_factorwise_evaluation(p, e, s):
+    # every trial draws the oracle's nodes, and each side, built from one
+    # fraction per term, equals the oracle's product of one fraction per
+    # factor as a canonical fraction (numerator and monic denominator)
+    f = field_new(p, e)
+    trials = list(_lagrange_tuples(f, s, 40, 1729, 2))
+    ref = lagrange_factorwise(f, s, 40, 1729, 2)
+    assert len(trials) == len(ref) == 40
+    for (a, b), (ra, rb, rprod, rtotal) in zip(trials, ref):
+        assert a == ra and b == rb
+        prod, total = _lagrange_sides(a, b)
+        assert (prod.num, prod.den) == (rprod.num, rprod.den)
+        assert (total.num, total.den) == (rtotal.num, rtotal.den)
+        assert prod == total
+    assert verify_lagrange(f, s=s, trials=40, seed=1729).all_passed
 
 
 def test_verify_lagrange_validation():

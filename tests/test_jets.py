@@ -5,6 +5,7 @@ import random
 import pytest
 
 from carlitzhd import (
+    CarlitzCtx,
     DegreeMismatch,
     Jet,
     Poly,
@@ -17,6 +18,7 @@ from carlitzhd import (
     d_t_jet,
     d_theta_jet,
     field_new,
+    omega_theta_eval_jet,
 )
 from carlitzhd.jets import _ring_zero_like
 
@@ -162,6 +164,24 @@ def test_jet_frobenius_power_matches_pow():
         a = rand_poly(rng, f)
         j = d_theta_jet(a, 4)
         assert j.frobenius_power(1) == j ** 3
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_frobenius_power_k_equals_k_single_steps(p, k):
+    # one value, one precision: Frob^k of a USeries jet fills the slots off
+    # the multiples of p^k as k steps of Frob^1 (the route pow_base_p takes)
+    # do, with the zero of the order-0 product lifted k - 1 more times
+    jet = omega_theta_eval_jet(CarlitzCtx(field_new(p), uprec=12, jet_order=7), 7)
+    jet = jet.inverse()
+    steps = jet
+    for _ in range(k):
+        steps = steps.frobenius_power(1)
+    direct = jet.frobenius_power(k)
+    assert direct == steps
+    assert [c.abs_prec for c in direct] == [c.abs_prec for c in steps]
+    if (p, k) == (2, 2):  # these slots read O(u^48) against O(u^96) before
+        assert [direct[i].abs_prec for i in (1, 2, 3, 5, 6, 7)] == [96] * 6
 
 
 def test_inexact_zero_coefficient_caps_precision():

@@ -610,3 +610,50 @@ def test_jet_products_take_one_sum_per_coefficient(monkeypatch):
     # jets over other rings keep the fold
     r = Jet([RatFunc.const(f, 1), RatFunc.const(f, 2)])
     assert (r * r)[1] == RatFunc.const(f, 1) and len(calls) == 4
+
+
+def ref_gcd(a, b, f):
+    """The monic gcd of two index lists by Euclid on lists of FqElem, each
+    remainder by schoolbook long division; shares no dense kernel."""
+    def trim(x):
+        while x and x[-1].is_zero():
+            x.pop()
+        return x
+
+    a = trim([f.from_index(c) for c in a])
+    b = trim([f.from_index(c) for c in b])
+    while b:
+        while a and len(a) >= len(b):
+            c, shift = a[-1] / b[-1], len(a) - len(b)
+            for j, y in enumerate(b):
+                a[shift + j] = a[shift + j] - c * y
+            trim(a)
+        a, b = b, a
+    if a:
+        lead = a[-1].inverse()
+        a = [x * lead for x in a]
+    return [x.idx for x in a]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (7, 2), (257, 1)])
+def test_gcd_in_place_euclid_matches_a_schoolbook_euclid(p, e):
+    f = field_new(p, e)
+    rng = random.Random(SEED)
+
+    def rand_dense(deg):
+        return rings._utrim([rng.randrange(f.q) for _ in range(deg)] + [rng.randrange(1, f.q)])
+
+    x, x1 = [0, 1], [1, 1]  # theta and theta + 1: coprime
+    pairs = [([], []), ([], x1), (x1, []), ([f.q - 1], x1), (x, [1]),
+             (x, x1), (x1, x1), ([0, 0, 1], x), (rand_dense(4), rand_dense(5))]
+    for _ in range(60):
+        g, u, v = (rand_dense(rng.randrange(4)) for _ in range(3))
+        pairs.append((rings._umul(g, u, f), rings._umul(g, v, f)))
+        a = rand_dense(rng.randrange(8))
+        pairs += [(a, rand_dense(rng.randrange(8))), (a, list(a))]
+    for a, b in pairs:
+        before = (list(a), list(b))
+        got = rings._ugcd(a, b, f)
+        assert got == ref_gcd(a, b, f), (a, b)
+        assert (a, b) == before  # the operands are copied, never reduced
+        assert got == rings._ugcd(b, a, f)

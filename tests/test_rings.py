@@ -8,11 +8,14 @@ from carlitzhd import (
     ConstraintViolated,
     DivisionByZero,
     FieldMismatch,
+    FqElem,
+    Jet,
     L_poly,
     PoleAtTheta,
     Poly,
     RatFunc,
     SJet,
+    USeries,
     VARS_T,
     VARS_TT,
     binom_mod_p,
@@ -563,3 +566,27 @@ def test_sjet_scale_and_order_mismatch():
     b = SJet.constant(f, 4, 1)
     with pytest.raises(DegreeMismatch):
         a + b
+
+
+# -- immutability of the value types -------------------------------------------
+
+def _values():
+    """One value of each immutable type, with every slot set: a Poly built
+    from terms, one built from its dense list (terms unset until read), a
+    bivariate Poly, a RatFunc with a cached hash, a USeries, an FqElem and a
+    Jet."""
+    f = field_new(3, 2)
+    x = Poly.from_items(f, [((2,), 1), ((0,), f.from_index(5))])
+    r = RatFunc.make(Poly.one(f), x)
+    hash(r)
+    return [x, Poly.from_dense(f, [0, 1]), Poly.monomial(f, (1, 2)), r,
+            USeries(f, -1, [1, 2], 7), FqElem(f, 4), Jet([x, x])]
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_assigning_any_slot_raises(value):
+    before = repr(value)
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert repr(value) == before
