@@ -357,4 +357,4 @@ class FqElem:
 
 # the slot setters, bound once for the constructor: they skip the name lookup
 # of object.__setattr__ and the immutability guard of __setattr__
-_elem_set_field, _elem_set_idx = (FqElem.field.__set__, FqElem.idx.__set__)
+_elem_set_field, _elem_set_idx = FqElem.field.__set__, FqElem.idx.__set__
