@@ -316,7 +316,6 @@ def D_poly(field: Field, m: int) -> Poly:
     return _brackets(field, VARS_T, [((q ** m,), (q ** k,)) for k in range(m)])
 
 
-@lru_cache(maxsize=None)
 def Gamma_poly(field: Field, m: int) -> Poly:
     """Factorial prod_j D_j^{m_j} over the base-q digits of m; m >= 1 only."""
     if m < 1:
@@ -357,11 +356,10 @@ def carlitz_combinatorics(field: Field, kind: str, index: int) -> Poly:
 # -- jets of quotients, substituted at t = theta --------------------------------
 
 
-def _ratio_theta_jet(num_jet: Jet, den_jet: Jet) -> Jet:
-    """Jet of num/den at t = theta, for polynomial jets of one derivation."""
-    if num_jet.order != den_jet.order:
-        raise ConstraintViolated("numerator and denominator jets differ in order")
-    return Jet(_quotient_jet_at_theta(num_jet.coeffs, den_jet.coeffs))
+def _ratio_theta_jet(num: Poly, den: Poly, order: int) -> Jet:
+    """theta-jet of num/den to the given order, substituted at t = theta."""
+    return Jet(_quotient_jet_at_theta(d_theta_jet(num, order).coeffs,
+                                      d_theta_jet(den, order).coeffs))
 
 
 def _embed_jet(jet: Jet, prec: int) -> Jet:
@@ -528,7 +526,6 @@ def _eta_num(field: Field, l: int) -> Poly:
 ETA_MAX_T_DEGREE = 200
 
 
-@lru_cache(maxsize=None)
 def eta_rat(field: Field, l: int) -> RatFunc:
     """eta_l = prod_{m=1}^{l} (t^{q^m} - theta)/(theta^{q^m} - theta), exact.
 
@@ -610,9 +607,8 @@ def _eta_inv_pow_theta_jet(field: Field, lm: int, npow: int, order: int) -> Jet:
     if lm == 0:  # eta_0 = 1
         npow = 0
     if npow < p:
-        num_jet = d_theta_jet(L_poly(field, lm) ** npow, order)
-        den_jet = d_theta_jet(_eta_num(field, lm) ** npow, order)
-        return _ratio_theta_jet(num_jet, den_jet)
+        return _ratio_theta_jet(L_poly(field, lm) ** npow, _eta_num(field, lm) ** npow,
+                                order)
     out, i, pi = None, 0, 1
     while npow and pi <= order:
         npow, d = divmod(npow, p)
@@ -646,7 +642,7 @@ def _at_ratio_theta_jet(field: Field, n: int, order: int) -> Jet:
     if not gam.is_constant():
         g = poly_gcd(alpha, gam.lift_tt())
         alpha, gam = poly_divexact(alpha, g), poly_divexact(gam, g.drop_t())
-    return _ratio_theta_jet(d_theta_jet(alpha, order), d_theta_jet(gam, order))
+    return _ratio_theta_jet(alpha, gam, order)
 
 
 # -- period coordinates ----------------------------------------------------------
@@ -900,8 +896,7 @@ def _cell_omega_pow(ctx: CarlitzCtx, n: int) -> CheckCell:
     return CheckCell("omega_pow_order", {"n": n}, witness is None, witness)
 
 
-def _cells_b_transfer(ctx: CarlitzCtx, jmax: int, t_terms: int,
-                      overrides) -> list[CheckCell]:
+def _cells_b_transfer(ctx: CarlitzCtx, jmax: int, t_terms: int) -> list[CheckCell]:
     F = ctx.field
     q = F.q
     cells = []
@@ -916,24 +911,11 @@ def _cells_b_transfer(ctx: CarlitzCtx, jmax: int, t_terms: int,
     winv = omega_tpoly(ctx).inverse_tseries(t_terms)
     lhs = [d_theta_useries(c, jmax) for c in winv]
     for j in range(jmax + 1):
-        params = {"j": j}
-        if overrides and j in overrides:
-            b = _coerce_b_override(F, overrides[j])
-            params["override"] = repr(b)
-        else:
-            b = b_rat(F, j)
+        b = b_rat(F, j)
         witness = _first_gap(f"d^{j}(Omega^-1) vs b_{j}*Omega^-1",
                              [d[j] for d in lhs], _tseries_times_ratfunc(winv, b))
-        cells.append(CheckCell("b_transfer", params, witness is None, witness))
+        cells.append(CheckCell("b_transfer", {"j": j}, witness is None, witness))
     return cells
-
-
-def _coerce_b_override(field: Field, value) -> RatFunc:
-    if isinstance(value, RatFunc):
-        return value.lift_tt()
-    if isinstance(value, Poly):
-        return RatFunc.from_poly(value.lift_tt())
-    return RatFunc.const(field, value, VARS_TT)
 
 
 def _tpoly_from_poly_tt(p: Poly) -> TPoly:
@@ -1001,9 +983,7 @@ def _cells_bjet_eta(field: Field, nmax: int) -> list[CheckCell]:
     for n in range(1, nmax + 1):
         l = minimal_l(q, n)
         lhs = big.truncated(n - 1)
-        rhs = _ratio_theta_jet(
-            d_theta_jet(_eta_num(field, l - 1), n - 1),
-            d_theta_jet(L_poly(field, l - 1).lift_tt(), n - 1))
+        rhs = _ratio_theta_jet(_eta_num(field, l - 1), L_poly(field, l - 1), n - 1)
         witness = _first_gap("transfer jet vs eta jet", lhs, rhs)
         cells.append(CheckCell("bjet_eta_congruence", {"n": n, "l": l},
                                witness is None, witness))
@@ -1128,17 +1108,13 @@ VERIFY_SELECTORS = (
 
 def verify_suite(ctx: CarlitzCtx, which="all", *, n: int | None = None,
                  jmax: int | None = None, lmax: int = 3, sum_order: int = 32,
-                 t_terms: int | None = None, b_transfer_overrides=None) -> Report:
+                 t_terms: int | None = None) -> Report:
     """Run the selected identity cells and collect pass/fail data.
 
     which is "all", one selector name, or an iterable of names from
     VERIFY_SELECTORS.  n defaults to ctx.jet_order (coordinate and jet
     ranges), jmax to ctx.jet_order (transfer index range), t_terms to
     cutoff + 1.
-
-    b_transfer_overrides is a test-only seam: a mapping {j: replacement}
-    consulted exclusively by the b_transfer cells, so a deliberately injected
-    fault surfaces exactly there and nowhere else.
     """
     if isinstance(which, str):
         names = VERIFY_SELECTORS if which == "all" else (which,)
@@ -1174,7 +1150,7 @@ def verify_suite(ctx: CarlitzCtx, which="all", *, n: int | None = None,
         cells.extend(_cells_omega(ctx, t_terms))
         cells.append(_cell_omega_pow(ctx, n))
     if "b_transfer" in names:
-        cells.extend(_cells_b_transfer(ctx, jmax, t_terms, b_transfer_overrides))
+        cells.extend(_cells_b_transfer(ctx, jmax, t_terms))
     if "pitilde_span" in names:
         cells.extend(_cells_span(ctx, n))
     if "eta_quotient" in names:

@@ -5,13 +5,15 @@ truncated mod X^{n+1}: the coefficient list (d^0 f, d^1 f, ..., d^n f).
 Jets multiply by truncated convolution, which is exactly the generalized
 Leibniz rule, so "apply the derivation" is a ring homomorphism into jets.
 
-Two concrete derivations act on polynomials and rational functions in
-theta and t:
+Two concrete derivations act on polynomials in theta and t:
 
     d_theta: theta |-> theta + X, t |-> t
     d_t:     t |-> t + X, theta |-> theta
 
-compose_substitute is the span route's total substitution theta, t |-> theta.
+A jet of a fraction is needed only at t = theta, where
+rings._quotient_jet_at_theta forms it from the polynomial jets of numerator
+and denominator.  compose_substitute is the span route's total substitution
+theta, t |-> theta.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .rings import (
     Poly,
     RatFunc,
     _poly_hasse,
-    _quotient_jet,
     _quotient_jet_at_theta,
     pow_base_p,
     series_frobenius,
@@ -151,25 +152,21 @@ def _ring_zero_like(a, b):
     return prod - prod
 
 
-# -- hyperderivative jets on polynomials and rational functions ---------------
+# -- hyperderivative jets on polynomials ----------------------------------------
 
 def _jet_of(f, var: int, order: int) -> Jet:
-    if isinstance(f, Poly):
-        return Jet(_poly_hasse(f, var, k) for k in range(order + 1))
-    if isinstance(f, RatFunc):
-        num, den = ([_poly_hasse(g, var, k) for k in range(order + 1)]
-                    for g in (f.num, f.den))
-        return Jet(_quotient_jet(num, den))
-    raise ConstraintViolated(f"no hyperderivative jets for {type(f).__name__}")
+    if not isinstance(f, Poly):
+        raise ConstraintViolated(f"no hyperderivative jets for {type(f).__name__}")
+    return Jet(_poly_hasse(f, var, k) for k in range(order + 1))
 
 
-def d_theta_jet(f, order: int) -> Jet:
-    """Jet of f under the derivation with theta |-> theta + X, t fixed."""
+def d_theta_jet(f: Poly, order: int) -> Jet:
+    """Jet of the polynomial f under theta |-> theta + X, t fixed."""
     return _jet_of(f, 0, order)
 
 
-def d_t_jet(f, order: int) -> Jet:
-    """Jet of f under the derivation with t |-> t + X, theta fixed."""
+def d_t_jet(f: Poly, order: int) -> Jet:
+    """Jet of the polynomial f under t |-> t + X, theta fixed."""
     return _jet_of(f, 1, order)
 
 

@@ -19,10 +19,10 @@ useries.USeries; pow_base_p is also Poly's (and so RatFunc's) power.  They
 skip a term only when a factor is an exact zero, so a coefficient that is
 zero only up to its precision still caps the precision of every term it
 enters.  Each coefficient of a product is one sum of products: one _udot
-for USeries (USeries.sum_of_products), a fold of + for any other ring.  A
-jet of polynomial quotients N/D runs one fraction-free recurrence
-(_quotient_jet) instead of a series inverse, and _quotient_jet_at_theta
-runs it on jets substituted at t = theta.
+for USeries (USeries.sum_of_products), a fold of + for any other ring.  The
+jet of a polynomial quotient N/D is taken only at t = theta, by one
+fraction-free recurrence on the substituted coefficients
+(_quotient_jet_at_theta) instead of a series inverse.
 
 The gcd is a primitive polynomial-remainder-sequence Euclidean algorithm on
 the univariate-in-main-variable view; bivariate content is split off
@@ -1268,25 +1268,22 @@ def _quotient_jet_numerators(nums: list[Poly], dens: list[Poly]):
     return cs, dpow
 
 
-def _quotient_jet(nums: list[Poly], dens: list[Poly]) -> list[RatFunc]:
-    """The jet N/D as the canonical fractions C_k / D^{k+1}; D = dens[0] != 0."""
-    if all(d.is_zero() for d in dens[1:]):  # then c_k = N_k / D: no D^k to cancel
-        return [RatFunc.make(n, dens[0]) for n in nums]
-    cs, dpow = _quotient_jet_numerators(nums, dens)
-    zero = RatFunc.zero(dens[0].field, dens[0].vars)
-    return [zero if c.is_zero() else RatFunc.make(c, dpow(k + 1))
-            for k, c in enumerate(cs)]
-
-
 def _quotient_jet_at_theta(nums: list[Poly], dens: list[Poly]) -> list[RatFunc]:
-    """The jet N/D at t = theta: _quotient_jet on the substituted
-    coefficients, which equals the substituted bivariate quotient jet (a ring
-    homomorphism, and a unique canonical form).  PoleAtTheta if D(theta,
-    theta) = 0, for D = dens[0]; empty jets give an empty jet."""
+    """The jet N/D at t = theta, for polynomial jets N, D of one derivation:
+    the canonical C_k / D^{k+1} of the recurrence on the substituted
+    coefficients, which is the substituted jet of N/D (a ring homomorphism).
+    PoleAtTheta if D(theta, theta) = 0, for D = dens[0]; empty jets give an
+    empty jet."""
     den = [d.eval_t_at_theta() for d in dens]
     if den and den[0].is_zero():
         raise PoleAtTheta(f"denominator {dens[0]!r} vanishes at t = theta")
-    return _quotient_jet([n.eval_t_at_theta() for n in nums], den)
+    num = [n.eval_t_at_theta() for n in nums]
+    if all(d.is_zero() for d in den[1:]):  # then c_k = N_k / D: no D^k to cancel
+        return [RatFunc.make(n, den[0]) for n in num]
+    cs, dpow = _quotient_jet_numerators(num, den)
+    zero = RatFunc.zero(den[0].field, VARS_T)
+    return [zero if c.is_zero() else RatFunc.make(c, dpow(k + 1))
+            for k, c in enumerate(cs)]
 
 
 # -- truncated expansions in s = t - theta ------------------------------------

@@ -1,5 +1,5 @@
-"""Shared test wiring: the end-of-run acceptance summary section, and the
-dict-series oracle of the period.
+"""Shared test wiring: the end-of-run acceptance summary section, the
+dict-series oracle of the period, and a fault scoped to one transfer cell.
 
 Acceptance tests register one human-readable pass/fail line each; the
 terminal-summary hook replays them after capture ends so the ledger is
@@ -19,6 +19,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance summary")
     for line in SUMMARY_LINES:
         terminalreporter.write_line(line)
+
+
+# -- a fault that only the b_transfer cells read -------------------------------
+
+def force_b1_to_one(monkeypatch) -> None:
+    """Make the b_transfer cell at j = 1 read b_1 = 1, and no other cell.
+
+    Only the b_transfer cells call carlitz._tseries_times_ratfunc, once per
+    cell for j = 0, 1, ..., so the second call is the one at b_1.
+    """
+    from carlitzhd import RatFunc, carlitz
+
+    real = carlitz._tseries_times_ratfunc
+    calls = []
+
+    def faulty(tser, b):
+        calls.append(b)
+        if len(calls) == 2:
+            b = RatFunc.one(b.field, b.vars)
+        return real(tser, b)
+
+    monkeypatch.setattr(carlitz, "_tseries_times_ratfunc", faulty)
 
 
 # -- the period by plain dict series, independent of the package ------------

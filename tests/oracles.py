@@ -3,7 +3,9 @@
 A jet (c_0, ..., c_n) acts on jets of the same order as the upper-triangular
 Toeplitz matrix with entry (i, j) = c_{j-i}, so jet products are matrix
 products; the tests check `carlitzhd.jets` against this plain matrix
-product.  An `SJet` expansion of a rational function around t = theta and
+product.  The jet of a fraction in (theta, t), kept bivariate, is the
+reference for the jets of fractions that `carlitzhd` takes only at
+t = theta.  An `SJet` expansion of a rational function around t = theta and
 the series inverse of an `SJet` serve as references for `eta_sjet` and the
 quotient-jet recurrence.  The factor-by-factor evaluation of the alternating
 interpolation expression, with its own sampler, is the reference for
@@ -120,6 +122,21 @@ class RhoMatrix:
 
 def to_rho_matrix(jet: Jet) -> RhoMatrix:
     return RhoMatrix.from_jet(jet)
+
+
+def fraction_jet(f, var: int, order: int) -> Jet:
+    """Jet of a fraction (or polynomial) of F_q[theta, t] under d_theta (var
+    0) or d_t (var 1), kept in F_q(theta, t).
+
+    The bivariate route, which `carlitzhd` never takes: the series product of
+    the numerator's jet and the inverse of the denominator's, each
+    coefficient a canonical bivariate fraction.
+    """
+    if isinstance(f, Poly):
+        f = RatFunc.from_poly(f)
+    num, den = (Jet([RatFunc.from_poly(_poly_hasse(g, var, k)) for k in range(order + 1)])
+                for g in (f.num, f.den))
+    return num * den.inverse()
 
 
 def sjet_from_ratfunc(f: RatFunc, order: int) -> SJet:

@@ -10,8 +10,8 @@ import random
 import time
 from functools import lru_cache
 
-from conftest import record_summary
-from oracles import to_rho_matrix
+from conftest import force_b1_to_one, record_summary
+from oracles import fraction_jet, to_rho_matrix
 
 from carlitzhd import (
     CarlitzCtx,
@@ -23,8 +23,6 @@ from carlitzhd import (
     VARS_TT,
     binom_mod_p,
     compose_substitute,
-    d_t_jet,
-    d_theta_jet,
     d_theta_useries,
     dtheta_pitilde,
     embed_k,
@@ -269,10 +267,11 @@ def _suite_jet_homomorphism(failures):
         a = rand_ratfunc(rng, f)
         b = rand_ratfunc(rng, f)
         n = rng.randrange(1, 5)
-        jet_of = d_theta_jet if i % 2 == 0 else d_t_jet
-        if jet_of(a * b, n) != jet_of(a, n) * jet_of(b, n):
+        var = i % 2  # d_theta, then d_t
+        ja, jb = fraction_jet(a, var, n), fraction_jet(b, var, n)
+        if fraction_jet(a * b, var, n) != ja * jb:
             failures.append(("jet_homomorphism", "mul", i))
-        if jet_of(a + b, n) != jet_of(a, n) + jet_of(b, n):
+        if fraction_jet(a + b, var, n) != ja + jb:
             failures.append(("jet_homomorphism", "add", i))
     return 210
 
@@ -285,8 +284,8 @@ def _suite_derivation_commutation(failures):
         r = rand_ratfunc(rng, f)
         m = rng.randrange(1, 6)
         n = rng.randrange(1, 7 - m)
-        tn_tm = d_t_jet(d_theta_jet(r, m)[m], n)[n]
-        tm_tn = d_theta_jet(d_t_jet(r, n)[n], m)[m]
+        tn_tm = fraction_jet(fraction_jet(r, 0, m)[m], 1, n)[n]
+        tm_tn = fraction_jet(fraction_jet(r, 1, n)[n], 0, m)[m]
         if tn_tm != tm_tn:
             failures.append(("derivation_commutation", (n, m), i))
     # total substitution t := theta: jets compose through the chain rule
@@ -299,8 +298,8 @@ def _suite_derivation_commutation(failures):
         if r.den.eval_t_at_theta().is_zero():
             continue
         n = rng.randrange(1, 5)
-        direct = d_theta_jet(r.eval_t_at_theta(), n)
-        composed = compose_substitute(d_theta_jet(r, n), n)
+        direct = fraction_jet(r.eval_t_at_theta(), 0, n)
+        composed = compose_substitute(fraction_jet(r, 0, n), n)
         if direct != composed:
             failures.append(("substitution_chain_rule", count))
         count += 1
@@ -323,7 +322,7 @@ def _suite_power_annihilation(failures):
             bad = [k for k in range(1, ql) if not jet[k].is_zero()]
         else:
             g = rand_ratfunc_nonzero(rng, f)
-            jet = d_theta_jet(g ** ql, ql - 1)
+            jet = fraction_jet(g ** ql, 0, ql - 1)
             bad = [k for k in range(1, ql) if not jet[k].is_zero()]
         if bad:
             failures.append(("power_annihilation", q, l, bad))
@@ -339,8 +338,8 @@ def _suite_rho_multiplicativity(failures):
         a = rand_ratfunc(rng, f)
         b = rand_ratfunc(rng, f)
         n = rng.randrange(1, 6)
-        lhs = to_rho_matrix(d_theta_jet(a * b, n))
-        rhs = to_rho_matrix(d_theta_jet(a, n)) * to_rho_matrix(d_theta_jet(b, n))
+        lhs = to_rho_matrix(fraction_jet(a * b, 0, n))
+        rhs = to_rho_matrix(fraction_jet(a, 0, n)) * to_rho_matrix(fraction_jet(b, 0, n))
         if lhs != rhs:
             failures.append(("rho_multiplicativity", i))
     return 200
@@ -446,18 +445,18 @@ def test_truncation_soundness():
 
 # -- fault sensitivity ----------------------------------------------------------------------------
 
-def test_fault_sensitivity():
+def test_fault_sensitivity(monkeypatch):
     ctx = CarlitzCtx(field_new(2), uprec=50, jet_order=3)
     kw = dict(n=3, lmax=2, sum_order=8)
     clean = verify_suite(ctx, "all", **kw)
-    faulted = verify_suite(ctx, "all", **kw, b_transfer_overrides={1: 1})
+    force_b1_to_one(monkeypatch)
+    faulted = verify_suite(ctx, "all", **kw)
     bad = [c for c in faulted.cells if not c.passed]
     ok = (clean.all_passed
           and len(faulted.cells) == len(clean.cells)
           and len(bad) == 1
           and bad[0].identity == "b_transfer"
-          and bad[0].params.get("j") == 1
-          and "override" in bad[0].params
+          and bad[0].params == {"j": 1}
           and bad[0].witness is not None)
     _report(
         "fault sensitivity: forcing b_1 = 1 fails exactly the one transfer "

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from conftest import oracle_pitilde_prefix
-from oracles import lagrange_factorwise, sjet_from_ratfunc, to_rho_matrix
+from conftest import force_b1_to_one, oracle_pitilde_prefix
+from oracles import fraction_jet, lagrange_factorwise, sjet_from_ratfunc, to_rho_matrix
 
 from carlitzhd import (
     CarlitzCtx,
@@ -55,7 +55,7 @@ from carlitzhd.carlitz import (
     _least_cutoff,
     _period_power_jet,
 )
-from carlitzhd.jets import d_t_jet
+from carlitzhd.jets import d_t_jet, d_theta_jet
 from carlitzhd.useries import d_theta_useries
 
 # Leading u-coefficients of the period starting at u^{-q}, computed with an
@@ -236,12 +236,12 @@ def test_b_negative_index_rejected():
 
 def bivariate_compose_substitute(fjet, order=None):
     """Total substitution by the bivariate route: the t-jet of each
-    coefficient as fractions in theta and t (d_t_jet), each then substituted
-    with RatFunc.eval_t_at_theta."""
+    coefficient as fractions in theta and t (fraction_jet), each then
+    substituted with RatFunc.eval_t_at_theta."""
     order = fjet.order if order is None else order
     out = [RatFunc.zero(fjet[0].field) for _ in range(order + 1)]
     for j in range(order + 1):
-        inner = d_t_jet(fjet[j], order - j)
+        inner = fraction_jet(fjet[j], 1, order - j)
         for i in range(order - j + 1):
             term = inner[i].eval_t_at_theta()
             if not term.is_zero():
@@ -300,6 +300,38 @@ def test_compose_substitute_runs_no_gcd(monkeypatch):
     assert calls == []
     # the counter sees the bivariate fractions of the other route
     assert bivariate_compose_substitute(bjet) == got and calls
+
+
+def test_src_builds_no_bivariate_fraction_jet(monkeypatch):
+    # a fraction's jet is taken only at t = theta, from the polynomial jets
+    # of its numerator and denominator: d_theta_jet and d_t_jet refuse a
+    # fraction, and neither the suite nor a route forms a fraction of
+    # F_q[theta, t] through RatFunc.make
+    f3 = field_new(3)
+    r = RatFunc.make(Poly.one(f3, VARS_TT), Poly.monomial(f3, (1, 1), vars=VARS_TT))
+    for jet_of in (d_theta_jet, d_t_jet):
+        with pytest.raises(ConstraintViolated):
+            jet_of(r, 2)
+
+    made = {1: 0, 2: 0}
+    real = RatFunc.make.__func__
+
+    def counting(cls, num, den):
+        made[len(num.vars)] += 1
+        return real(cls, num, den)
+
+    caches = [g for g in vars(carlitz).values() if hasattr(g, "cache_clear")]
+    monkeypatch.setattr(RatFunc, "make", classmethod(counting))
+    for f in (field_new(2), field_new(3), field_new(2, 2), field_new(3, 2)):
+        for g in caches:  # a value cached before the count would hide its calls
+            g.cache_clear()
+        ctx = CarlitzCtx(f, uprec=60, jet_order=4)
+        assert verify_suite(ctx, "all").all_passed
+        for n in range(1, 7):
+            z_via_omega(ctx, n)
+            z_via_at(ctx, n)
+            z_via_eta(ctx, n, minimal_l(f.q, n))
+    assert made[2] == 0 and made[1] > 0
 
 
 def search_least_cutoff(q, need, least):
@@ -685,14 +717,13 @@ def test_verify_suite_rejects_unknown_selector():
         verify_suite(ctx, n=0)
 
 
-def test_verify_suite_fault_injection_is_scoped():
+def test_verify_suite_fault_injection_is_scoped(monkeypatch):
     f = field_new(2)
     ctx = CarlitzCtx(f, uprec=50, jet_order=3)
-    rep = verify_suite(ctx, n=3, lmax=2, sum_order=8,
-                       b_transfer_overrides={1: 1})
+    force_b1_to_one(monkeypatch)
+    rep = verify_suite(ctx, n=3, lmax=2, sum_order=8)
     bad = rep.failures()
-    assert bad, "the injected fault must be detected"
-    assert all(c.identity in ("b_vanishing", "b_transfer") for c in bad)
+    assert [(c.identity, c.params) for c in bad] == [("b_transfer", {"j": 1})]
     assert all(c.witness for c in bad)
     # every cell outside the transfer family still passes
     others = [c for c in rep.cells

@@ -22,7 +22,7 @@ from carlitzhd import (
 )
 from carlitzhd.jets import _ring_zero_like
 
-from oracles import RhoMatrix, to_rho_matrix
+from oracles import RhoMatrix, fraction_jet, to_rho_matrix
 
 SEED = 1729
 
@@ -116,12 +116,12 @@ def test_jet_inverse_roundtrip():
         r = rand_ratfunc(rng, f)
         if r.is_zero():
             continue
-        j = d_theta_jet(r, 4)
+        j = fraction_jet(r, 0, 4)
         inv = j.inverse()
         prod = j * inv
         assert prod[0] == one and all(c.is_zero() for c in prod.coeffs[1:])
         # inverse of a jet is the jet of the inverse
-        assert inv == d_theta_jet(r.inverse(), 4)
+        assert inv == fraction_jet(r.inverse(), 0, 4)
 
 
 def test_jet_pow_matches_repeated_multiplication():
@@ -131,8 +131,8 @@ def test_jet_pow_matches_repeated_multiplication():
         r = rand_ratfunc(rng, f)
         if r.is_zero():
             continue
-        j = d_theta_jet(r, 3)
-        acc = d_theta_jet(RatFunc.one(f, VARS_TT), 3)
+        j = fraction_jet(r, 0, 3)
+        acc = fraction_jet(RatFunc.one(f, VARS_TT), 0, 3)
         for k in range(6):
             assert j ** k == acc
             acc = acc * j
@@ -218,8 +218,8 @@ def test_derivations_commute():
     for _ in range(60):
         r = rand_ratfunc(rng, f)
         n, m = rng.randrange(4), rng.randrange(4)
-        a = d_t_jet(d_theta_jet(r, m)[m], n)[n]
-        b = d_theta_jet(d_t_jet(r, n)[n], m)[m]
+        a = fraction_jet(fraction_jet(r, 0, m)[m], 1, n)[n]
+        b = fraction_jet(fraction_jet(r, 1, n)[n], 0, m)[m]
         assert a == b
 
 
@@ -227,8 +227,8 @@ def test_compose_substitute_explicit():
     f = field_new(3)
     # f(theta, t) = theta * t; f(theta, theta) = theta^2
     p = RatFunc.from_poly(Poly.monomial(f, (1, 1), vars=VARS_TT))
-    j = compose_substitute(d_theta_jet(p, 2))
-    want = d_theta_jet(RatFunc.from_poly(Poly.monomial(f, (2,))), 2)
+    j = compose_substitute(fraction_jet(p, 0, 2))
+    want = fraction_jet(RatFunc.from_poly(Poly.monomial(f, (2,))), 0, 2)
     assert j == want  # both sides substitute down to functions of theta alone
 
 
@@ -240,8 +240,8 @@ def test_compose_substitute_chain_rule():
         if r.den.eval_t_at_theta().is_zero():
             continue
         n = rng.randrange(1, 4)
-        direct = d_theta_jet(r.eval_t_at_theta(), n)
-        composed = compose_substitute(d_theta_jet(r, n), n)
+        direct = fraction_jet(r.eval_t_at_theta(), 0, n)
+        composed = compose_substitute(fraction_jet(r, 0, n), n)
         assert direct == composed
 
 
@@ -249,7 +249,7 @@ def test_compose_substitute_short_input_rejected():
     f = field_new(3)
     p = RatFunc.from_poly(Poly.monomial(f, (1, 1), vars=VARS_TT))
     with pytest.raises(DegreeMismatch):
-        compose_substitute(d_theta_jet(p, 2), 5)
+        compose_substitute(fraction_jet(p, 0, 2), 5)
 
 
 # -- matrix view -----------------------------------------------------------------

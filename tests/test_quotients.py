@@ -1,8 +1,8 @@
 """The exact quotient builders against independent references.
 
-Every jet of a quotient runs one fraction-free recurrence,
-`rings._quotient_jet`.  Its callers `_ratio_theta_jet`, the `eta_quotient`
-cell and `sjet_from_ratfunc` are checked against the generic route, a jet of
+Every jet of a quotient runs one fraction-free recurrence at t = theta,
+`rings._quotient_jet_at_theta`.  It, the `eta_quotient` cell and
+`sjet_from_ratfunc` are checked against the generic route, a jet of
 `RatFunc` coefficients times the series inverse of another, and `at_poly`
 (one exact cofactor per term) against the recursion that carries
 alpha_n/Gamma_n as one unreduced fraction.  Frozen b_j values pin the same
@@ -47,6 +47,7 @@ from carlitzhd.carlitz import (
     _ratio_theta_jet,
 )
 from carlitzhd.jets import d_t_jet, d_theta_jet
+from carlitzhd.rings import _quotient_jet_at_theta
 
 from oracles import sjet_from_ratfunc, sjet_inverse
 
@@ -59,6 +60,11 @@ def generic_ratio(num_jet: Jet, den_jet: Jet) -> Jet:
     num = Jet([RatFunc.from_poly(c.eval_t_at_theta()) for c in num_jet.coeffs])
     den = Jet([RatFunc.from_poly(c.eval_t_at_theta()) for c in den_jet.coeffs])
     return num * den.inverse()
+
+
+def ratio(num_jet: Jet, den_jet: Jet) -> Jet:
+    """num/den at t = theta by the recurrence, for two polynomial jets."""
+    return Jet(_quotient_jet_at_theta(num_jet.coeffs, den_jet.coeffs))
 
 
 def at_jets(q: int, n: int) -> tuple[Jet, Jet]:
@@ -93,12 +99,12 @@ def dense_jets(p: int, order: int, seed: int) -> tuple[Jet, Jet]:
             Jet([rand_poly() for _ in range(order + 1)]))
 
 
-# -- _ratio_theta_jet against the generic jet route ------------------------------
+# -- the quotient jet against the generic jet route ------------------------------
 
 @pytest.mark.parametrize("q,n", [(2, 12), (3, 9), (4, 6), (5, 6), (9, 4)])
 def test_ratio_jet_matches_generic_route_on_at_jets(q, n):
     num_jet, den_jet = at_jets(q, n)
-    assert _ratio_theta_jet(num_jet, den_jet) == generic_ratio(num_jet, den_jet)
+    assert ratio(num_jet, den_jet) == generic_ratio(num_jet, den_jet)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -106,10 +112,10 @@ def test_ratio_jet_matches_generic_route_on_at_jets(q, n):
 def test_ratio_jet_matches_generic_route_on_eta_quotients(q, l):
     f = field_new(*FIELDS[q])
     order = 5
-    eta = d_theta_jet(_eta_num(f, l), order)
-    big_l = d_theta_jet(L_poly(f, l).lift_tt(), order)
-    assert _ratio_theta_jet(eta, big_l) == generic_ratio(eta, big_l)
-    assert _ratio_theta_jet(big_l, eta) == generic_ratio(big_l, eta)
+    eta_num, big_l = _eta_num(f, l), L_poly(f, l).lift_tt()
+    eta, big_l_jet = d_theta_jet(eta_num, order), d_theta_jet(big_l, order)
+    assert _ratio_theta_jet(eta_num, big_l, order) == generic_ratio(eta, big_l_jet)
+    assert _ratio_theta_jet(big_l, eta_num, order) == generic_ratio(big_l_jet, eta)
 
 
 def test_ratio_jet_matches_generic_route_with_exact_zeros():
@@ -123,14 +129,14 @@ def test_ratio_jet_matches_generic_route_with_exact_zeros():
         num_jet, den_jet = d_theta_jet(num, order), d_theta_jet(den, order)
         assert any(c.is_zero() for c in num_jet.coeffs[1:])
         assert any(c.is_zero() for c in den_jet.coeffs[1:])
-        got = _ratio_theta_jet(num_jet, den_jet)
+        got = _ratio_theta_jet(num, den, order)
         assert got == generic_ratio(num_jet, den_jet)
         assert any(c.is_zero() for c in got.coeffs)
 
 
 def test_ratio_jet_matches_generic_route_on_dense_jets():
     num_jet, den_jet = dense_jets(3, 6, seed=5)
-    assert _ratio_theta_jet(num_jet, den_jet) == generic_ratio(num_jet, den_jet)
+    assert ratio(num_jet, den_jet) == generic_ratio(num_jet, den_jet)
 
 
 # -- the eta_quotient cell -----------------------------------------------------------
@@ -150,8 +156,8 @@ def test_eta_quotient_rhs_matches_generic_route(q):
     f = field_new(*FIELDS[q])
     for l in range(4):
         for order in (0, 3, 6):
-            new = _ratio_theta_jet(d_t_jet(curlyL_poly(f, l), order),
-                                   d_theta_jet(L_poly(f, l), order))
+            new = ratio(d_t_jet(curlyL_poly(f, l), order),
+                        d_theta_jet(L_poly(f, l), order))
             assert new == old_eta_rhs(f, l, order), (l, order)
 
 
@@ -177,8 +183,7 @@ def test_eta_quotient_cell_fails_on_a_perturbed_numerator(monkeypatch, bad_l):
 
 def single_quotient_eta_jet(f, lm: int, n: int, order: int) -> Jet:
     """The jet of eta_lm^(-n) as one quotient jet of L^n / eta_num^n."""
-    return _ratio_theta_jet(d_theta_jet(L_poly(f, lm) ** n, order),
-                            d_theta_jet(_eta_num(f, lm) ** n, order))
+    return _ratio_theta_jet(L_poly(f, lm) ** n, _eta_num(f, lm) ** n, order)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 49])
@@ -199,7 +204,7 @@ def test_eta_jet_by_digits_matches_single_quotient(q):
 def single_quotient_at_jet(f, n: int, order: int) -> Jet:
     """The jet of alpha_n/Gamma_n as one quotient jet of the unreduced pair."""
     alpha, gam = at_poly(f, n)
-    return _ratio_theta_jet(d_theta_jet(alpha, order), d_theta_jet(gam, order))
+    return _ratio_theta_jet(alpha, gam, order)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -254,7 +259,7 @@ def test_ratio_jet_product_count_on_at_jets(monkeypatch, q, n):
     # the two-pass route it replaced made about 2 m^2 products here
     num_jet, den_jet = at_jets(q, n)
     m = num_jet.order
-    products = count_products(monkeypatch, _ratio_theta_jet, num_jet, den_jet)
+    products = count_products(monkeypatch, ratio, num_jet, den_jet)
     assert products <= m * (m + 1) // 2 + 2 * m + 2
 
 
@@ -263,7 +268,7 @@ def test_ratio_jet_product_count_on_dense_jets(monkeypatch, m):
     # m(m+1)/2 products E_i * C_{k-i}, m products N_k * D^k, m - 1 products
     # E_i = D_i * D^{i-1} and m powers D^2..D^{m+1}
     num_jet, den_jet = dense_jets(3, m, seed=m)
-    products = count_products(monkeypatch, _ratio_theta_jet, num_jet, den_jet)
+    products = count_products(monkeypatch, ratio, num_jet, den_jet)
     assert products == m * (m + 1) // 2 + 3 * m - 1
 
 
@@ -313,7 +318,7 @@ def test_sjet_from_ratfunc_matches_generic_route_on_eta(q, l, order):
 @pytest.mark.parametrize("order", [4, 7, 11])
 def test_sjet_from_ratfunc_product_count(monkeypatch, order):
     # the recurrence at jet order m = order - 1 on Taylor jets with no zero
-    # coefficient: the same m(m+1)/2 + 3m - 1 products as _ratio_theta_jet
+    # coefficient: the same m(m+1)/2 + 3m - 1 products as on polynomial jets
     f = field_new(5)
     rng = random.Random(order)
     r = RatFunc.make(rand_tt(rng, f, 14, 30), rand_tt(rng, f, 14, 30))
