@@ -13,6 +13,7 @@ identity is never an exception.
 
 from __future__ import annotations
 
+import math
 import random
 from functools import lru_cache
 
@@ -45,34 +46,6 @@ from .useries import (
     theta_series,
     useries_diff_witness,
 )
-
-__all__ = [
-    "CarlitzCtx",
-    "PeriodCoords",
-    "CheckCell",
-    "Report",
-    "pitilde",
-    "omega_tpoly",
-    "omega_theta_eval_jet",
-    "b_rat",
-    "L_poly",
-    "curlyL_poly",
-    "gamma_poly",
-    "D_poly",
-    "Gamma_poly",
-    "carlitz_combinatorics",
-    "at_poly",
-    "eta_rat",
-    "eta_sjet",
-    "minimal_l",
-    "z_via_omega",
-    "z_via_eta",
-    "z_via_at",
-    "dtheta_pitilde",
-    "verify_suite",
-    "verify_lagrange",
-    "VERIFY_SELECTORS",
-]
 
 
 # -- small integer helpers -----------------------------------------------------
@@ -419,13 +392,6 @@ def _times_period_power(ctx: CarlitzCtx, kjet: Jet, n: int) -> Jet:
 # -- transfer coefficients b_j ---------------------------------------------------
 
 
-def _try_divexact(a: Poly, b: Poly) -> Poly | None:
-    try:
-        return poly_divexact(a, b)
-    except ConstraintViolated:
-        return None
-
-
 @lru_cache(maxsize=None)
 def b_rat(field: Field, j: int) -> RatFunc:
     """Transfer coefficient b_j in F_q(theta, t).
@@ -457,10 +423,10 @@ def b_rat(field: Field, j: int) -> RatFunc:
         f = Poly.monomial(field, (q ** i, 0)) - Poly.monomial(field, (0, 1))
         left = j
         while left:
-            red = _try_divexact(num, f)
-            if red is None:
+            try:
+                num = poly_divexact(num, f)
+            except ConstraintViolated:
                 break
-            num = red
             left -= 1
         if left:
             den = den * f ** left
@@ -556,39 +522,50 @@ def eta_sjet(field: Field, l: int, M: int) -> SJet:
         raise ConstraintViolated(f"s-order must be >= 1, got {M}")
     if l < 0:
         raise ConstraintViolated(f"eta_l needs l >= 0, got {l}")
-    # binom(1, k) vanishes for k >= 2, so each factor keeps only its s^{q^m} term
-    return _eta_inv_pow_sjet(field, l, M, -1)
+    return SJet(field, _fractions(*_eta_inv_pow_num(field, l, M, -1), M))
 
 
-def _eta_inv_pow_sjet(field: Field, l: int, M: int, npow: int) -> SJet:
-    """eta_l^{-npow} mod s^M via the closed per-factor binomial expansion.
+def _s_times(a: dict, b: dict, M: int) -> dict:
+    """Product mod s^M of polynomials in s over F_q[theta], as maps k -> s^k
+    coefficient that hold no zero."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            if i + j < M:
+                out[i + j] = out[i + j] + x * y if i + j in out else x * y
+    return {k: c for k, c in out.items() if not c.is_zero()}
 
-    Each factor is 1 + c*s^{q^m}, so its -npow power has s^{k*q^m}
-    coefficient binom(-npow, k) * c^k; no generic series inversion needed.
+
+def _fractions(num: dict, den: Poly, M: int) -> list[RatFunc]:
+    """The canonical s^k coefficients, k < M, of a numerator over den."""
+    zero = Poly.zero(den.field)
+    return [RatFunc.make(num.get(k, zero), den) for k in range(M)]
+
+
+def _eta_inv_pow_num(field: Field, l: int, M: int, npow: int) -> tuple[dict, Poly]:
+    """eta_l^{-npow} mod s^M as a numerator in s (as _s_times takes it) over
+    one denominator in F_q[theta].
+
+    A factor 1 + s^e/[m], [m] = theta^{q^m} - theta and e = q^m < M, has
+    -npow power sum_k binom(-npow, k) s^{ke}/[m]^k: over [m]^K, K the largest
+    k with ke < M and a nonzero binomial, no series inversion is needed.
     """
     if field.q ** l < M:
         raise InsufficientL(f"q^l = {field.q ** l} < {M}; increase l")
-    p = field.p
     q = field.q
-    out = SJet.constant(field, M, 1)
-    one = RatFunc.one(field, VARS_T)
-    zero = RatFunc.zero(field, VARS_T)
+    one = Poly.one(field)
+    num, den = {0: one}, one
     for m in range(1, l + 1):
         e = q ** m
         if e >= M:
             break
-        base = RatFunc.make(Poly.one(field, VARS_T),
-                            Poly.monomial(field, (e,)) - Poly.monomial(field, (1,)))
-        coeffs = [zero] * M
-        coeffs[0] = one
-        k = 1
-        while k * e < M:
-            bc = binom_mod_p(-npow, k, p)
-            if bc:
-                coeffs[k * e] = RatFunc.const(field, bc) * base ** k
-            k += 1
-        out = out * SJet(field, coeffs)
-    return out
+        bcs = [(k, c) for k in range((M - 1) // e + 1)
+               if (c := binom_mod_p(-npow, k, field.p))]
+        K = bcs[-1][0]
+        bracket = Poly.monomial(field, (e,)) - Poly.monomial(field, (1,))
+        num = _s_times(num, {k * e: (bracket ** (K - k)).scale(c) for k, c in bcs}, M)
+        den = den * bracket ** K
+    return num, den
 
 
 @lru_cache(maxsize=None)
@@ -921,8 +898,6 @@ def _cells_b_transfer(ctx: CarlitzCtx, jmax: int, t_terms: int) -> list[CheckCel
 def _tpoly_from_poly_tt(p: Poly) -> TPoly:
     """Exact t-polynomial with embedded u-series coefficients."""
     field = p.field
-    if p.vars == VARS_T:
-        p = p.lift_tt()
     rows: dict[int, dict] = {}
     for (i, j), c in p.terms.items():
         rows.setdefault(j, {})[(i,)] = c
@@ -955,22 +930,22 @@ def _cells_eta_quotient(field: Field, lmax: int, order: int) -> list[CheckCell]:
     """theta-jet of eta_l against the t-jet of curlyL_l over the theta-jet of L_l.
 
     eta_l has numerator prod (t^{q^m} - theta) and denominator L_l, so both
-    sides divide by the same theta-jet of L_l, at t = theta, to order
-    `order`.  The cell thus compares two independently computed numerator
-    jets: d_theta^k of that product and d_t^k of curlyL_l.  The shared
-    division keeps the check sound: C_k = N_k * D^k - sum_{i>=1} E_i * C_{k-i}
-    with D = L_l != 0 is triangular with nonzero diagonal, so the quotient
-    jets agree exactly when the numerator jets do.  So the verdict, and its
-    witness, compare the C_k of both sides.
+    sides divide by the same theta-jet of L_l, and the cell compares the
+    numerator jets N, d_theta^k of that product and d_t^k of curlyL_l at
+    t = theta.  The quotient jets' C_k = N_k * D^k - sum_{i>=1} E_i * C_{k-i},
+    D = L_l != 0, are triangular, so they first differ where the N do; only
+    a failing cell builds the jet of L_l and the C for its witness.
     """
     cells = []
     for l in range(lmax + 1):
-        den = list(d_theta_jet(L_poly(field, l), order).coeffs)
-        lhs = d_theta_jet(_eta_num(field, l), order)
-        rhs = d_t_jet(curlyL_poly(field, l), order)
-        cl, cr = (_quotient_jet_numerators([c.eval_t_at_theta() for c in j.coeffs],
-                                           den)[0] for j in (lhs, rhs))
-        witness = _first_gap(f"eta_{l} quotient", cl, cr)
+        nl, nr = ([c.eval_t_at_theta() for c in jet.coeffs]
+                  for jet in (d_theta_jet(_eta_num(field, l), order),
+                              d_t_jet(curlyL_poly(field, l), order)))
+        witness = None
+        if nl != nr:
+            den = list(d_theta_jet(L_poly(field, l), order).coeffs)
+            witness = _first_gap(f"eta_{l} quotient",
+                                 *(_quotient_jet_numerators(n, den)[0] for n in (nl, nr)))
         cells.append(CheckCell("eta_quotient", {"l": l, "order": order},
                                witness is None, witness))
     return cells
@@ -991,36 +966,65 @@ def _cells_bjet_eta(field: Field, nmax: int) -> list[CheckCell]:
 
 
 def _cell_eta_sum(field: Field, M: int) -> CheckCell:
-    """sum_j (gamma_j/D_j) * eta^{q^j} = 1 modulo s^M."""
+    """sum_j (gamma_j/D_j) * eta_l^{q^j} = 1 modulo s^M, with q^l >= M.
+
+    With t = theta + s and x_i = theta^{q^i}, gamma_j = prod_{k=1..j}
+    (x_j - x_k - s^{q^k}), 0 if q^j >= M, and eta_l^{q^j} = prod_{j<i<l}
+    (x_i - x_j + s^{q^i})/(x_i - x_j).  Term j is thus a polynomial in s over
+    the gaps x_b - x_a, a < b < l, that contain j, and the cell checks
+    sum_j cofactor_j * num_j = Delta, the product of all gaps, with the gaps
+    without j as cofactor (and cofactor_j times term j's denominator, D_j
+    from D_poly, is Delta).  Canonical fractions decide a failing cell.
+    """
     q = field.q
     l = _pow_at_least(q, M)
-    etaj = eta_sjet(field, l, M)
-    total = None
+    one = Poly.one(field)
+    x = [Poly.monomial(field, (q ** i,)) for i in range(l + 1)]
+    gaps = {(a, b): x[b] - x[a] for b in range(l) for a in range(b)}
+    delta, total, terms = math.prod(gaps.values(), start=one), {}, []
     for j in range(l + 1):
-        gd = taylor_shift(gamma_poly(field, j), M)
-        gd = gd.scale(RatFunc.make(Poly.one(field, VARS_T), D_poly(field, j)))
-        term = gd * etaj.frobenius_power(j * field.e)
-        total = term if total is None else total + term
-    witness = _first_gap("s-expansion of the sum vs 1", total.coeffs,
+        num, den = {0: one}, D_poly(field, j)
+        for k in range(1, j + 1):
+            num = _s_times(num, {0: x[j] - x[k], q ** k: -one}, M)
+        for i in range(j + 1, l):
+            num = _s_times(num, {0: gaps[j, i], q ** i: one}, M)
+            den = den * gaps[j, i]
+        if num:
+            cof = math.prod((g for key, g in gaps.items() if j not in key), start=one)
+            terms.append((num, den, cof * den == delta))
+            for k, c in num.items():
+                total[k] = total[k] + cof * c if k in total else cof * c
+    if (all(ok for *_, ok in terms)
+            and {k: c for k, c in total.items() if not c.is_zero()} == {0: delta}):
+        return CheckCell("eta_sum_one", {"M": M, "terms": l + 1}, True)
+    sums = [sum(col, RatFunc.zero(field))
+            for col in zip(*(_fractions(num, den, M) for num, den, _ in terms))]
+    witness = _first_gap("s-expansion of the sum vs 1", sums,
                          SJet.constant(field, M, 1).coeffs)
     return CheckCell("eta_sum_one", {"M": M, "terms": l + 1}, witness is None, witness)
 
 
 def _cells_eta_alpha(field: Field, nmax: int) -> list[CheckCell]:
+    """eta_l^{-n} = alpha_n/Gamma_n modulo s^{n+1}, l the least with q^l > n.
+
+    A deeper eta_{l'} adds factors 1 + s^{q^m}/[m] with q^m > n, the same
+    jet, so eta_l alone is compared.  With eta_l^{-n} = N/E and alpha_k the
+    Taylor coefficients of alpha_n, N_k * Gamma_n = alpha_k * E decides;
+    only a failing cell builds fractions.
+    """
     cells = []
     q = field.q
     for n in range(1, nmax + 1):
         M = n + 1
         l = _pow_at_least(q, n + 1)
-        leg_eta = _eta_inv_pow_sjet(field, l + 1, M, n)
-        leg_etal = _eta_inv_pow_sjet(field, l, M, n)
+        num, den = _eta_inv_pow_num(field, l, M, n)
         alpha, gam = at_poly(field, n)
-        leg_at = taylor_shift(alpha, M).scale(
-            RatFunc.make(Poly.one(field, VARS_T), gam))
-        witness = (_first_gap(f"eta_{l + 1}^-{n} vs eta_{l}^-{n}",
-                              leg_eta.coeffs, leg_etal.coeffs)
-                   or _first_gap(f"eta_{l}^-{n} vs alpha_{n}/Gamma_{n}",
-                                 leg_etal.coeffs, leg_at.coeffs))
+        shifted = {k: c.num for k, c in enumerate(taylor_shift(alpha, M).coeffs)
+                   if not c.is_zero()}
+        witness = None
+        if {k: c * gam for k, c in num.items()} != {k: c * den for k, c in shifted.items()}:
+            witness = _first_gap(f"eta_{l}^-{n} vs alpha_{n}/Gamma_{n}",
+                                 _fractions(num, den, M), _fractions(shifted, gam, M))
         cells.append(CheckCell("eta_inv_alpha", {"n": n, "l": l}, witness is None, witness))
     return cells
 
@@ -1193,7 +1197,8 @@ def verify_lagrange(field: Field, s: int = 3, trials: int = 50,
 
     E = prod_i 1/(a_i - b) - sum_i 1/(a_i - b) * prod_{k != i} 1/(a_k - a_i)
     over pairwise-distinct polynomials a_1..a_s, b of degree <= max_degree.
-    The asserted value is E = 0; see the note carried by every cell.
+    The asserted value is E = 0; see the note carried by every cell.  It is
+    decided on E's numerator; only a failing trial builds the fraction E.
     """
     if s < 1:
         raise ConstraintViolated(f"need s >= 1 interpolation nodes, got {s}")
@@ -1206,13 +1211,14 @@ def verify_lagrange(field: Field, s: int = 3, trials: int = 50,
     cells = []
     for trial, (a, b) in enumerate(
             _lagrange_tuples(field, s, trials, seed, max_degree)):
-        prod, total = _lagrange_sides(a, b)
-        expr = prod - total
+        to_b, gaps = _lagrange_differences(a, b)
+        num = _lagrange_numerator(to_b, gaps)
+        witness = None if num.is_zero() else (
+            f"evaluates to {RatFunc.make(num, math.prod([*to_b, *gaps.values()]))!r}")
         cells.append(CheckCell(
             "lagrange",
             {"trial": trial, "s": s, "note": _LAGRANGE_NOTE},
-            expr.is_zero(),
-            None if expr.is_zero() else f"evaluates to {expr!r}"))
+            witness is None, witness))
     return Report(cells, {"q": field.q, "s": s, "trials": trials, "seed": seed,
                           "max_degree": max_degree})
 
@@ -1232,29 +1238,22 @@ def _lagrange_tuples(field: Field, s: int, trials: int, seed: int, max_degree: i
         yield chosen[:s], chosen[s]
 
 
-def _lagrange_sides(a: list[Poly], b: Poly) -> tuple[RatFunc, RatFunc]:
-    """The product side and the alternating sum of E as canonical fractions.
+def _lagrange_differences(a: list[Poly], b: Poly) -> tuple[list[Poly], dict]:
+    """Every difference of a trial, formed once: a_i - b for each i, and
+    a_k - a_i keyed (i, k) for each i < k."""
+    return ([ai - b for ai in a],
+            {(i, k): a[k] - a[i] for i in range(len(a)) for k in range(i + 1, len(a))})
 
-    Each difference is formed once: a_i - b, and a_k - a_i for i < k, whose
-    negation is a_i - a_k.  The product side and each term of the sum is one
-    fraction 1/den, with den multiplied out as a Poly, and the terms are
-    added by RatFunc's +, so E is decided in canonical F_q(theta).
-    """
-    one = Poly.one(b.field, VARS_T)
-    s = len(a)
-    to_b = [ai - b for ai in a]
-    gaps = {(i, k): a[k] - a[i] for i in range(s) for k in range(i + 1, s)}
-    den = to_b[0]
-    for x in to_b[1:]:
-        den = den * x
-    prod = RatFunc.make(one, den)
-    total = RatFunc.zero(b.field)
-    for i in range(s):
-        # prod_{k != i} (a_k - a_i)
-        #     = (-1)^i prod_{k < i} (a_i - a_k) prod_{k > i} (a_k - a_i)
-        den = to_b[i]
-        for k in range(s):
-            if k != i:
-                den = den * gaps[min(i, k), max(i, k)]
-        total = total + RatFunc.make(one, -den if i % 2 else den)
-    return prod, total
+
+def _lagrange_numerator(to_b: list[Poly], gaps: dict) -> Poly:
+    """E * P * V for P = prod_i (a_i - b), V = prod_{i<k} (a_k - a_i): the
+    product side gives V, and term i of the sum, as prod_{k != i} (a_k - a_i)
+    is (-1)^i times the gaps with i, gives (-1)^i times the a_k - b, k != i,
+    and the gaps without i."""
+    one = to_b[0] ** 0
+    num = math.prod(gaps.values(), start=one)
+    for i in range(len(to_b)):
+        term = (math.prod((d for k, d in enumerate(to_b) if k != i), start=one)
+                * math.prod((g for key, g in gaps.items() if i not in key), start=one))
+        num = num + term if i % 2 else num - term
+    return num

@@ -975,9 +975,6 @@ class RatFunc:
     def is_one(self) -> bool:
         return self.num.is_constant() and self.den.is_constant() and self.num == self.den
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             return other
@@ -1082,11 +1079,6 @@ class RatFunc:
 
     def frobenius_power(self, k: int = 1) -> "RatFunc":
         return RatFunc(self.num.frobenius_power(k), self.den.frobenius_power(k))
-
-    def lift_tt(self) -> "RatFunc":
-        if self.vars == VARS_TT:
-            return self
-        return RatFunc(self.num.lift_tt(), self.den.lift_tt())
 
     def eval_t_at_theta(self) -> "RatFunc":
         """Substitute t = theta; raises PoleAtTheta on a genuine pole."""

@@ -10,24 +10,38 @@ the series inverse of an `SJet` serve as references for `eta_sjet` and the
 quotient-jet recurrence.  The factor-by-factor evaluation of the alternating
 interpolation expression, with its own sampler, is the reference for
 `verify_lagrange`.
+
+Four verify checks (`eta_quotient`, `eta_sum_one`, `eta_inv_alpha` and the
+Lagrange check) decide on numerator polynomials over a known denominator;
+their earlier forms, which decide in canonical F_q(theta) with a gcd per
+sum and product, are kept here as references for their cells.  They read
+their inputs through the `carlitz` module, so an input replaced there
+reaches the reference too.
 """
 
 import random
 
 from carlitzhd import (
     VARS_T,
+    CheckCell,
     DegreeMismatch,
     Jet,
     NonUnitConstantTerm,
     Poly,
     RatFunc,
+    Report,
     SJet,
+    binom_mod_p,
+    carlitz,
+    taylor_shift,
 )
-from carlitzhd.jets import _ring_is_zero
+from carlitzhd.carlitz import _LAGRANGE_NOTE, _first_gap, _pow_at_least
+from carlitzhd.jets import _ring_is_zero, d_t_jet, d_theta_jet
 from carlitzhd.rings import (
     _exact_zero,
     _poly_hasse,
     _quotient_jet_at_theta,
+    _quotient_jet_numerators,
     series_inverse,
 )
 
@@ -189,3 +203,111 @@ def lagrange_factorwise(field, s: int, trials: int, seed: int, max_degree: int):
             total = total + term
         out.append((a, b, prod, total))
     return out
+
+
+# -- canonical-fraction references for four verify checks ------------------------
+
+
+def eta_inv_pow_sjet(field, l: int, M: int, npow: int) -> SJet:
+    """eta_l^{-npow} mod s^M as a product of SJets, one per factor
+    1 + s^{q^m}/[m] with q^m < M, each the closed binomial expansion of its
+    -npow power in canonical fractions."""
+    p, q = field.p, field.q
+    out = SJet.constant(field, M, 1)
+    one, zero = RatFunc.one(field), RatFunc.zero(field)
+    for m in range(1, l + 1):
+        e = q ** m
+        if e >= M:
+            break
+        base = RatFunc.make(Poly.one(field),
+                            Poly.monomial(field, (e,)) - Poly.monomial(field, (1,)))
+        coeffs = [one] + [zero] * (M - 1)
+        for k in range(1, (M - 1) // e + 1):
+            bc = binom_mod_p(-npow, k, p)
+            if bc:
+                coeffs[k * e] = RatFunc.const(field, bc) * base ** k
+        out = out * SJet(field, coeffs)
+    return out
+
+
+def eta_quotient_cells(field, lmax: int, order: int) -> list:
+    """The eta_quotient cells from the quotient-jet numerators C_k of both
+    sides over the theta-jet of L_l."""
+    cells = []
+    for l in range(lmax + 1):
+        den = list(d_theta_jet(carlitz.L_poly(field, l), order).coeffs)
+        lhs = d_theta_jet(carlitz._eta_num(field, l), order)
+        rhs = d_t_jet(carlitz.curlyL_poly(field, l), order)
+        cl, cr = (_quotient_jet_numerators([c.eval_t_at_theta() for c in j.coeffs],
+                                           den)[0] for j in (lhs, rhs))
+        witness = _first_gap(f"eta_{l} quotient", cl, cr)
+        cells.append(CheckCell("eta_quotient", {"l": l, "order": order},
+                               witness is None, witness))
+    return cells
+
+
+def eta_sum_cell(field, M: int):
+    """The eta_sum_one cell as a sum of SJets of canonical fractions."""
+    q = field.q
+    l = _pow_at_least(q, M)
+    etaj = eta_inv_pow_sjet(field, l, M, -1)
+    total = None
+    for j in range(l + 1):
+        gd = taylor_shift(carlitz.gamma_poly(field, j), M)
+        gd = gd.scale(RatFunc.make(Poly.one(field), carlitz.D_poly(field, j)))
+        term = gd * etaj.frobenius_power(j * field.e)
+        total = term if total is None else total + term
+    witness = _first_gap("s-expansion of the sum vs 1", total.coeffs,
+                         SJet.constant(field, M, 1).coeffs)
+    return CheckCell("eta_sum_one", {"M": M, "terms": l + 1}, witness is None, witness)
+
+
+def eta_alpha_cells(field, nmax: int) -> list:
+    """The eta_inv_alpha cells from the SJets of eta_l^{-n} and of
+    alpha_n/Gamma_n in canonical fractions."""
+    cells = []
+    for n in range(1, nmax + 1):
+        M = n + 1
+        l = _pow_at_least(field.q, n + 1)
+        alpha, gam = carlitz.at_poly(field, n)
+        leg_at = taylor_shift(alpha, M).scale(RatFunc.make(Poly.one(field), gam))
+        witness = _first_gap(f"eta_{l}^-{n} vs alpha_{n}/Gamma_{n}",
+                             eta_inv_pow_sjet(field, l, M, n).coeffs, leg_at.coeffs)
+        cells.append(CheckCell("eta_inv_alpha", {"n": n, "l": l}, witness is None, witness))
+    return cells
+
+
+def lagrange_sides(a: list, b) -> tuple:
+    """The product side and the alternating sum of the interpolation
+    expression as canonical fractions: one fraction 1/den per side term, with
+    den multiplied out from carlitz._lagrange_differences, added by RatFunc's +."""
+    one = Poly.one(b.field, VARS_T)
+    to_b, gaps = carlitz._lagrange_differences(a, b)
+    den = to_b[0]
+    for x in to_b[1:]:
+        den = den * x
+    prod = RatFunc.make(one, den)
+    total = RatFunc.zero(b.field)
+    for i in range(len(a)):
+        # prod_{k != i} (a_k - a_i)
+        #     = (-1)^i prod_{k < i} (a_i - a_k) prod_{k > i} (a_k - a_i)
+        den = to_b[i]
+        for k in range(len(a)):
+            if k != i:
+                den = den * gaps[min(i, k), max(i, k)]
+        total = total + RatFunc.make(one, -den if i % 2 else den)
+    return prod, total
+
+
+def verify_lagrange_cells(field, s: int, trials: int, seed: int, max_degree: int = 2) -> Report:
+    """verify_lagrange's report, each trial decided as prod - total."""
+    cells = []
+    for trial, (a, b) in enumerate(
+            carlitz._lagrange_tuples(field, s, trials, seed, max_degree)):
+        prod, total = lagrange_sides(a, b)
+        expr = prod - total
+        cells.append(CheckCell(
+            "lagrange", {"trial": trial, "s": s, "note": _LAGRANGE_NOTE},
+            expr.is_zero(), None if expr.is_zero() else f"evaluates to {expr!r}"))
+    return Report(cells, {"q": field.q, "s": s, "trials": trials, "seed": seed,
+                          "max_degree": max_degree})

@@ -7,7 +7,14 @@ import time
 import pytest
 
 from conftest import force_b1_to_one, oracle_pitilde_prefix
-from oracles import fraction_jet, lagrange_factorwise, sjet_from_ratfunc, to_rho_matrix
+from oracles import (
+    eta_inv_pow_sjet,
+    fraction_jet,
+    lagrange_factorwise,
+    lagrange_sides,
+    sjet_from_ratfunc,
+    to_rho_matrix,
+)
 
 from carlitzhd import (
     CarlitzCtx,
@@ -21,6 +28,7 @@ from carlitzhd import (
     Poly,
     PrecisionExhausted,
     RatFunc,
+    SJet,
     USeries,
     VARS_TT,
     at_poly,
@@ -50,7 +58,6 @@ from carlitzhd.carlitz import (
     _b_theta_jet,
     _coords_from_jet,
     _inverse_power,
-    _lagrange_sides,
     _lagrange_tuples,
     _least_cutoff,
     _period_power_jet,
@@ -428,6 +435,24 @@ def test_eta_sjet_matches_rational_expansion():
         assert eta_sjet(f, l, M) == sjet_from_ratfunc(eta_rat(f, l), M)
 
 
+VERIFY_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+@pytest.mark.parametrize("q", sorted(VERIFY_FIELDS))
+def test_eta_inverse_power_needs_no_factor_past_the_s_order(q):
+    # eta_{l+1}^{-n} = eta_l^{-n} mod s^{n+1} for l the least with q^l > n:
+    # the factor m = l + 1 is 1 + s^{q^{l+1}}/[l+1].  So the eta_inv_alpha
+    # cells compare eta_l alone.  Both sides here expand the exact fraction.
+    f = field_new(*VERIFY_FIELDS[q])
+    for n in range(1, 7):
+        M = n + 1
+        l = carlitz._pow_at_least(q, M)
+        want = eta_inv_pow_sjet(f, l, M, n)
+        assert SJet(f, carlitz._fractions(*carlitz._eta_inv_pow_num(f, l, M, n), M)) == want
+        for deeper in (l, l + 1):
+            assert sjet_from_ratfunc(eta_rat(f, deeper) ** -n, M) == want
+
+
 # -- the polynomials alpha_n ---------------------------------------------------------
 
 def test_at_poly_frozen_values():
@@ -755,7 +780,7 @@ def test_lagrange_sides_equal_the_factorwise_evaluation(p, e, s):
     assert len(trials) == len(ref) == 40
     for (a, b), (ra, rb, rprod, rtotal) in zip(trials, ref):
         assert a == ra and b == rb
-        prod, total = _lagrange_sides(a, b)
+        prod, total = lagrange_sides(a, b)
         assert (prod.num, prod.den) == (rprod.num, rprod.den)
         assert (total.num, total.den) == (rtotal.num, rtotal.den)
         assert prod == total

@@ -1,25 +1,29 @@
-"""Every verify selector fails on an injected fault, and its agreement check.
+"""Every verify selector and the Lagrange check fail on an injected fault,
+and the agreement check that the selectors share.
 
 Each fault wraps one input of the suite so that it returns a wrong value.
 The selector that reads the input must then fail, with a witness, in the
 cells named here and in no other of its cells; the clean run passes.  The
-inputs sit under lru_cache'd callers, so every test starts and ends with
-empty caches: a clean value cached before the fault would hide it, and a
-faulted value cached during it would leak into later tests.
+checks that decide on numerator polynomials must, under a fault, print
+the witnesses of their canonical-fraction references in tests/oracles.py.
+The inputs sit under lru_cache'd callers, so every test starts and ends
+with empty caches: a clean value cached before the fault would hide it,
+and a faulted value cached during it would leak into later tests.
 """
 
 import pytest
 
+import oracles
 from carlitzhd import (
     CarlitzCtx,
     Jet,
     PeriodCoords,
     Poly,
     RatFunc,
-    SJet,
     TPoly,
     USeries,
     field_new,
+    verify_lagrange,
     verify_suite,
 )
 from carlitzhd import carlitz
@@ -86,11 +90,8 @@ def _order1_bumped(real):
     return lambda field, order: _bumped(real(field, order), 1)
 
 
-def _eta_sjet_bumped(real):
-    def fake(field, l, M):
-        s = real(field, l, M)
-        return SJet(field, [c + 1 if k == 1 else c for k, c in enumerate(s.coeffs)])
-    return fake
+def _d1_bumped(real):
+    return lambda field, m: real(field, m) + 1 if m == 1 else real(field, m)
 
 
 def _alpha_bumped(real):
@@ -108,7 +109,7 @@ FAULTS = [
     ("pitilde_span", carlitz, "dtheta_pitilde", _span_route_bumped, {"pitilde_span"}),
     ("eta_quotient", carlitz, "curlyL_poly", _curlyL_bumped, {"eta_quotient"}),
     ("bjet_eta", carlitz, "_b_theta_jet", _order1_bumped, {"bjet_eta_congruence"}),
-    ("eta_sum", carlitz, "eta_sjet", _eta_sjet_bumped, {"eta_sum_one"}),
+    ("eta_sum", carlitz, "D_poly", _d1_bumped, {"eta_sum_one"}),
     ("eta_alpha", carlitz, "at_poly", _alpha_bumped, {"eta_inv_alpha"}),
     ("alpha", carlitz, "at_poly", _alpha_bumped, {"alpha_q_power"}),
     ("coords", carlitz, "z_via_omega", _z_n_bumped,
@@ -135,6 +136,57 @@ def test_selector_fails_on_a_faulted_input(monkeypatch, fresh_caches,
     assert len(faulted.cells) == len(clean.cells)
     assert {c.identity for c in bad} == failing
     assert all(c.witness for c in bad)
+
+
+def _to_b0_times_theta(real):
+    def fake(a, b):
+        to_b, gaps = real(a, b)
+        return [to_b[0] * Poly.monomial(b.field, (1,))] + to_b[1:], gaps
+    return fake
+
+
+LAGRANGE_KW = dict(s=3, trials=12, seed=1729)
+
+
+def test_lagrange_fails_on_a_faulted_difference(monkeypatch):
+    assert verify_lagrange(CTX.field, **LAGRANGE_KW).all_passed
+    monkeypatch.setattr(carlitz, "_lagrange_differences",
+                        _to_b0_times_theta(carlitz._lagrange_differences))
+    faulted = verify_lagrange(CTX.field, **LAGRANGE_KW)
+    assert len(faulted.failures()) == len(faulted.cells) == 12
+    assert all(c.witness.startswith("evaluates to ") for c in faulted.cells)
+
+
+# The checks that decide on numerators build fractions only for a witness;
+# under a fault each must print its canonical-fraction reference's witness,
+# byte for byte.  (check, reference, owner of the input, input name, fault)
+REWORKED = [
+    (lambda: carlitz._cells_eta_quotient(CTX.field, 3, 4),
+     lambda: oracles.eta_quotient_cells(CTX.field, 3, 4),
+     carlitz, "curlyL_poly", _curlyL_bumped),
+    (lambda: [carlitz._cell_eta_sum(CTX.field, 17)],
+     lambda: [oracles.eta_sum_cell(CTX.field, 17)],
+     carlitz, "D_poly", _d1_bumped),
+    (lambda: carlitz._cells_eta_alpha(CTX.field, 6),
+     lambda: oracles.eta_alpha_cells(CTX.field, 6),
+     carlitz, "at_poly", _alpha_bumped),
+    (lambda: verify_lagrange(CTX.field, **LAGRANGE_KW).cells,
+     lambda: oracles.verify_lagrange_cells(CTX.field, **LAGRANGE_KW).cells,
+     carlitz, "_lagrange_differences", _to_b0_times_theta),
+]
+
+
+@pytest.mark.parametrize("check,reference,owner,name,fault", REWORKED,
+                         ids=[name for *_, name, _ in REWORKED])
+def test_faulted_witness_equals_the_reference(monkeypatch, fresh_caches,
+                                              check, reference, owner, name, fault):
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    got = check()
+    _clear_caches()
+    want = reference()
+    assert any(not c.passed for c in got)
+    assert [c.witness for c in got] == [c.witness for c in want]
+    assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
 
 
 def test_span_combination_witness_carries_the_k_coefficients(monkeypatch, fresh_caches):
