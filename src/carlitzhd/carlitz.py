@@ -31,10 +31,12 @@ from .rings import (
     Poly,
     RatFunc,
     SJet,
+    _partition_counts,
     _quotient_jet_at_theta,
     _quotient_jet_numerators,
     poly_divexact,
     poly_gcd,
+    pow_base_p,
     taylor_shift,
 )
 from .useries import (
@@ -181,18 +183,18 @@ class CarlitzCtx:
 def pitilde(ctx: CarlitzCtx) -> USeries:
     """The period as a u-Laurent series; leading term -1 at u^{-q}.
 
-    Product with ctx.cutoff factors, inverted at working precision, then
-    capped at the truncation-soundness bound so downstream arithmetic cannot
-    rely on coefficients the cutoff does not determine.
+    Each factor 1 - theta^{1-q^j} is 1 - u^{(q^j-1)(q-1)}, so the inverse
+    of the cutoff product, to working precision, is a series of partition
+    counts mod p.  It is shifted, negated and capped at the truncation-
+    soundness bound, so no later step relies on a coefficient the cutoff
+    does not determine.
     """
-    F = ctx.field
-    q = F.q
-    prod = USeries.one(F)
-    for j in range(1, ctx.cutoff + 1):
-        # 1 - theta^{1-q^j} = 1 + (-1)^{q^j} u^{(q^j-1)(q-1)}
-        c = F.elem(-1) ** (q ** j)
-        prod = prod * (USeries.one(F) + USeries.monomial(F, (q ** j - 1) * (q - 1), c))
-    pit = prod.inverse(abs_prec=ctx.work_prec + q).shift(-q).scale(F.elem(-1))
+    F, q = ctx.field, ctx.q
+    n = ctx.work_prec + q
+    # the parts past j = _pow_at_least(q, n) are all >= n
+    parts = [(q ** j - 1) * (q - 1)
+             for j in range(1, min(ctx.cutoff, _pow_at_least(q, n)) + 1)]
+    pit = USeries(F, 0, _partition_counts(parts, n, F.p), n).shift(-q).scale(F.elem(-1))
     pit = pit.with_prec(ctx.pit_cap)
     if pit.abs_prec < ctx.uprec:
         raise PrecisionExhausted(
@@ -202,37 +204,44 @@ def pitilde(ctx: CarlitzCtx) -> USeries:
     return pit
 
 
-@lru_cache(maxsize=None)
-def _omega_exact(ctx: CarlitzCtx) -> TPoly:
-    # u^q * prod_{j=1}^{J} (1 - t*theta^{-q^j}); exact finite product
-    F = ctx.field
-    q = F.q
-    om = TPoly.one(F)
-    for j in range(1, ctx.cutoff + 1):
-        c = F.elem(-1) ** (1 + q ** j)
-        fac = TPoly(F, {0: USeries.one(F),
-                        1: USeries.monomial(F, q ** j * (q - 1), c)})
-        om = om * fac
-    return om * TPoly.const(F, USeries.monomial(F, q))
-
-
 def _omega_capped(ctx: CarlitzCtx, budget: int) -> TPoly:
-    def cap(k):
-        hard = ctx.omega_cap(k)
-        if hard is INF_PREC:
-            return INF_PREC
-        return min(hard, budget)
-    return _omega_exact(ctx).with_uprec(cap)
+    """The cutoff Omega, its t^k coefficient known below
+    min(ctx.omega_cap(k), budget) for k >= 1.
+
+    Each factor 1 - t theta^{-q^j} is 1 + u^{x_j} t, x_j = (q-1)q^j, as
+    1 + q^j is even for odd q and -1 = 1 in characteristic 2.  So the t^k
+    coefficient is u^q times the sum of u^s over the sums s of k of the x_j;
+    they are distinct (base-q digits 0 and 1), and each one below the cap is
+    placed as a coefficient 1.
+    """
+    F, q, J = ctx.field, ctx.q, ctx.cutoff
+    caps = [0] + [min(ctx.omega_cap(k), budget) - q for k in range(1, J + 1)]
+    # sums[k]: the sums of k of the x_j below caps[k], ascending, as x_j
+    # exceeds every sum before it; a sum over its cap has no extension
+    # under the next cap, since caps[k+1] - caps[k] <= (q-1)q < x_2
+    sums, x = [[0]] + [[] for _ in range(J)], (q - 1) * q
+    for j in range(1, J + 1):
+        if x >= caps[-1]:
+            break
+        for k in range(j, 0, -1):
+            sums[k] += [s + x for s in sums[k - 1] if s + x < caps[k]]
+        x *= q
+    coeffs = {0: USeries.monomial(F, q)}
+    for k in range(1, J + 1):
+        run = sums[k]
+        lo = run[0] if run else 0
+        dense = [0] * (run[-1] + 1 - lo if run else 0)
+        for s in run:
+            dense[s - lo] = 1
+        coeffs[k] = USeries(F, q + lo, dense, q + caps[k])
+    return TPoly(F, coeffs)
 
 
 @lru_cache(maxsize=None)
 def omega_tpoly(ctx: CarlitzCtx) -> TPoly:
-    """The cutoff Omega as an exact t-polynomial over u-series.
-
-    The t^0 coefficient is exactly u^q; coefficient k carries the absolute
-    precision up to which it agrees with the untruncated product (capped at
-    the working precision to keep arithmetic lean).
-    """
+    """The cutoff Omega as a t-polynomial over u-series: t^0 is exactly u^q,
+    and each t^k is known below ctx.omega_cap(k) and the working precision
+    (_omega_capped)."""
     return _omega_capped(ctx, ctx.work_prec)
 
 
@@ -863,11 +872,9 @@ def _cell_omega_pow(ctx: CarlitzCtx, n: int) -> CheckCell:
     J2 = _least_cutoff(q, need, ctx.cutoff)
     ctx2 = ctx.replace(cutoff=J2) if J2 != ctx.cutoff else ctx
     budget = need + n * J2 * (q - 1) + n * q
-    om = _omega_capped(ctx2, budget)
-    omn = om
-    for _ in range(n - 1):
-        omn = omn * om
-    zj2 = omn.jet_at_theta(n - 1).inverse().scale(ctx.field.elem(-1) ** n)
+    F = ctx.field
+    omn = pow_base_p(_omega_capped(ctx2, budget), n, F.p, lambda: TPoly.one(F))
+    zj2 = omn.jet_at_theta(n - 1).inverse().scale(F.elem(-1) ** n)
     witness = _first_gap("jet-then-power vs power-then-jet",
                          z_via_omega(ctx, n).jet(), zj2, ctx.uprec)
     return CheckCell("omega_pow_order", {"n": n}, witness is None, witness)

@@ -4,7 +4,8 @@ Polynomials live in F_q[theta] or F_q[theta, t] (sparse exponent-tuple maps).
 Their products and exact quotients go through one Kronecker map into
 F_q[x]: a product runs one big-int multiply over a prime field, or else one
 table loop over integer keys, and a quotient is one dense univariate
-division.
+division.  The period's inverse product is a series of partition counts
+mod p, built by shift-and-adds of one packed int (_partition_counts).
 
 Rational functions are kept in canonical form at all times: numerator and
 denominator coprime, denominator monic under the degree-lexicographic order
@@ -392,6 +393,39 @@ def _pack(x, slot, n: int) -> int:
     else:
         dense = array(code, x)
     return int.from_bytes(dense.tobytes(), _BYTEORDER)
+
+
+def _partition_counts(parts, n: int, p: int) -> list[int]:
+    """The first n coefficients of prod 1/(1 - x^E) over the parts E >= 1,
+    mod p: the partition counts of 0..n-1 into the parts.
+
+    1/(1 - y) = prod_(i >= 0) (1 + y^(p^i) + ... + y^((p-1)p^i)), so each
+    E p^i below n costs p - 1 shift-and-adds of one packed int, and a part
+    E >= n costs nothing.  Over F_2 a slot is one bit and an add is XOR.
+    For odd p a slot is 64 bits; each factor multiplies the bound on a slot
+    by p, and the slots are reduced mod p before it would pass 2^64.
+    """
+    if n <= 0:
+        return []
+    if p == 2:
+        h, mask = 1, (1 << n) - 1
+        for e in parts:
+            while e < n:
+                h, e = h ^ (h << e) & mask, 2 * e
+        digits = bin(h)[:1:-1].ljust(n, "0").encode()
+        return list(digits.translate(bytes.maketrans(b"01", b"\0\1")))
+    slot = _SLOT_TYPECODES[-1]
+    bits = 8 * slot[0]
+    h, bound, mask = 1, 1, (1 << (bits * n)) - 1
+    for e in parts:
+        while e < n:
+            if bound * p >> bits:
+                h, bound = _pack([c % p for c in _unpack(h, slot, n)], slot, n), p - 1
+            acc = h
+            for _ in range(p - 1):
+                acc = h + ((acc << (bits * e)) & mask)
+            h, bound, e = acc, bound * p, e * p
+    return [c % p for c in _unpack(h, slot, n)]
 
 
 # -- sparse polynomials -------------------------------------------------------

@@ -567,16 +567,8 @@ class TPoly:
         raise AttributeError("TPoly is immutable")
 
     @classmethod
-    def zero(cls, field: Field) -> "TPoly":
-        return cls(field, {})
-
-    @classmethod
-    def const(cls, field: Field, c: USeries) -> "TPoly":
-        return cls(field, {0: c})
-
-    @classmethod
     def one(cls, field: Field) -> "TPoly":
-        return cls.const(field, USeries.one(field))
+        return cls(field, {0: USeries.one(field)})
 
     def tdegree(self) -> int:
         return max(self.coeffs) if self.coeffs else -1
@@ -638,9 +630,12 @@ class TPoly:
             raise DivisionByZero("t-series inverse needs a nonzero constant term")
         return self.jet(t_terms).inverse()
 
-    def with_uprec(self, cap) -> "TPoly":
-        """Cap the abs_prec of the t^k coefficient at cap(k)."""
-        return TPoly(self.field, {k: v.with_prec(cap(k)) for k, v in self.coeffs.items()})
+    def frobenius_power(self, k: int = 1) -> "TPoly":
+        """self**(p^k): t^i moves to t^(i p^k), each coefficient to its own
+        Frobenius power."""
+        pk = self.field.p ** k
+        return TPoly(self.field, {i * pk: v.frobenius_power(k)
+                                  for i, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return (

@@ -17,6 +17,11 @@ their earlier forms, which decide in canonical F_q(theta) with a gcd per
 sum and product, are kept here as references for their cells.  They read
 their inputs through the `carlitz` module, so an input replaced there
 reaches the reference too.
+
+The period and Omega are built from their factors only up to the precision
+used; their earlier forms, the full cutoff product of u-series binomials
+inverted by `USeries.inverse`, and the exact product of t-binomials capped
+afterwards, are the references for `pitilde` and `carlitz._omega_capped`.
 """
 
 import random
@@ -31,11 +36,14 @@ from carlitzhd import (
     RatFunc,
     Report,
     SJet,
+    TPoly,
+    USeries,
     binom_mod_p,
     carlitz,
     taylor_shift,
 )
 from carlitzhd.carlitz import _LAGRANGE_NOTE, _first_gap, _pow_at_least
+from carlitzhd.errors import PrecisionExhausted
 from carlitzhd.jets import _ring_is_zero, d_t_jet, d_theta_jet
 from carlitzhd.rings import (
     _exact_zero,
@@ -311,3 +319,39 @@ def verify_lagrange_cells(field, s: int, trials: int, seed: int, max_degree: int
             expr.is_zero(), None if expr.is_zero() else f"evaluates to {expr!r}"))
     return Report(cells, {"q": field.q, "s": s, "trials": trials, "seed": seed,
                           "max_degree": max_degree})
+
+
+# -- the period and Omega as full products of their factors ----------------------
+
+
+def pitilde_by_inverse(ctx):
+    """The period from the product of its ctx.cutoff factors
+    1 + (-1)^{q^j} u^{(q^j - 1)(q - 1)}, inverted by USeries.inverse at
+    working precision, shifted, negated and capped."""
+    F, q = ctx.field, ctx.q
+    prod = USeries.one(F)
+    for j in range(1, ctx.cutoff + 1):
+        c = F.elem(-1) ** (q ** j)
+        prod = prod * (USeries.one(F) + USeries.monomial(F, (q ** j - 1) * (q - 1), c))
+    pit = prod.inverse(abs_prec=ctx.work_prec + q).shift(-q).scale(F.elem(-1))
+    pit = pit.with_prec(ctx.pit_cap)
+    if pit.abs_prec < ctx.uprec:
+        raise PrecisionExhausted(
+            f"period attained O(u^{pit.abs_prec}) < requested O(u^{ctx.uprec}); "
+            f"raise the cutoff")
+    return pit
+
+
+def omega_by_product(ctx, budget: int):
+    """u^q prod_{j=1}^{J} (1 + (-1)^{1+q^j} u^{q^j(q-1)} t) as an exact
+    product of TPolys, then each t^k coefficient, k >= 1, capped at
+    min(ctx.omega_cap(k), budget)."""
+    F, q = ctx.field, ctx.q
+    om = TPoly.one(F)
+    for j in range(1, ctx.cutoff + 1):
+        c = F.elem(-1) ** (1 + q ** j)
+        om = om * TPoly(F, {0: USeries.one(F),
+                            1: USeries.monomial(F, q ** j * (q - 1), c)})
+    om = om * TPoly(F, {0: USeries.monomial(F, q)})
+    return TPoly(F, {k: v if k == 0 else v.with_prec(min(ctx.omega_cap(k), budget))
+                     for k, v in om.coeffs.items()})

@@ -512,6 +512,33 @@ def test_tpoly_mul_matches_convolution():
             assert useries_agree(prod.coeff(k), want)
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_tpoly_frobenius_power_is_the_p_power(p, e):
+    f = field_new(p, e)
+    rng = random.Random(SEED)
+    for _ in range(10):
+        exact = TPoly(f, {k: rand_useries(rng, f, -3, 6) for k in (0, 1, 3)})
+        prod = TPoly.one(f)
+        for _ in range(p):
+            prod = prod * exact
+        assert exact.frobenius_power(1) == prod
+        twice = TPoly.one(f)
+        for _ in range(p):
+            twice = twice * prod
+        assert exact.frobenius_power(2) == twice
+        # a coefficient known below N has its p-th power known below pN,
+        # at least as far as the product knows it
+        capped = TPoly(f, {k: rand_useries(rng, f, -3, 6, prec=12) for k in range(3)})
+        prod = TPoly.one(f)
+        for _ in range(p):
+            prod = prod * capped
+        frob = capped.frobenius_power(1)
+        assert sorted(frob.coeffs) == [0, p, 2 * p]
+        for k, c in prod.coeffs.items():
+            assert useries_agree(frob.coeff(k), c)
+            assert frob.coeff(k).abs_prec >= c.abs_prec
+
+
 def test_tpoly_d_t_binomial():
     f = field_new(3)
     c = theta_series(f)
@@ -600,7 +627,7 @@ def test_tpoly_inverse_tseries_needs_a_constant_term():
     with pytest.raises(DivisionByZero):
         TPoly(f, {1: USeries.one(f)}).inverse_tseries(4)
     with pytest.raises(DivisionByZero):
-        TPoly.zero(f).inverse_tseries(1)
+        TPoly(f, {}).inverse_tseries(1)
 
 
 def test_tpoly_inverse_tseries_with_absent_degrees():
