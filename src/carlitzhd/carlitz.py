@@ -85,11 +85,12 @@ class CarlitzCtx:
     untruncated object.  An omitted cutoff picks the smallest J whose bound
     also clears the worst-case working losses of the derived routes
     (substitution at theta, inversion, jet powering), so coordinate and jet
-    outputs reach uprec without tuning.  An explicit cutoff is only checked
-    against the bound above and raises PrecisionExhausted when it fails
-    (the request is well-formed but unattainable with those resources);
-    derived routes under a tight explicit cutoff may themselves raise
-    PrecisionExhausted.
+    outputs reach uprec without tuning.  An explicit cutoff that fails the
+    bound above raises PrecisionExhausted (the request is well-formed but
+    unattainable with those resources), and one past the least J with
+    q**J >= 2**64, where every further factor lies above any 64-bit
+    precision, raises ConstraintViolated; derived routes under a tight
+    explicit cutoff may themselves raise PrecisionExhausted.
     """
 
     __slots__ = ("field", "uprec", "jet_order", "cutoff")
@@ -114,6 +115,9 @@ class CarlitzCtx:
         else:
             if cutoff < 1:
                 raise ConstraintViolated("cutoff must retain at least one factor")
+            if cutoff > (top := _pow_at_least(q, 2 ** 64)):
+                raise ConstraintViolated(f"cutoff {cutoff} exceeds {top}: over F_{q} "
+                                         f"every factor past it lies above u^(2^64)")
             bound = (q - 1) * (q ** (cutoff + 1) - 1)
             need = uprec + jet_order * (q - 1) * q
             if bound <= need:
@@ -403,44 +407,34 @@ def _times_period_power(ctx: CarlitzCtx, kjet: Jet, n: int) -> Jet:
 
 @lru_cache(maxsize=None)
 def b_rat(field: Field, j: int) -> RatFunc:
-    """Transfer coefficient b_j in F_q(theta, t).
+    """Transfer coefficient b_j in F_q(theta, t): d^j(Omega^{-1}) = b_j Omega^{-1}.
 
-    The theta-derivative of order j of the inverse Omega t-series equals b_j
-    times the inverse itself.  Closed form: with l the least l with q^l > j
-    and P the degree-(l-1) t-product, b_j = P * d^j(P^{-1}) = n_j / P^j, where
-    n_j is the quotient-jet numerator of 1/P.  b_0 = 1 and b_j = 0 for
-    1 <= j <= q-1.
+    With l the least l with q^l > j, P = curlyL_{l-1} and f_i = theta^{q^i} - t,
+    b_j = P * d^j(P^{-1}); as (theta + X)^{q^i} = theta^{q^i} + X^{q^i}, that is
+    sum_j b_j X^j = P(theta, t)/P(theta + X, t) = prod_{0<i<l} (1 + X^{q^i}/f_i)^{-1}.
+    So b_j is the X^j coefficient of its _bracket_series, made canonical by
+    peeling the irreducible f_i; b_0 = 1, and b_j = 0 unless q | j.
     """
     if j < 0:
         raise ConstraintViolated(f"b_j needs j >= 0, got {j}")
-    if j == 0:
-        return RatFunc.one(field, VARS_TT)
     q = field.q
-    l = _pow_at_least(q, j + 1)
-    if l == 1:
-        # both products are empty: derivative of the constant 1
+    one = Poly.one(field, VARS_TT)
+    pairs = [(q ** i, Poly.monomial(field, (q ** i, 0)) - Poly.monomial(field, (0, 1)))
+             for i in range(1, _pow_at_least(q, j + 1))]
+    num, powers = _bracket_series(one, pairs, j + 1, -1)
+    num = num.get(j)
+    if num is None:
         return RatFunc.zero(field, VARS_TT)
-    P = curlyL_poly(field, l - 1)
-    pjet = d_theta_jet(P, j).coeffs
-    ones = [Poly.one(field, VARS_TT)] + [Poly.zero(field, VARS_TT)] * j
-    num = _quotient_jet_numerators(ones, pjet)[0][j]
-    if num.is_zero():
-        return RatFunc.zero(field, VARS_TT)
-    # reduce n_j / P^j by peeling the irreducible factors theta^{q^i} - t
-    den = Poly.one(field, VARS_TT)
-    for i in range(1, l):
-        f = Poly.monomial(field, (q ** i, 0)) - Poly.monomial(field, (0, 1))
-        left = j
+    den = one
+    for f, left in powers:
         while left:
             try:
                 num = poly_divexact(num, f)
             except ConstraintViolated:
                 break
             left -= 1
-        if left:
-            den = den * f ** left
-    # coprime by construction and the denominator is deglex-monic, so the
-    # raw constructor is safe
+        den = den * f ** left
+    # coprime and deglex-monic by construction: the raw constructor is safe
     return RatFunc(num, den)
 
 
@@ -551,30 +545,35 @@ def _fractions(num: dict, den: Poly, M: int) -> list[RatFunc]:
     return [RatFunc.make(num.get(k, zero), den) for k in range(M)]
 
 
-def _eta_inv_pow_num(field: Field, l: int, M: int, npow: int) -> tuple[dict, Poly]:
-    """eta_l^{-npow} mod s^M as a numerator in s (as _s_times takes it) over
-    one denominator in F_q[theta].
+def _bracket_series(one: Poly, pairs, M: int, npow: int) -> tuple[dict, list]:
+    """prod (1 + X^e/g)^npow mod X^M over the pairs (e, g), e < M: a numerator
+    in X (as _s_times takes it) over the product of the powers (g, K) returned.
 
-    A factor 1 + s^e/[m], [m] = theta^{q^m} - theta and e = q^m < M, has
-    -npow power sum_k binom(-npow, k) s^{ke}/[m]^k: over [m]^K, K the largest
-    k with ke < M and a nonzero binomial, no series inversion is needed.
+    A factor is sum_k binom(npow, k) X^{ke}/g^k, K the largest k with ke < M
+    and a nonzero binomial mod p: over g^K, no series inversion is needed.
     """
-    if field.q ** l < M:
-        raise InsufficientL(f"q^l = {field.q ** l} < {M}; increase l")
-    q = field.q
-    one = Poly.one(field)
-    num, den = {0: one}, one
-    for m in range(1, l + 1):
-        e = q ** m
-        if e >= M:
-            break
-        bcs = [(k, c) for k in range((M - 1) // e + 1)
-               if (c := binom_mod_p(-npow, k, field.p))]
+    p = one.field.p
+    num, powers = {0: one}, []
+    for e, g in pairs:
+        bcs = [(k, c) for k in range((M - 1) // e + 1) if (c := binom_mod_p(npow, k, p))]
         K = bcs[-1][0]
-        bracket = Poly.monomial(field, (e,)) - Poly.monomial(field, (1,))
-        num = _s_times(num, {k * e: (bracket ** (K - k)).scale(c) for k, c in bcs}, M)
-        den = den * bracket ** K
-    return num, den
+        num = _s_times(num, {k * e: (g ** (K - k)).scale(c) for k, c in bcs}, M)
+        powers.append((g, K))
+    return num, powers
+
+
+def _eta_inv_pow_num(field: Field, l: int, M: int, npow: int) -> tuple[dict, Poly]:
+    """eta_l^{-npow} mod s^M as a numerator in s over one denominator in
+    F_q[theta]: the _bracket_series of the factors 1 + s^{q^m}/[m] of eta_l,
+    [m] = theta^{q^m} - theta, with q^m < M (the others are 1 mod s^M).
+    """
+    q, one = field.q, Poly.one(field)
+    if q ** l < M:
+        raise InsufficientL(f"q^l = {q ** l} < {M}; increase l")
+    pairs = [(q ** m, Poly.monomial(field, (q ** m,)) - Poly.monomial(field, (1,)))
+             for m in range(1, min(l, _pow_at_least(q, M) - 1) + 1)]
+    num, powers = _bracket_series(one, pairs, M, -npow)
+    return num, math.prod((g ** K for g, K in powers), start=one)
 
 
 @lru_cache(maxsize=None)

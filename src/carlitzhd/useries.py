@@ -179,21 +179,9 @@ class USeries:
         if other is NotImplemented:
             return other
         self._compat(other)
-        prec = min(self.abs_prec, other.abs_prec)
-        if not self.coeffs:
-            return other.with_prec(prec)
-        if not other.coeffs:
-            return self.with_prec(prec)
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs))
-        dense = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            dense[self.min_exp - lo + i] = c
-        add = self.field.add_t
-        for i, c in enumerate(other.coeffs):
-            j = other.min_exp - lo + i
-            dense[j] = add[dense[j]][c]
-        return USeries(self.field, lo, dense, prec)
+        return _run_sum(self.field, [(self.min_exp, 1, self.coeffs),
+                                     (other.min_exp, 1, other.coeffs)],
+                        min(self.abs_prec, other.abs_prec))
 
     __radd__ = __add__
 

@@ -22,12 +22,18 @@ The period and Omega are built from their factors only up to the precision
 used; their earlier forms, the full cutoff product of u-series binomials
 inverted by `USeries.inverse`, and the exact product of t-binomials capped
 afterwards, are the references for `pitilde` and `carlitz._omega_capped`.
+
+The transfer coefficient b_j is the X^j coefficient of a product of bracket
+series; its earlier form, the quotient-jet numerator of 1/P over P^j for
+P = curlyL_{l-1}, peeled back by trial division, is the reference for
+`b_rat`.
 """
 
 import random
 
 from carlitzhd import (
     VARS_T,
+    VARS_TT,
     CheckCell,
     DegreeMismatch,
     Jet,
@@ -40,10 +46,11 @@ from carlitzhd import (
     USeries,
     binom_mod_p,
     carlitz,
+    poly_divexact,
     taylor_shift,
 )
 from carlitzhd.carlitz import _LAGRANGE_NOTE, _first_gap, _pow_at_least
-from carlitzhd.errors import PrecisionExhausted
+from carlitzhd.errors import ConstraintViolated, PrecisionExhausted
 from carlitzhd.jets import _ring_is_zero, d_t_jet, d_theta_jet
 from carlitzhd.rings import (
     _exact_zero,
@@ -355,3 +362,37 @@ def omega_by_product(ctx, budget: int):
     om = om * TPoly(F, {0: USeries.monomial(F, q)})
     return TPoly(F, {k: v if k == 0 else v.with_prec(min(ctx.omega_cap(k), budget))
                      for k, v in om.coeffs.items()})
+
+
+# -- the transfer coefficients by the quotient-jet recurrence ----------------------
+
+
+def b_rat_by_recurrence(field, j: int):
+    """b_j = P * d^j(P^{-1}) = n_j / P^j, P = curlyL_{l-1} with l the least l
+    with q^l > j and n_j the quotient-jet numerator of 1/P on the theta-jet
+    of P, reduced by peeling each factor theta^{q^i} - t off n_j."""
+    if j == 0:
+        return RatFunc.one(field, VARS_TT)
+    q = field.q
+    l = _pow_at_least(q, j + 1)
+    if l == 1:
+        # both products are empty: derivative of the constant 1
+        return RatFunc.zero(field, VARS_TT)
+    pjet = d_theta_jet(carlitz.curlyL_poly(field, l - 1), j).coeffs
+    ones = [Poly.one(field, VARS_TT)] + [Poly.zero(field, VARS_TT)] * j
+    num = _quotient_jet_numerators(ones, pjet)[0][j]
+    if num.is_zero():
+        return RatFunc.zero(field, VARS_TT)
+    den = Poly.one(field, VARS_TT)
+    for i in range(1, l):
+        f = Poly.monomial(field, (q ** i, 0)) - Poly.monomial(field, (0, 1))
+        left = j
+        while left:
+            try:
+                num = poly_divexact(num, f)
+            except ConstraintViolated:
+                break
+            left -= 1
+        if left:
+            den = den * f ** left
+    return RatFunc(num, den)

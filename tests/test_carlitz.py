@@ -91,6 +91,18 @@ def test_ctx_explicit_cutoff_too_small_raises():
         CarlitzCtx(f, uprec=60, jet_order=0, cutoff=2)
 
 
+@pytest.mark.parametrize("p, e, top", [(2, 1, 64), (3, 1, 41), (2, 2, 32), (257, 1, 8)])
+def test_ctx_explicit_cutoff_past_64_bits_refused(p, e, top):
+    # top is the least J with q^J >= 2^64; past it every factor lies above
+    # any 64-bit precision
+    f = field_new(p, e)
+    assert f.q ** (top - 1) < 2 ** 64 <= f.q ** top
+    assert CarlitzCtx(f, uprec=5, cutoff=top).cutoff == top
+    for cutoff in (top + 1, 20000, 10 ** 6):
+        with pytest.raises(ConstraintViolated):
+            CarlitzCtx(f, uprec=5, cutoff=cutoff)
+
+
 def test_ctx_replace_and_equality():
     f = field_new(3)
     ctx = CarlitzCtx(f, uprec=50, jet_order=2)

@@ -268,6 +268,18 @@ def test_cli_eta_above_the_bound_exits_2_at_once(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["pitilde", "--q", "2", "--uprec", "5", "--cutoff", "1000000"],
+                                  ["omega", "--q", "2", "--uprec", "5", "--cutoff", "20000"],
+                                  ["coords", "--q", "257", "--n", "2", "--cutoff", "9"]])
+def test_cli_cutoff_past_64_bits_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert main([*argv, "--json"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cutoff ") and captured.err.count("\n") == 1
+
+
 def test_cli_unwritable_out_exits_2(capsys, tmp_path):
     # a regular file where --out needs a directory
     blocker = tmp_path / "blocker"

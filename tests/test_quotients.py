@@ -5,8 +5,10 @@ Every jet of a quotient runs one fraction-free recurrence at t = theta,
 `sjet_from_ratfunc` are checked against the generic route, a jet of
 `RatFunc` coefficients times the series inverse of another, and `at_poly`
 (one exact cofactor per term) against the recursion that carries
-alpha_n/Gamma_n as one unreduced fraction.  Frozen b_j values pin the same
-recurrence on the path `b_rat` takes, and product counts pin its cost.  The
+alpha_n/Gamma_n as one unreduced fraction.  Product counts pin the
+recurrence's cost.  `b_rat`, the X^j coefficient of a product of bracket
+series, is checked against frozen values, against the quotient-jet
+recurrence it replaced and against the Omega transfer cells.  The
 eta K-jet, a product of Frobenius images of base-p digit jets, is checked
 against the single quotient jet of L^n / eta_num^n, and the AT K-jet, a
 Frobenius image of a smaller one when q | n, against the single quotient jet
@@ -49,7 +51,7 @@ from carlitzhd.carlitz import (
 from carlitzhd.jets import d_t_jet, d_theta_jet
 from carlitzhd.rings import _quotient_jet_at_theta
 
-from oracles import sjet_from_ratfunc, sjet_inverse
+from oracles import b_rat_by_recurrence, sjet_from_ratfunc, sjet_inverse
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
           9: (3, 2)}
@@ -330,7 +332,7 @@ def test_sjet_from_ratfunc_product_count(monkeypatch, order):
     assert not any(c.is_zero() for c in sjet_from_ratfunc(r, order).coeffs)
 
 
-# -- b_j on the same recurrence ----------------------------------------------------
+# -- b_j ---------------------------------------------------------------------------
 
 def _rat(f, num, den):
     return RatFunc(Poly(f, VARS_TT, num), Poly(f, VARS_TT, den))
@@ -365,6 +367,45 @@ def test_b_rat_frozen_values(q):
     for (fq, j), (num, den) in B_FROZEN.items():
         if fq == q:
             assert b_rat(f, j) == _rat(f, num, den), j
+
+
+# the largest j per q at which the recurrence stays near a second; past q^l
+# its bivariate theta-jet of curlyL_l grows with j
+B_RECURRENCE_JMAX = {2: 19, 3: 30, 4: 36, 5: 40, 7: 49, 8: 48, 9: 54}
+
+
+@pytest.mark.parametrize("q", sorted(B_RECURRENCE_JMAX))
+def test_b_rat_matches_the_recurrence(q):
+    f = field_new(*FIELDS[q])
+    for j in range(B_RECURRENCE_JMAX[q] + 1):
+        want = b_rat_by_recurrence(f, j)
+        assert b_rat(f, j) == want, j
+        assert repr(b_rat(f, j)) == repr(want), j
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_b_rat_vanishes_off_the_multiples_of_q(q):
+    # every bracket series is in X^{q^i}, i >= 1
+    f = field_new(*FIELDS[q])
+    for j in range(1, 4 * q * q + 1):
+        assert b_rat(f, j).is_zero() == (j % q != 0), j
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_b_transfer_cells_pass_past_2q(monkeypatch, q):
+    # d^j(Omega^-1) = b_j * Omega^-1 ties the bracket product to Omega at
+    # indices past the j <= 6 of the verify runs, through q^2 and beyond
+    f = field_new(q)
+    jmax = 6 * q
+    ctx = CarlitzCtx(f, uprec=60, jet_order=jmax)
+    report = verify_suite(ctx, "b_transfer", jmax=jmax)
+    assert report.all_passed
+    assert sum(c.identity == "b_transfer" for c in report.cells) == jmax + 1
+    real = carlitz.b_rat
+    monkeypatch.setattr(carlitz, "b_rat",
+                        lambda field, j: real(field, j) + 1 if j == jmax else real(field, j))
+    failed = verify_suite(ctx, "b_transfer", jmax=jmax).failures()
+    assert [c.params for c in failed] == [{"j": jmax}]
 
 
 # -- at_poly against the unreduced-fraction recursion --------------------------------
