@@ -385,7 +385,8 @@ def test_b_rat_matches_the_recurrence(q):
 
 @pytest.mark.parametrize("q", sorted(FIELDS))
 def test_b_rat_vanishes_off_the_multiples_of_q(q):
-    # every bracket series is in X^{q^i}, i >= 1
+    # every bracket series is in X^{q^i}, i >= 1; in this range b_j is
+    # nonzero at each multiple of q, so the zeros are not vacuous
     f = field_new(*FIELDS[q])
     for j in range(1, 4 * q * q + 1):
         assert b_rat(f, j).is_zero() == (j % q != 0), j
@@ -393,8 +394,8 @@ def test_b_rat_vanishes_off_the_multiples_of_q(q):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_b_transfer_cells_pass_past_2q(monkeypatch, q):
-    # d^j(Omega^-1) = b_j * Omega^-1 ties the bracket product to Omega at
-    # indices past the j <= 6 of the verify runs, through q^2 and beyond
+    # d^j(Omega^-1) = b_j * Omega^-1 ties the bracket product to Omega far
+    # past 2q, through q^2 and beyond; a faulted b_j fails its cell alone
     f = field_new(q)
     jmax = 6 * q
     ctx = CarlitzCtx(f, uprec=60, jet_order=jmax)
