@@ -717,15 +717,19 @@ def z_via_eta(ctx: CarlitzCtx, n: int, l: int) -> PeriodCoords:
 
     Valid for l >= 1 with q^l >= n.  z_{n-j} is the order-j coefficient of
     the product jet; every denominator is a product of theta^{q^m} - t,
-    nonzero at t = theta, so substitution never meets a pole.
+    nonzero at t = theta, so substitution never meets a pole.  Factor m of
+    eta_{l-1}(theta + X, theta) is 1 mod X^{q^m}, so every l >= l_min gives
+    the same jet mod X^n, and each factor doubles the cost: l is capped at
+    l_min + 1, which still runs one factor past the least depth.
     """
     if n < 1:
         raise ConstraintViolated(f"tensor power must be >= 1, got {n}")
-    if l < 1 or ctx.q ** l < n:
+    lmin = minimal_l(ctx.q, n)
+    if l < lmin:
         raise ConstraintViolated(
             f"need l >= 1 with q^l >= n, got l={l} for n={n}"
         )
-    ajet = _eta_inv_pow_theta_jet(ctx.field, l - 1, n, n - 1)
+    ajet = _eta_inv_pow_theta_jet(ctx.field, min(l, lmin + 1) - 1, n, n - 1)
     return _coords_from_jet(ctx, _times_period_power(ctx, ajet, n), "eta")
 
 

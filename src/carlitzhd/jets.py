@@ -170,7 +170,7 @@ def d_t_jet(f: Poly, order: int) -> Jet:
     return _jet_of(f, 1, order)
 
 
-def compose_substitute(f_jet_theta: Jet, order: int | None = None) -> Jet:
+def compose_substitute(f_jet_theta: Jet) -> Jet:
     """Jet of theta |-> f(theta, theta) from the theta-jet of f(theta, t).
 
     The span route's total substitution: coefficient m is the sum over
@@ -178,10 +178,7 @@ def compose_substitute(f_jet_theta: Jet, order: int | None = None) -> Jet:
     coefficient, _quotient_jet_at_theta forms the t-jet from its substituted
     numerator and denominator jets, so no bivariate fraction is built.
     """
-    if order is None:
-        order = f_jet_theta.order
-    if order > f_jet_theta.order:
-        raise DegreeMismatch("input jet is too short for the requested order")
+    order = f_jet_theta.order
     field = f_jet_theta[0].field
     out = [RatFunc.zero(field, VARS_T) for _ in range(order + 1)]
     for j in range(order + 1):

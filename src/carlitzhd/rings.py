@@ -1,11 +1,13 @@
 """Exact polynomial and rational-function arithmetic over F_q.
 
-Polynomials live in F_q[theta] or F_q[theta, t] (sparse exponent-tuple maps).
-Their products and exact quotients go through one Kronecker map into
-F_q[x]: a product runs one big-int multiply over a prime field, or else one
-table loop over integer keys, and a quotient is one dense univariate
-division.  The period's inverse product is a series of partition counts
-mod p, built by shift-and-adds of one packed int (_partition_counts).
+Polynomials live in F_q[theta] (dense lists of table indices) or
+F_q[theta, t] (sparse exponent-tuple maps).  A product of dense lists is
+_umul: over a prime field one big-int multiply of the packed lists when the
+cost model (_packs) favours it, else one table loop.  Sparse products and
+exact quotients go through one Kronecker map into F_q[x]: a product is one
+table loop over integer keys, a quotient one dense division.  The
+period's inverse product is a series of partition counts mod p, built by
+shift-and-adds of one packed int (_partition_counts).
 
 Rational functions are kept in canonical form at all times: numerator and
 denominator coprime, denominator monic under the degree-lexicographic order
@@ -220,16 +222,6 @@ def _uscale(a: list[int], c: int, f: Field) -> list[int]:
     return _utrim([row[x] for x in a])
 
 
-def _udivmod(a: list[int], b: list[int], f: Field) -> tuple[list[int], list[int]]:
-    b = _utrim(list(b))
-    if not b:
-        raise DivisionByZero("univariate division by zero")
-    r = list(a)
-    q = [0] * max(0, len(r) - len(b) + 1)
-    _ureduce(r, b, f, q)
-    return _utrim(q), r
-
-
 def _ureduce(r: list[int], b: list[int], f: Field, q: list[int] | None = None) -> None:
     """r <- r mod b in place, trimmed, for a trimmed nonzero b; the quotient's
     coefficients go into q when it is given."""
@@ -253,10 +245,15 @@ def _ureduce(r: list[int], b: list[int], f: Field, q: list[int] | None = None) -
 
 
 def _udivexact(a: list[int], b: list[int], f: Field) -> list[int]:
-    q, r = _udivmod(a, b, f)
+    b = _utrim(list(b))
+    if not b:
+        raise DivisionByZero("univariate division by zero")
+    r = list(a)
+    q = [0] * max(0, len(r) - len(b) + 1)
+    _ureduce(r, b, f, q)
     if r:
         raise ConstraintViolated("univariate division was not exact")
-    return q
+    return _utrim(q)
 
 
 def _ugcd(a: list[int], b: list[int], f: Field) -> list[int]:
@@ -281,12 +278,12 @@ def _ucancel(a: list[int], b: list[int], f: Field):
 # The Kronecker map sends F_q[theta, t] to F_q[x] by theta -> x^stride,
 # t -> x: term (i, j) goes to key i * stride + j, and a univariate term (i,)
 # to key i, which is stride 1.  It is a ring map, and injective on
-# polynomials of t-degree below the stride, so Poly products and exact
-# division run on univariate images and map back by divmod(key, stride).
-# Over F_p (e == 1) a table index is the residue itself, so a dense image
-# can be packed into one Python int, slot by slot, multiplied once as
-# integers, and unpacked with % p.  See von zur Gathen & Gerhard, Modern
-# Computer Algebra, section 8.4.
+# polynomials of t-degree below the stride, so sparse Poly products and
+# exact division run on univariate images and map back by divmod(key,
+# stride).  Over F_p (e == 1) a table index is the residue itself, so a
+# dense run (a USeries run, a univariate Poly's list) can be packed into one
+# Python int, slot by slot, multiplied once as integers, and unpacked with
+# % p.  See von zur Gathen & Gerhard, Modern Computer Algebra, section 8.4.
 
 def _kron(p: "Poly", stride: int) -> dict[int, int]:
     """The image of p under the Kronecker map: key -> table index."""
@@ -312,12 +309,6 @@ def _dense(image: dict) -> list[int]:
     return out
 
 
-# Cost model, measured on random operands over F_2 and F_257 with 4 to 32
-# terms: the table loop in Poly.__mul__ costs about the same per term pair
-# as the packed product costs per slot, and the packed product has a fixed
-# cost of about 48 term pairs.  So it runs when term pairs >= slots + 48.
-_PACK_MIN_PAIRS = 48
-
 _SLOT_TYPECODES = sorted((array(code).itemsize, code) for code in "BHIQ")
 _BYTEORDER = sys.byteorder
 
@@ -333,9 +324,12 @@ def _slot_type(n: int, p: int):
     return None
 
 
+_PACK_MIN_PAIRS = 48
+
+
 def _packs(pairs: int, slots: int) -> bool:
-    """Cost model of _udot: pack when twice the table loop's pairs reach
-    slots + 48.
+    """Cost model of _umul and _udot: pack when twice the table loop's pairs
+    reach slots + _PACK_MIN_PAIRS, the fixed cost of a packed product.
 
     pairs counts the products of nonzero entries below n, at most what the
     table loop runs; slots counts the packed slots, every operand and the
@@ -363,12 +357,11 @@ def _packed_dense_mul(parts, n: int, p: int, nonzero: int) -> array | None:
     """The first n slots of sum x^offset * a * b over the parts (offset, a,
     b), over F_p by one big-int multiply per part, unreduced.
 
-    Each operand is a dense residue sequence, low degree first (a USeries
-    run), or a sparse image {key: residue} (a Poly under the Kronecker map),
-    with its entries below n.  Every result slot sums at most nonzero
-    products, the nonzero entries of each part's sparser operand summed over
-    the parts, which fixes the slot width, and reduces mod p to one
-    coefficient.  Returns None when a slot would need more than 64 bits.
+    Each operand is a dense run of residues, low degree first, of length at
+    most n.  Every result slot sums at most nonzero products, the nonzero
+    entries of each part's sparser operand summed over the parts, which
+    fixes the slot width, and reduces mod p to one coefficient.  Returns
+    None when a slot would need more than 64 bits.
     """
     slot = _slot_type(nonzero, p)
     if slot is None:
@@ -377,22 +370,15 @@ def _packed_dense_mul(parts, n: int, p: int, nonzero: int) -> array | None:
     # which copy x, is formed
     bits, acc = 8 * slot[0], None
     for off, a, b in parts:
-        prod = _pack(a, slot, n) * _pack(b, slot, n)
+        prod = _pack(a, slot) * _pack(b, slot)
         if off:
             prod <<= bits * off
         acc = prod if acc is None else acc + prod
     return _unpack(acc, slot, n)
 
 
-def _pack(x, slot, n: int) -> int:
-    width, code = slot
-    if isinstance(x, dict):
-        dense = array(code, bytes(width * n))
-        for k, c in x.items():
-            dense[k] = c
-    else:
-        dense = array(code, x)
-    return int.from_bytes(dense.tobytes(), _BYTEORDER)
+def _pack(x, slot) -> int:
+    return int.from_bytes(array(slot[1], x).tobytes(), _BYTEORDER)
 
 
 def _partition_counts(parts, n: int, p: int) -> list[int]:
@@ -420,7 +406,7 @@ def _partition_counts(parts, n: int, p: int) -> list[int]:
     for e in parts:
         while e < n:
             if bound * p >> bits:
-                h, bound = _pack([c % p for c in _unpack(h, slot, n)], slot, n), p - 1
+                h, bound = _pack([c % p for c in _unpack(h, slot, n)], slot), p - 1
             acc = h
             for _ in range(p - 1):
                 acc = h + ((acc << (bits * e)) & mask)
@@ -673,17 +659,6 @@ class Poly:
         a, b = _kron(self, stride), _kron(other, stride)
         if len(a) > len(b):
             a, b = b, a
-        # Over a prime field, a product with enough term pairs per image slot
-        # takes one big-int multiply (cost model at _PACK_MIN_PAIRS); small
-        # products and extension fields keep the table loop.
-        slots = max(a) + max(b) + 1
-        if f.e == 1 and len(a) * len(b) >= slots + _PACK_MIN_PAIRS:
-            prod = _packed_dense_mul([(0, a, b)], slots, f.p, len(a))
-            if prod is not None:
-                p = f.p
-                image = {k: c for k in compress(range(slots), prod)
-                         if (c := prod[k] % p)}
-                return Poly(f, self.vars, _unkron(image, stride, nvars))
         add, mul = f.add_t, f.mul_t
         image = {}
         for i, c in a.items():

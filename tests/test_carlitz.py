@@ -253,11 +253,11 @@ def test_b_negative_index_rejected():
         b_rat(field_new(2), -1)
 
 
-def bivariate_compose_substitute(fjet, order=None):
+def bivariate_compose_substitute(fjet):
     """Total substitution by the bivariate route: the t-jet of each
     coefficient as fractions in theta and t (fraction_jet), each then
     substituted with RatFunc.eval_t_at_theta."""
-    order = fjet.order if order is None else order
+    order = fjet.order
     out = [RatFunc.zero(fjet[0].field) for _ in range(order + 1)]
     for j in range(order + 1):
         inner = fraction_jet(fjet[j], 1, order - j)
@@ -301,7 +301,8 @@ def test_compose_substitute_matches_the_bivariate_route(p, e):
         order = rng.randrange(5)
         fjet = Jet([rand_coeff() for _ in range(order + 1)])
         for k in range(order + 1):
-            assert compose_substitute(fjet, k) == bivariate_compose_substitute(fjet, k)
+            sub = fjet.truncated(k)
+            assert compose_substitute(sub) == bivariate_compose_substitute(sub)
 
 
 def test_compose_substitute_runs_no_gcd(monkeypatch):
@@ -582,6 +583,22 @@ def test_eta_route_depth_validation():
         z_via_eta(ctx, 3, 1)  # q^1 = 2 < 3
     with pytest.raises(ConstraintViolated):
         z_via_eta(ctx, 3, 0)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 5), (4, 9)])
+def test_eta_route_depth_is_capped_one_past_the_least(q, n, monkeypatch):
+    # factor m of eta_{l-1}(theta + X, theta) is 1 mod X^{q^m}, so every
+    # depth from l_min on gives the same coordinates; past l_min + 1 the
+    # route runs at l_min + 1, eta_{l_min} in the K-jet
+    f = field_new(*{4: (2, 2)}.get(q, (q,)))
+    ctx = CarlitzCtx(f, uprec=30, jet_order=n - 1)
+    lmin = minimal_l(q, n)
+    depths, real = [], carlitz._eta_inv_pow_theta_jet
+    monkeypatch.setattr(carlitz, "_eta_inv_pow_theta_jet",
+                        lambda field, lm, *args: depths.append(lm) or real(field, lm, *args))
+    coords = [z_via_eta(ctx, n, l).z for l in range(lmin, lmin + 5)]
+    assert sorted(set(depths)) == [lmin - 1, lmin]
+    assert all(z == coords[0] for z in coords)
 
 
 def test_routes_reject_nonpositive_power():

@@ -239,6 +239,20 @@ def test_cli_coords_routes_round_trip(capsys):
         assert pc.n == 3 and pc.route == route
 
 
+def test_cli_eta_route_depth_past_the_least_is_bounded(capsys):
+    # every depth from l_min = 2 on gives the same coordinates mod X^3, and
+    # each eta factor doubles the cost: --l 50 runs at l_min + 1 = 3, where
+    # it ran all 49 factors and did not end within 20 s
+    start = time.perf_counter()
+    assert main(["coords", "--q", "2", "--n", "3", "--route", "eta", "--l", "50",
+                 "--json"]) == 0
+    assert time.perf_counter() - start < 5
+    deep = json.loads(capsys.readouterr().out)
+    assert main(["coords", "--q", "2", "--n", "3", "--route", "eta", "--l", "3",
+                 "--json"]) == 0
+    assert deep["results"] == json.loads(capsys.readouterr().out)["results"]
+
+
 def test_cli_coords_rejects_bad_power(capsys):
     assert main(["coords", "--q", "2", "--n", "0"]) == 2
     assert "error" in capsys.readouterr().err

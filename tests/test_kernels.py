@@ -1,6 +1,7 @@
 """Differential tests of the rings kernels against independent references.
 
-The packed product over prime fields and exact division through the
+The packed product of univariate Polys over prime fields, the table loop
+that runs every bivariate Poly product, and exact division through the
 Kronecker map are checked against a plain dict convolution written here,
 and poly_gcd / poly_divexact against sympy over GF(p) where sympy is
 installed.  Dense USeries products and Newton inverses are checked against
@@ -91,15 +92,25 @@ def test_packed_univariate_products_match_convolution(p):
         assert b * a == ref_mul(a, b)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 257])
-def test_packed_bivariate_products_match_convolution(p):
-    f = field_new(p)
-    rng = random.Random(SEED * 3 + p)
-    for nterms, max_deg, max_tdeg in ((60, 15, 6), (120, 30, 3), (30, 4, 12)):
-        a = rand_terms(rng, f, VARS_TT, nterms, max_deg, max_tdeg)
-        b = rand_terms(rng, f, VARS_TT, nterms, max_deg, max_tdeg)
-        assert takes_packed_path(a, b)
+@pytest.mark.parametrize("q", [2, 3, 5, 257, 9])
+def test_bivariate_products_run_the_table_loop(q, monkeypatch):
+    # three random shapes, then a sparse-wide pair: 126 term pairs whose
+    # product spans about 4 * 10^5 Kronecker keys
+    f = field_new(*{9: (3, 2)}.get(q, (q,)))
+    rng = random.Random(SEED * 3 + q)
+    pairs = [tuple(rand_terms(rng, f, VARS_TT, nterms, max_deg, max_tdeg)
+                   for _ in range(2))
+             for nterms, max_deg, max_tdeg in ((60, 15, 6), (120, 30, 3), (30, 4, 12))]
+    pairs.append((Poly(f, VARS_TT, {(0, 0): 1, (5000, 0): q - 1, (0, 40): 1}),
+                  Poly(f, VARS_TT, {(i, i % 3): 1 for i in range(0, 4000, 97)})))
+
+    def no_packing(*args):
+        raise AssertionError("a bivariate product reached the packed kernel")
+
+    monkeypatch.setattr(rings, "_packed_dense_mul", no_packing)
+    for a, b in pairs:
         assert a * b == ref_mul(a, b)
+        assert b * a == ref_mul(a, b)
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
@@ -119,27 +130,6 @@ def test_packed_slot_width_holds_the_largest_coefficient_sum(n, monkeypatch):
         assert [w for w, _ in widths] == [1 if n < 256 else 2]
         assert prod.coeff((gap * (n - 1),)).idx == n % 2
         assert prod == ref_mul(ones, ones)
-
-
-def test_extension_field_products_keep_the_table_loop(monkeypatch):
-    f = field_new(3, 2)
-    rng = random.Random(SEED)
-    a = rand_terms(rng, f, VARS_TT, 60, 15, 6)
-    b = rand_terms(rng, f, VARS_TT, 60, 15, 6)
-
-    def no_packing(*args):
-        raise AssertionError("the packed product ran over an extension field")
-
-    monkeypatch.setattr(rings, "_packed_dense_mul", no_packing)
-    assert a * b == ref_mul(a, b)
-
-
-def test_sparse_wide_products_keep_the_table_loop():
-    f = field_new(3)
-    a = Poly(f, VARS_TT, {(0, 0): 1, (5000, 0): 2, (0, 40): 1})
-    b = Poly(f, VARS_TT, {(i, i % 3): 1 for i in range(0, 4000, 97)})
-    assert not takes_packed_path(a, b)
-    assert a * b == ref_mul(a, b)
 
 
 # -- exact division through the Kronecker map --------------------------------------
