@@ -92,25 +92,39 @@ def test_packed_univariate_products_match_convolution(p):
         assert b * a == ref_mul(a, b)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 257, 9])
+def no_packing(*args):
+    raise AssertionError("a bivariate product reached the packed kernel")
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 257])
 def test_bivariate_products_run_the_table_loop(q, monkeypatch):
-    # three random shapes, then a sparse-wide pair: 126 term pairs whose
-    # product spans about 4 * 10^5 Kronecker keys
-    f = field_new(*{9: (3, 2)}.get(q, (q,)))
+    f = field_new(q)
     rng = random.Random(SEED * 3 + q)
-    pairs = [tuple(rand_terms(rng, f, VARS_TT, nterms, max_deg, max_tdeg)
-                   for _ in range(2))
-             for nterms, max_deg, max_tdeg in ((60, 15, 6), (120, 30, 3), (30, 4, 12))]
-    pairs.append((Poly(f, VARS_TT, {(0, 0): 1, (5000, 0): q - 1, (0, 40): 1}),
-                  Poly(f, VARS_TT, {(i, i % 3): 1 for i in range(0, 4000, 97)})))
-
-    def no_packing(*args):
-        raise AssertionError("a bivariate product reached the packed kernel")
-
     monkeypatch.setattr(rings, "_packed_dense_mul", no_packing)
-    for a, b in pairs:
+    for nterms, max_deg, max_tdeg in ((60, 15, 6), (120, 30, 3), (30, 4, 12)):
+        a = rand_terms(rng, f, VARS_TT, nterms, max_deg, max_tdeg)
+        b = rand_terms(rng, f, VARS_TT, nterms, max_deg, max_tdeg)
         assert a * b == ref_mul(a, b)
         assert b * a == ref_mul(a, b)
+
+
+def test_extension_field_products_keep_the_table_loop(monkeypatch):
+    f = field_new(3, 2)
+    rng = random.Random(SEED)
+    a = rand_terms(rng, f, VARS_TT, 60, 15, 6)
+    b = rand_terms(rng, f, VARS_TT, 60, 15, 6)
+    monkeypatch.setattr(rings, "_packed_dense_mul", no_packing)
+    assert a * b == ref_mul(a, b)
+
+
+def test_sparse_wide_products_keep_the_table_loop(monkeypatch):
+    # 126 term pairs whose product spans about 4 * 10^5 Kronecker keys
+    f = field_new(3)
+    a = Poly(f, VARS_TT, {(0, 0): 1, (5000, 0): 2, (0, 40): 1})
+    b = Poly(f, VARS_TT, {(i, i % 3): 1 for i in range(0, 4000, 97)})
+    monkeypatch.setattr(rings, "_packed_dense_mul", no_packing)
+    assert a * b == ref_mul(a, b)
+    assert b * a == ref_mul(a, b)
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
