@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .binomials import binom_mod_p
 from .errors import (
@@ -43,6 +43,7 @@ from .useries import (
     INF_PREC,
     TPoly,
     USeries,
+    _embed_over,
     d_theta_useries,
     embed_k,
     theta_series,
@@ -156,24 +157,18 @@ class CarlitzCtx:
         q = self.q
         return q + (q - 1) * (q ** (self.cutoff + 1) + (k - 1) * q)
 
+    def _key(self) -> tuple:
+        return self.field, self.uprec, self.jet_order, self.cutoff
+
     def replace(self, **kw) -> "CarlitzCtx":
         """Copy with replacements; cutoff=None re-derives the automatic choice."""
-        args = {"field": self.field, "uprec": self.uprec,
-                "jet_order": self.jet_order, "cutoff": self.cutoff}
-        args.update(kw)
-        return CarlitzCtx(**args)
+        return CarlitzCtx(**{**dict(zip(self.__slots__, self._key())), **kw})
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CarlitzCtx)
-            and self.field == other.field
-            and self.uprec == other.uprec
-            and self.jet_order == other.jet_order
-            and self.cutoff == other.cutoff
-        )
+        return isinstance(other, CarlitzCtx) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.field, self.uprec, self.jet_order, self.cutoff))
+        return hash(self._key())
 
     def __repr__(self):
         return (f"CarlitzCtx(q={self.q}, uprec={self.uprec}, "
@@ -339,17 +334,10 @@ def carlitz_combinatorics(field: Field, kind: str, index: int) -> Poly:
     return fn(field, index)
 
 
-# -- jets of quotients, substituted at t = theta --------------------------------
-
-
-def _ratio_theta_jet(num: Poly, den: Poly, order: int) -> Jet:
-    """theta-jet of num/den to the given order, substituted at t = theta."""
-    return Jet(_quotient_jet_at_theta(d_theta_jet(num, order).coeffs,
-                                      d_theta_jet(den, order).coeffs))
-
-
-def _embed_jet(jet: Jet, prec: int) -> Jet:
-    return Jet([embed_k(c, prec) for c in jet.coeffs])
+# -- K-jets times the period-power jet ------------------------------------------
+#
+# A route's K-jet is raw: numerators N_0..N_order over one denominator in
+# F_q[theta], with no gcd, as fractions of equal value embed alike.
 
 
 def _p_valuation(n: int, p: int) -> int:
@@ -381,8 +369,10 @@ def _inverse_power(field: Field, jet_at, n: int) -> Jet:
     return _frobenius_lift(inv, n - 1, 0, lambda i: inv._zero()) ** n
 
 
+@lru_cache(maxsize=None)
 def _period_power_jet(ctx: CarlitzCtx, n: int, order: int) -> Jet:
-    """d_theta_useries(pitilde(ctx) ** n, order), from the period^m jet.
+    """d_theta_useries(pitilde(ctx) ** n, order), from the period^m jet; the
+    AT and eta routes and the span combination share it.
 
     For n = p^v m the theta-jet is Frob^v of the jet of period^m mod
     X^(order // p^v + 1); off the multiples of p^v it holds the zeros that
@@ -397,9 +387,9 @@ def _period_power_jet(ctx: CarlitzCtx, n: int, order: int) -> Jet:
                            lambda i: USeries.zero(F, prec + i * (F.q - 1)))
 
 
-def _times_period_power(ctx: CarlitzCtx, kjet: Jet, n: int) -> Jet:
-    """The embedded K-jet times the theta-jet of period^n to the same order."""
-    return _embed_jet(kjet, ctx.work_prec) * _period_power_jet(ctx, n, kjet.order)
+def _times_period_power(ctx: CarlitzCtx, kjet: tuple, n: int) -> Jet:
+    """The embedded raw K-jet times the theta-jet of period^n to its order."""
+    return Jet(_embed_over(*kjet, ctx.work_prec)) * _period_power_jet(ctx, n, len(kjet[0]) - 1)
 
 
 # -- transfer coefficients b_j ---------------------------------------------------
@@ -417,32 +407,30 @@ def b_rat(field: Field, j: int) -> RatFunc:
     """
     if j < 0:
         raise ConstraintViolated(f"b_j needs j >= 0, got {j}")
+    return _b_rats(field, j, j)[0]
+
+
+def _b_rats(field: Field, lo: int, hi: int) -> list[RatFunc]:
+    """b_lo, ..., b_hi from one _bracket_series to X^hi."""
     q = field.q
     one = Poly.one(field, VARS_TT)
     pairs = [(q ** i, Poly.monomial(field, (q ** i, 0)) - Poly.monomial(field, (0, 1)))
-             for i in range(1, _pow_at_least(q, j + 1))]
-    num, powers = _bracket_series(one, pairs, j + 1, -1)
-    num = num.get(j)
-    if num is None:
-        return RatFunc.zero(field, VARS_TT)
-    den = one
-    for f, left in powers:
-        while left:
-            try:
-                num = poly_divexact(num, f)
-            except ConstraintViolated:
-                break
-            left -= 1
-        den = den * f ** left
-    # coprime and deglex-monic by construction: the raw constructor is safe
-    return RatFunc(num, den)
-
-
-@lru_cache(maxsize=None)
-def _b_theta_jet(field: Field, order: int) -> Jet:
-    """Coefficient m: sum over i+j=m of d_t^i(b_j), substituted at t = theta:
-    the total substitution of the jet (b_0, ..., b_order)."""
-    return compose_substitute(Jet([b_rat(field, j) for j in range(order + 1)]))
+             for i in range(1, _pow_at_least(q, hi + 1))]
+    series, powers = _bracket_series(one, pairs, hi + 1, -1)
+    out = []
+    for j in range(lo, hi + 1):
+        num, den = series.get(j), one
+        for f, left in powers if num is not None else ():
+            while left:
+                try:
+                    num = poly_divexact(num, f)
+                except ConstraintViolated:
+                    break
+                left -= 1
+            den = den * f ** left
+        # coprime and deglex-monic by construction: the raw constructor is safe
+        out.append(RatFunc.zero(field, VARS_TT) if num is None else RatFunc(num, den))
+    return out
 
 
 # -- Anderson-Thakur polynomials -------------------------------------------------
@@ -545,73 +533,78 @@ def _fractions(num: dict, den: Poly, M: int) -> list[RatFunc]:
     return [RatFunc.make(num.get(k, zero), den) for k in range(M)]
 
 
-def _bracket_series(one: Poly, pairs, M: int, npow: int) -> tuple[dict, list]:
-    """prod (1 + X^e/g)^npow mod X^M over the pairs (e, g), e < M: a numerator
-    in X (as _s_times takes it) over the product of the powers (g, K) returned.
-
-    A factor is sum_k binom(npow, k) X^{ke}/g^k, K the largest k with ke < M
-    and a nonzero binomial mod p: over g^K, no series inversion is needed.
+def _bracket_series(one: Poly, pairs, M: int, npow: int,
+                    slide: bool = False) -> tuple[dict, list]:
+    """prod (1 + X^e/g)^npow mod X^M over the pairs (e, g), e >= 2, or with
+    slide prod (1 + X^e/(g - X))^npow: a numerator in X (as _s_times takes
+    it) over the product of the powers (g, K) returned, K the largest power
+    of 1/g in a term below X^M, so no series inversion is needed.  Term k is
+    binom(npow, k) X^{ke}/g^k, with slide times sum_i binom(k+i-1, i) (X/g)^i.
     """
     p = one.field.p
     num, powers = {0: one}, []
     for e, g in pairs:
-        bcs = [(k, c) for k in range((M - 1) // e + 1) if (c := binom_mod_p(npow, k, p))]
-        K = bcs[-1][0]
-        num = _s_times(num, {k * e: (g ** (K - k)).scale(c) for k, c in bcs}, M)
+        terms = {0: {0: 1}}  # x -> {s: the coefficient of X^x/g^s}
+        for k in range(1, (M - 1) // e + 1):
+            if bk := binom_mod_p(npow, k, p):
+                for i in range(M - k * e if slide else 1):
+                    if c := bk * binom_mod_p(k + i - 1, i, p) % p:
+                        terms.setdefault(k * e + i, {})[k + i] = c
+        K = max(max(t) for t in terms.values())
+        gpow = [one]
+        for _ in range(K):
+            gpow.append(gpow[-1] * g)
+        num = _s_times(num, {x: sum((gpow[K - s].scale(c) for s, c in t.items()),
+                                    one - one) for x, t in terms.items()}, M)
         powers.append((g, K))
     return num, powers
 
 
-def _eta_inv_pow_num(field: Field, l: int, M: int, npow: int) -> tuple[dict, Poly]:
-    """eta_l^{-npow} mod s^M as a numerator in s over one denominator in
-    F_q[theta]: the _bracket_series of the factors 1 + s^{q^m}/[m] of eta_l,
-    [m] = theta^{q^m} - theta, with q^m < M (the others are 1 mod s^M).
-    """
+def _bracket_product(field: Field, M: int, npow: int,
+                     slide: bool = False) -> tuple[dict, Poly]:
+    """The _bracket_series over the brackets [m] = theta^{q^m} - theta with
+    q^m < M, as a numerator over one denominator prod [m]^K."""
     q, one = field.q, Poly.one(field)
-    if q ** l < M:
-        raise InsufficientL(f"q^l = {q ** l} < {M}; increase l")
     pairs = [(q ** m, Poly.monomial(field, (q ** m,)) - Poly.monomial(field, (1,)))
-             for m in range(1, min(l, _pow_at_least(q, M) - 1) + 1)]
-    num, powers = _bracket_series(one, pairs, M, -npow)
+             for m in range(1, _pow_at_least(q, M))]
+    num, powers = _bracket_series(one, pairs, M, npow, slide)
     return num, math.prod((g ** K for g, K in powers), start=one)
 
 
-@lru_cache(maxsize=None)
-def _eta_inv_pow_theta_jet(field: Field, lm: int, npow: int, order: int) -> Jet:
-    """Jet of eta_{lm}^{-npow}, coefficients substituted at t = theta.
+def _eta_inv_pow_num(field: Field, l: int, M: int, npow: int) -> tuple[dict, Poly]:
+    """eta_l^{-npow} mod s^M over one denominator: the bracket product of the
+    factors 1 + s^{q^m}/[m] of eta_l, all those with q^m < M as q^l >= M."""
+    if field.q ** l < M:
+        raise InsufficientL(f"q^l = {field.q ** l} < {M}; increase l")
+    return _bracket_product(field, M, -npow)
 
-    f -> f(theta + X, theta) is a ring map and eta(theta, theta) = 1, so over
-    the base-p digits d_i of npow the jet is the product of Frob^i of the jet
-    of eta^{-d_i}.  That factor is needed only mod X^(order // p^i + 1),
-    where its coefficient k lands on X^(k p^i), and a digit with p^i > order
-    adds only its constant 1.  A single digit is one quotient jet of
-    L^d / eta_num^d; one quotient jet of L^npow / eta_num^npow would carry
-    denominators of degree npow * deg L through its recurrence.
+
+@lru_cache(maxsize=None)
+def _bracket_theta_jet(field: Field, npow: int, order: int) -> tuple:
+    """The raw K-jet prod_m (1 + X^{q^m}/([m] - X))^npow over the q^m <= order.
+
+    Under theta -> theta + X at t = theta, factor m of eta_l is
+    ([m] - X)/([m] + X^{q^m} - X), 1 mod X^(order+1) once q^m > order: this
+    is the jet of eta_l^{-npow} for every l with q^(l+1) > order.  At
+    npow = -1 it is the transfer jet P(theta, theta+X)/P(theta+X, theta+X),
+    P = curlyL_{l-1}, the total substitution of (b_0, ..., b_order).
     """
-    p = field.p
-    if lm == 0:  # eta_0 = 1
-        npow = 0
-    if npow < p:
-        return _ratio_theta_jet(L_poly(field, lm) ** npow, _eta_num(field, lm) ** npow,
-                                order)
-    out, i, pi = None, 0, 1
-    while npow and pi <= order:
-        npow, d = divmod(npow, p)
-        if d:
-            m = order // pi
-            jet = _eta_inv_pow_theta_jet(field, lm, d, m)
-            if i:
-                jet = _frobenius_lift(jet, order, i, lambda _: RatFunc.zero(field, VARS_T))
-            out = jet if out is None else out * jet
-        i, pi = i + 1, pi * p
-    if out is None:
-        return _eta_inv_pow_theta_jet(field, lm, 0, order)
-    return out
+    num, den = _bracket_product(field, order + 1, npow, slide=True)
+    return tuple(num.get(j, den - den) for j in range(order + 1)), den
+
+
+def _theta_gcd(gam: Poly, alpha: Poly) -> Poly:
+    """gcd of gam in F_q[theta] with alpha in F_q[theta, t]: as gam is free
+    of t, the univariate gcd of gam with each t-row of alpha."""
+    rows: dict[int, dict] = {}
+    for (i, j), c in alpha.terms.items():
+        rows.setdefault(j, {})[(i,)] = c
+    return reduce(poly_gcd, (Poly(gam.field, VARS_T, r) for r in rows.values()), gam)
 
 
 @lru_cache(maxsize=None)
-def _at_ratio_theta_jet(field: Field, n: int, order: int) -> Jet:
-    """Jet of alpha_n/Gamma_n, coefficients substituted at t = theta.
+def _at_ratio_theta_jet(field: Field, n: int, order: int) -> tuple:
+    """The raw K-jet of alpha_n/Gamma_n, substituted at t = theta.
 
     alpha_{nq} * Gamma_n^q = alpha_n^q * Gamma_{nq}, so R_{nq} = R_n^q for
     R_n = alpha_n/Gamma_n, and f -> f(theta + X, theta) is a ring map: when
@@ -621,13 +614,20 @@ def _at_ratio_theta_jet(field: Field, n: int, order: int) -> Jet:
     would carry it through every coefficient.
     """
     if n % field.q == 0:
-        jet = _at_ratio_theta_jet(field, n // field.q, order // field.q)
-        return _frobenius_lift(jet, order, field.e, lambda _: RatFunc.zero(field, VARS_T))
+        nums, den = _at_ratio_theta_jet(field, n // field.q, order // field.q)
+        lift = _frobenius_lift(Jet(nums), order, field.e, lambda _: Poly.zero(field))
+        return lift.coeffs, den.frobenius_power(field.e)
     alpha, gam = at_poly(field, n)
     if not gam.is_constant():
-        g = poly_gcd(alpha, gam.lift_tt())
-        alpha, gam = poly_divexact(alpha, g), poly_divexact(gam, g.drop_t())
-    return _ratio_theta_jet(alpha, gam, order)
+        g = _theta_gcd(gam, alpha)
+        alpha, gam = poly_divexact(alpha, g.lift_tt()), poly_divexact(gam, g)
+    # the recurrence's C_k / D^(k+1) as C_k D^(order-k) over D^(order+1)
+    nums = [c.eval_t_at_theta() for c in d_theta_jet(alpha, order).coeffs]
+    dens = list(d_theta_jet(gam, order).coeffs)
+    if all(d.is_zero() for d in dens[1:]):
+        return tuple(nums), gam
+    cs, dpow = _quotient_jet_numerators(nums, dens)
+    return tuple(c * dpow(order - k) for k, c in enumerate(cs)), dpow(order + 1)
 
 
 # -- period coordinates ----------------------------------------------------------
@@ -716,25 +716,24 @@ def z_via_eta(ctx: CarlitzCtx, n: int, l: int) -> PeriodCoords:
     """Coordinates from jets of eta_{l-1}^{-n} times jets of the period power.
 
     Valid for l >= 1 with q^l >= n.  z_{n-j} is the order-j coefficient of
-    the product jet; every denominator is a product of theta^{q^m} - t,
-    nonzero at t = theta, so substitution never meets a pole.  Factor m of
-    eta_{l-1}(theta + X, theta) is 1 mod X^{q^m}, so every l >= l_min gives
-    the same jet mod X^n, and each factor doubles the cost: l is capped at
-    l_min + 1, which still runs one factor past the least depth.
+    the product jet.  Factor m of eta_{l-1}(theta + X, theta) is 1 mod
+    X^{q^m}, so every l >= l_min gives the same K-jet mod X^n: the bracket
+    rule over the q^m <= n - 1 (_bracket_theta_jet at npow = n), whose
+    denominator, a product of brackets theta^{q^m} - theta, never vanishes.
     """
     if n < 1:
         raise ConstraintViolated(f"tensor power must be >= 1, got {n}")
-    lmin = minimal_l(ctx.q, n)
-    if l < lmin:
+    if l < minimal_l(ctx.q, n):
         raise ConstraintViolated(
             f"need l >= 1 with q^l >= n, got l={l} for n={n}"
         )
-    ajet = _eta_inv_pow_theta_jet(ctx.field, min(l, lmin + 1) - 1, n, n - 1)
+    ajet = _bracket_theta_jet(ctx.field, n, n - 1)
     return _coords_from_jet(ctx, _times_period_power(ctx, ajet, n), "eta")
 
 
 def z_via_at(ctx: CarlitzCtx, n: int) -> PeriodCoords:
-    """Coordinates from jets of alpha_n/Gamma_n times jets of the period power."""
+    """Coordinates from jets of alpha_n/Gamma_n times jets of the period power:
+    the raw quotient jet of the AT polynomials (_at_ratio_theta_jet)."""
     if n < 1:
         raise ConstraintViolated(f"tensor power must be >= 1, got {n}")
     ajet = _at_ratio_theta_jet(ctx.field, n, n - 1)
@@ -745,15 +744,15 @@ def dtheta_pitilde(ctx: CarlitzCtx, n: int, route: str = "direct") -> Jet:
     """(period, d^1 period, ..., d^n period) by two independent routes.
 
     direct: the theta-derivation on the Laurent series itself.
-    span:   minus the product of the embedded transfer jet with the inverse
-            of the substituted Omega t-jet.
+    span:   minus the product of the embedded transfer jet (the bracket
+            rule at npow = -1) with the inverse of the substituted Omega t-jet.
     """
     if n < 0:
         raise ConstraintViolated(f"jet order must be >= 0, got {n}")
     if route == "direct":
         return d_theta_useries(pitilde(ctx), n)
     if route == "span":
-        bjet = _embed_jet(_b_theta_jet(ctx.field, n), ctx.work_prec)
+        bjet = Jet(_embed_over(*_bracket_theta_jet(ctx.field, -1, n), ctx.work_prec))
         ejet = omega_theta_eval_jet(ctx, n)
         return (bjet * ejet.inverse()).scale(ctx.field.elem(-1))
     raise ConstraintViolated(f"unknown route {route!r}; expected direct or span")
@@ -962,13 +961,17 @@ def _cells_eta_quotient(field: Field, lmax: int, order: int) -> list[CheckCell]:
 
 
 def _cells_bjet_eta(field: Field, nmax: int) -> list[CheckCell]:
+    """The total substitution of the b_rat jet against the quotient jet of
+    eta_{l-1}: the check that ties b_rat, and so the Omega transfer cells, to
+    the bracket rule that the routes run."""
     cells = []
     q = field.q
-    big = _b_theta_jet(field, nmax - 1) if nmax >= 1 else None
+    big = compose_substitute(Jet(_b_rats(field, 0, nmax - 1))) if nmax >= 1 else None
     for n in range(1, nmax + 1):
         l = minimal_l(q, n)
         lhs = big.truncated(n - 1)
-        rhs = _ratio_theta_jet(_eta_num(field, l - 1), L_poly(field, l - 1), n - 1)
+        rhs = _quotient_jet_at_theta(d_theta_jet(_eta_num(field, l - 1), n - 1).coeffs,
+                                     d_theta_jet(L_poly(field, l - 1), n - 1).coeffs)
         witness = _first_gap("transfer jet vs eta jet", lhs, rhs)
         cells.append(CheckCell("bjet_eta_congruence", {"n": n, "l": l},
                                witness is None, witness))
@@ -1091,14 +1094,16 @@ def _cell_span_combination(ctx: CarlitzCtx, n: int) -> CheckCell:
     m_1+...+m_n = b, so multiplying by the inverse n-th power of the
     transfer jet exhibits z_{n-j} as a K-linear combination of those
     monomials; the check requires the residual against the omega-route
-    coordinates to vanish on all retained coefficients.
+    coordinates to vanish on all retained coefficients.  That inverse power
+    is the bracket rule at npow = n, the eta route's K-jet.
     """
     co = z_via_omega(ctx, n)
-    cjet = _inverse_power(ctx.field, lambda k: _b_theta_jet(ctx.field, k), n)
+    cjet = _bracket_theta_jet(ctx.field, n, n - 1)
     combo = _times_period_power(ctx, cjet, n)
     witness = _first_gap("combination vs (z_n..z_1)", combo, co.jet(), ctx.uprec)
     if witness is not None:
-        witness += f"; K-coefficients: {cjet.coeffs!r}"
+        nums, den = cjet
+        witness += f"; K-coefficients: {tuple(RatFunc.make(c, den) for c in nums)!r}"
     return CheckCell("coords_span_combination",
                      {"n": n, "monomial_orders": f"0..{n - 1}"}, witness is None, witness)
 
@@ -1106,18 +1111,20 @@ def _cell_span_combination(ctx: CarlitzCtx, n: int) -> CheckCell:
 # -- suite driver ------------------------------------------------------------------
 
 
-VERIFY_SELECTORS = (
-    "omega",
-    "b_transfer",
-    "pitilde_span",
-    "eta_quotient",
-    "bjet_eta",
-    "eta_sum",
-    "eta_alpha",
-    "alpha",
-    "coords",
-    "span_combination",
-)
+# selector -> its cells, from the context and the run's ranges; in report order
+_SELECTORS = {
+    "omega": lambda ctx, r: [*_cells_omega(ctx, r["t_terms"]), _cell_omega_pow(ctx, r["n"])],
+    "b_transfer": lambda ctx, r: _cells_b_transfer(ctx, r["jmax"], r["t_terms"]),
+    "pitilde_span": lambda ctx, r: _cells_span(ctx, r["n"]),
+    "eta_quotient": lambda ctx, r: _cells_eta_quotient(ctx.field, r["lmax"], r["n"]),
+    "bjet_eta": lambda ctx, r: _cells_bjet_eta(ctx.field, r["n"]),
+    "eta_sum": lambda ctx, r: [_cell_eta_sum(ctx.field, r["sum_order"])],
+    "eta_alpha": lambda ctx, r: _cells_eta_alpha(ctx.field, r["n"]),
+    "alpha": lambda ctx, r: _cells_alpha(ctx.field, r["n"]),
+    "coords": lambda ctx, r: _cells_coords(ctx, r["n"]),
+    "span_combination": lambda ctx, r: [_cell_span_combination(ctx, r["n"])],
+}
+VERIFY_SELECTORS = tuple(_SELECTORS)
 
 
 def verify_suite(ctx: CarlitzCtx, which="all", *, n: int | None = None,
@@ -1158,35 +1165,13 @@ def verify_suite(ctx: CarlitzCtx, which="all", *, n: int | None = None,
             f"the eta sum needs sum_order >= 2 (mod s^1 it holds trivially), "
             f"got {sum_order}")
 
+    ranges = {"n": n, "jmax": jmax, "lmax": lmax, "sum_order": sum_order, "t_terms": t_terms}
+    cells = [c for nm in VERIFY_SELECTORS if nm in names for c in _SELECTORS[nm](ctx, ranges)]
     field = ctx.field
-    cells: list[CheckCell] = []
-    if "omega" in names:
-        cells.extend(_cells_omega(ctx, t_terms))
-        cells.append(_cell_omega_pow(ctx, n))
-    if "b_transfer" in names:
-        cells.extend(_cells_b_transfer(ctx, jmax, t_terms))
-    if "pitilde_span" in names:
-        cells.extend(_cells_span(ctx, n))
-    if "eta_quotient" in names:
-        cells.extend(_cells_eta_quotient(field, lmax, n))
-    if "bjet_eta" in names:
-        cells.extend(_cells_bjet_eta(field, n))
-    if "eta_sum" in names:
-        cells.append(_cell_eta_sum(field, sum_order))
-    if "eta_alpha" in names:
-        cells.extend(_cells_eta_alpha(field, n))
-    if "alpha" in names:
-        cells.extend(_cells_alpha(field, n))
-    if "coords" in names:
-        cells.extend(_cells_coords(ctx, n))
-    if "span_combination" in names:
-        cells.append(_cell_span_combination(ctx, n))
-
     meta = {
         "p": field.p, "e": field.e, "q": field.q,
         "uprec": ctx.uprec, "jet_order": ctx.jet_order, "cutoff": ctx.cutoff,
-        "n": n, "jmax": jmax, "lmax": lmax, "sum_order": sum_order,
-        "t_terms": t_terms, "selectors": list(names),
+        **ranges, "selectors": list(names),
     }
     return Report(cells, meta)
 

@@ -407,7 +407,15 @@ def _theta_sum(field: Field, parts, prec) -> USeries:
 
 
 def _poly_series(p, field: Field) -> USeries:
-    return _theta_sum(field, [(i, 0, (c,)) for (i,), c in p._items()], INF_PREC)
+    """p as a Laurent polynomial in u: as theta^k = (-1)^k u^(-k(q-1)), its
+    dense list, odd degrees negated, runs backwards at stride q - 1."""
+    if not p._dv:  # zero, or sparse above the dense degree bound
+        return _theta_sum(field, [(i, 0, (c,)) for (i,), c in p._items()], INF_PREC)
+    vals, s = list(p._dv), field.q - 1
+    vals[1::2] = map(field.neg_t.__getitem__, vals[1::2])
+    out = [0] * ((len(vals) - 1) * s + 1)
+    out[::s] = vals[::-1]
+    return USeries(field, -(len(vals) - 1) * s, out)
 
 
 def embed_k(f, prec: int) -> USeries:
@@ -425,18 +433,25 @@ def embed_k(f, prec: int) -> USeries:
         )
     if len(f.vars) != 1:
         raise ConstraintViolated("embed_k expects a univariate rational function of theta")
-    field = f.field
-    num = _poly_series(f.num, field)
-    if f.den.is_constant():
-        return num.scale(f.den.coeff((0,)).inverse())
-    den = _poly_series(f.den, field)
-    if len(den.coeffs) == 1:
-        return num * den.inverse()
-    if num.is_zero():
-        return USeries.zero(field, prec)
-    target = prec - num.valuation()
-    inv = den.inverse(abs_prec=target)
-    return (num * inv).with_prec(prec)
+    return _embed_over([f.num], f.den, prec)[0]
+
+
+def _embed_over(nums, den, prec) -> list[USeries]:
+    """embed_k of num/den for each polynomial num in theta, with no gcd: one
+    inverse of den, to the precision that the numerator of least valuation
+    needs, serves them all.  A zero, a numerator equal to den and a monomial
+    den give exact Laurent polynomials."""
+    field = den.field
+    series = [_poly_series(c, field) for c in nums]
+    d = _poly_series(den, field)
+    vals = [s.valuation() for c, s in zip(nums, series) if not (c.is_zero() or c == den)]
+    if len(d.coeffs) == 1:
+        inv, prec = d.inverse(), INF_PREC
+    else:
+        inv = d.inverse(abs_prec=prec - min(vals)) if vals else None
+    one = USeries.one(field)
+    return [s if c.is_zero() else one if c == den else (s * inv).with_prec(prec)
+            for c, s in zip(nums, series)]
 
 
 # -- Hasse derivative in u and the theta-derivation ----------------------------

@@ -27,9 +27,19 @@ The transfer coefficient b_j is the X^j coefficient of a product of bracket
 series; its earlier form, the quotient-jet numerator of 1/P over P^j for
 P = curlyL_{l-1}, peeled back by trial division, is the reference for
 `b_rat`.
+
+The routes hold their K-jets raw, as numerators over one denominator.  The
+canonical builders they ran before are the references for them: the quotient
+jet of num/den in canonical fractions, the eta K-jet as a product of
+Frobenius images of base-p digit jets, the AT K-jet as canonical quotient
+jets after a bivariate gcd, the transfer jet as the
+total substitution of (b_0, ..., b_order), and the embedding of each
+canonical coefficient by its own `embed_k`.  `raw_jet_gap` compares a raw
+jet with a canonical one in K, by cross-multiplication.
 """
 
 import random
+from functools import lru_cache
 
 from carlitzhd import (
     VARS_T,
@@ -46,12 +56,14 @@ from carlitzhd import (
     USeries,
     binom_mod_p,
     carlitz,
+    embed_k,
     poly_divexact,
+    poly_gcd,
     taylor_shift,
 )
 from carlitzhd.carlitz import _LAGRANGE_NOTE, _first_gap, _pow_at_least
 from carlitzhd.errors import ConstraintViolated, PrecisionExhausted
-from carlitzhd.jets import _ring_is_zero, d_t_jet, d_theta_jet
+from carlitzhd.jets import _ring_is_zero, compose_substitute, d_t_jet, d_theta_jet
 from carlitzhd.rings import (
     _exact_zero,
     _poly_hasse,
@@ -396,3 +408,87 @@ def b_rat_by_recurrence(field, j: int):
         if left:
             den = den * f ** left
     return RatFunc(num, den)
+
+
+# -- canonical K-jets, the references for the raw ones ---------------------------
+
+
+def ratio_theta_jet(num, den, order: int):
+    """theta-jet of num/den to the given order at t = theta, in canonical
+    fractions: one quotient jet of the polynomial jets."""
+    return Jet(_quotient_jet_at_theta(d_theta_jet(num, order).coeffs,
+                                      d_theta_jet(den, order).coeffs))
+
+
+def raw_jet_gap(kjet, jet):
+    """The first order k at which the raw K-jet (numerators, denominator)
+    and the jet of canonical fractions differ in K, by cross-multiplication;
+    None if they are equal."""
+    nums, den = kjet
+    if len(nums) != len(jet):
+        return -1
+    for k, (num, c) in enumerate(zip(nums, jet.coeffs)):
+        if num * c.den != c.num * den:
+            return k
+    return None
+
+
+def embed_jet(jet, prec: int):
+    """A jet of canonical fractions embedded coefficient by coefficient."""
+    return Jet([embed_k(c, prec) for c in jet.coeffs])
+
+
+def raw_to_fractions(kjet):
+    """The raw K-jet as a jet of canonical fractions."""
+    nums, den = kjet
+    return Jet([RatFunc.make(c, den) for c in nums])
+
+
+@lru_cache(maxsize=None)
+def eta_inv_pow_theta_jet(field, lm: int, npow: int, order: int):
+    """Jet of eta_{lm}^{-npow} at t = theta in canonical fractions: over the
+    base-p digits d_i of npow, the product of Frob^i of the jet of
+    eta^{-d_i} mod X^(order // p^i + 1), each digit one quotient jet of
+    L^d / eta_num^d."""
+    p = field.p
+    if lm == 0:  # eta_0 = 1
+        npow = 0
+    if npow < p:
+        return ratio_theta_jet(carlitz.L_poly(field, lm) ** npow,
+                               carlitz._eta_num(field, lm) ** npow, order)
+    out, i, pi = None, 0, 1
+    while npow and pi <= order:
+        npow, d = divmod(npow, p)
+        if d:
+            jet = eta_inv_pow_theta_jet(field, lm, d, order // pi)
+            if i:
+                jet = carlitz._frobenius_lift(jet, order, i,
+                                              lambda _: RatFunc.zero(field, VARS_T))
+            out = jet if out is None else out * jet
+        i, pi = i + 1, pi * p
+    if out is None:
+        return eta_inv_pow_theta_jet(field, lm, 0, order)
+    return out
+
+
+@lru_cache(maxsize=None)
+def at_ratio_theta_jet(field, n: int, order: int):
+    """Jet of alpha_n/Gamma_n at t = theta in canonical fractions: the
+    Frobenius image of the jet of R_{n/q} when q | n, else the quotient jet
+    after the bivariate gcd of alpha_n with Gamma_n."""
+    if n % field.q == 0:
+        jet = at_ratio_theta_jet(field, n // field.q, order // field.q)
+        return carlitz._frobenius_lift(jet, order, field.e,
+                                       lambda _: RatFunc.zero(field, VARS_T))
+    alpha, gam = carlitz.at_poly(field, n)
+    if not gam.is_constant():
+        g = poly_gcd(alpha, gam.lift_tt())
+        alpha, gam = poly_divexact(alpha, g), poly_divexact(gam, g.drop_t())
+    return ratio_theta_jet(alpha, gam, order)
+
+
+@lru_cache(maxsize=None)
+def b_theta_jet(field, order: int):
+    """The transfer jet as the total substitution of (b_0, ..., b_order),
+    each b_j from b_rat."""
+    return compose_substitute(Jet([carlitz.b_rat(field, j) for j in range(order + 1)]))

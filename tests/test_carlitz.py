@@ -8,10 +8,12 @@ import pytest
 
 from conftest import force_b1_to_one, oracle_pitilde_prefix
 from oracles import (
+    b_theta_jet,
     eta_inv_pow_sjet,
     fraction_jet,
     lagrange_factorwise,
     lagrange_sides,
+    raw_jet_gap,
     sjet_from_ratfunc,
     to_rho_matrix,
 )
@@ -55,7 +57,8 @@ from carlitzhd import (
 from carlitzhd import rings
 from carlitzhd import carlitz
 from carlitzhd.carlitz import (
-    _b_theta_jet,
+    _b_rats,
+    _bracket_theta_jet,
     _coords_from_jet,
     _inverse_power,
     _lagrange_tuples,
@@ -271,10 +274,14 @@ def bivariate_compose_substitute(fjet):
 @pytest.mark.parametrize("q,order", [(2, 4), (3, 3), (4, 3)])
 def test_b_substituted_jet_matches_generic_rule(q, order):
     # the transfer jet substituted at t = theta agrees with the bivariate
-    # route on the jet of transfer coefficients
+    # route on the jet of transfer coefficients, and the bracket rule at
+    # npow = -1, which the span route runs, equals it in K
     f = field_new(*{4: (2, 2)}.get(q, (q,)))
     bjet = Jet([b_rat(f, j) for j in range(order + 1)])
-    assert _b_theta_jet(f, order) == bivariate_compose_substitute(bjet)
+    assert Jet(_b_rats(f, 0, order)) == bjet
+    want = bivariate_compose_substitute(bjet)
+    assert compose_substitute(bjet) == want
+    assert raw_jet_gap(_bracket_theta_jet(f, -1, order), want) is None
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
@@ -588,16 +595,16 @@ def test_eta_route_depth_validation():
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 5), (4, 9)])
 def test_eta_route_depth_is_capped_one_past_the_least(q, n, monkeypatch):
     # factor m of eta_{l-1}(theta + X, theta) is 1 mod X^{q^m}, so every
-    # depth from l_min on gives the same coordinates; past l_min + 1 the
-    # route runs at l_min + 1, eta_{l_min} in the K-jet
+    # depth from l_min on gives the same coordinates; the route reads no
+    # factor past the least depth, whatever l is: its one K-jet is the
+    # bracket rule over the q^m <= n - 1
     f = field_new(*{4: (2, 2)}.get(q, (q,)))
     ctx = CarlitzCtx(f, uprec=30, jet_order=n - 1)
-    lmin = minimal_l(q, n)
-    depths, real = [], carlitz._eta_inv_pow_theta_jet
-    monkeypatch.setattr(carlitz, "_eta_inv_pow_theta_jet",
-                        lambda field, lm, *args: depths.append(lm) or real(field, lm, *args))
-    coords = [z_via_eta(ctx, n, l).z for l in range(lmin, lmin + 5)]
-    assert sorted(set(depths)) == [lmin - 1, lmin]
+    calls, real = [], carlitz._bracket_theta_jet
+    monkeypatch.setattr(carlitz, "_bracket_theta_jet",
+                        lambda *args: calls.append(args) or real(*args))
+    coords = [z_via_eta(ctx, n, l).z for l in range(minimal_l(q, n), minimal_l(q, n) + 5)]
+    assert set(calls) == {(f, n, n - 1)}
     assert all(z == coords[0] for z in coords)
 
 
@@ -694,7 +701,11 @@ def test_period_power_jet_reads_order_n_over_p_v(monkeypatch, q, n, order, read)
         return d_theta_useries(f, k)
 
     monkeypatch.setattr(carlitz, "d_theta_useries", recording)
-    assert _period_power_jet(ctx, n, order) == want
+    _period_power_jet.cache_clear()
+    try:
+        assert _period_power_jet(ctx, n, order) == want
+    finally:
+        _period_power_jet.cache_clear()
     assert seen == [read]
 
 
@@ -729,10 +740,13 @@ def test_inverse_power_inverts_only_order_n_over_p_v(q, n, read):
 @pytest.mark.parametrize("q,ns", [(2, range(1, 17)), (3, range(1, 19)),
                                   (4, range(1, 13)), (9, (9, 18))])
 def test_span_combination_k_jet_equals_the_full_order_inverse(q, ns):
+    # the inverse n-th power of the transfer jet, by the lift and in full,
+    # and the bracket rule at npow = n that the span combination runs
     f = field_new(*LIFT_FIELDS[q])
     for n in ns:
-        cjet = _inverse_power(f, lambda k: _b_theta_jet(f, k), n)
-        assert cjet == _b_theta_jet(f, n - 1) ** (-n), (q, n)
+        cjet = _inverse_power(f, lambda k: b_theta_jet(f, k), n)
+        assert cjet == b_theta_jet(f, n - 1) ** (-n), (q, n)
+        assert raw_jet_gap(_bracket_theta_jet(f, n, n - 1), cjet) is None, (q, n)
 
 
 # -- the verification suite ------------------------------------------------------------

@@ -9,10 +9,11 @@ alpha_n/Gamma_n as one unreduced fraction.  Product counts pin the
 recurrence's cost.  `b_rat`, the X^j coefficient of a product of bracket
 series, is checked against frozen values, against the quotient-jet
 recurrence it replaced and against the Omega transfer cells.  The
-eta K-jet, a product of Frobenius images of base-p digit jets, is checked
-against the single quotient jet of L^n / eta_num^n, and the AT K-jet, a
-Frobenius image of a smaller one when q | n, against the single quotient jet
-of alpha_n / Gamma_n.
+canonical eta K-jet of tests/oracles.py, a product of Frobenius images of
+base-p digit jets, is checked against the single quotient jet of
+L^n / eta_num^n, and the canonical AT K-jet, a Frobenius image of a smaller
+one when q | n, against the single quotient jet of alpha_n / Gamma_n; the
+raw K-jets that the routes run must equal both in K.
 """
 
 import random
@@ -44,14 +45,21 @@ from carlitzhd import (
 from carlitzhd import carlitz
 from carlitzhd.carlitz import (
     _at_ratio_theta_jet,
-    _eta_inv_pow_theta_jet,
+    _bracket_theta_jet,
     _eta_num,
-    _ratio_theta_jet,
 )
 from carlitzhd.jets import d_t_jet, d_theta_jet
 from carlitzhd.rings import _quotient_jet_at_theta
 
-from oracles import b_rat_by_recurrence, sjet_from_ratfunc, sjet_inverse
+from oracles import (
+    at_ratio_theta_jet,
+    b_rat_by_recurrence,
+    eta_inv_pow_theta_jet,
+    ratio_theta_jet,
+    raw_jet_gap,
+    sjet_from_ratfunc,
+    sjet_inverse,
+)
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
           9: (3, 2)}
@@ -116,8 +124,8 @@ def test_ratio_jet_matches_generic_route_on_eta_quotients(q, l):
     order = 5
     eta_num, big_l = _eta_num(f, l), L_poly(f, l).lift_tt()
     eta, big_l_jet = d_theta_jet(eta_num, order), d_theta_jet(big_l, order)
-    assert _ratio_theta_jet(eta_num, big_l, order) == generic_ratio(eta, big_l_jet)
-    assert _ratio_theta_jet(big_l, eta_num, order) == generic_ratio(big_l_jet, eta)
+    assert ratio_theta_jet(eta_num, big_l, order) == generic_ratio(eta, big_l_jet)
+    assert ratio_theta_jet(big_l, eta_num, order) == generic_ratio(big_l_jet, eta)
 
 
 def test_ratio_jet_matches_generic_route_with_exact_zeros():
@@ -131,7 +139,7 @@ def test_ratio_jet_matches_generic_route_with_exact_zeros():
         num_jet, den_jet = d_theta_jet(num, order), d_theta_jet(den, order)
         assert any(c.is_zero() for c in num_jet.coeffs[1:])
         assert any(c.is_zero() for c in den_jet.coeffs[1:])
-        got = _ratio_theta_jet(num, den, order)
+        got = ratio_theta_jet(num, den, order)
         assert got == generic_ratio(num_jet, den_jet)
         assert any(c.is_zero() for c in got.coeffs)
 
@@ -185,7 +193,7 @@ def test_eta_quotient_cell_fails_on_a_perturbed_numerator(monkeypatch, bad_l):
 
 def single_quotient_eta_jet(f, lm: int, n: int, order: int) -> Jet:
     """The jet of eta_lm^(-n) as one quotient jet of L^n / eta_num^n."""
-    return _ratio_theta_jet(L_poly(f, lm) ** n, _eta_num(f, lm) ** n, order)
+    return ratio_theta_jet(L_poly(f, lm) ** n, _eta_num(f, lm) ** n, order)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 49])
@@ -196,9 +204,10 @@ def test_eta_jet_by_digits_matches_single_quotient(q):
     # n = 20 is 202 in base 3: a Frobenius-squared digit jet
     cells += {3: [(20, 2)], 9: [(20, 1)]}.get(q, [])
     for n, lm in cells:
-        got = _eta_inv_pow_theta_jet(f, lm, n, n - 1)
+        got = eta_inv_pow_theta_jet(f, lm, n, n - 1)
         want = single_quotient_eta_jet(f, lm, n, n - 1)
         assert got == want and repr(got) == repr(want), (n, lm)
+        assert raw_jet_gap(_bracket_theta_jet(f, n, n - 1), want) is None, (n, lm)
 
 
 # -- the AT K-jet by the q-power identity --------------------------------------------
@@ -206,7 +215,7 @@ def test_eta_jet_by_digits_matches_single_quotient(q):
 def single_quotient_at_jet(f, n: int, order: int) -> Jet:
     """The jet of alpha_n/Gamma_n as one quotient jet of the unreduced pair."""
     alpha, gam = at_poly(f, n)
-    return _ratio_theta_jet(alpha, gam, order)
+    return ratio_theta_jet(alpha, gam, order)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -218,9 +227,10 @@ def test_at_jet_matches_single_quotient(q):
     # a nontrivial jet is taken at every q, e > 1 included
     ns |= {q * (q + 1), q * (q + 2)}
     for n in sorted(ns):
-        got = _at_ratio_theta_jet(f, n, n - 1)
+        got = at_ratio_theta_jet(f, n, n - 1)
         want = single_quotient_at_jet(f, n, n - 1)
         assert got == want and repr(got) == repr(want), n
+        assert raw_jet_gap(_at_ratio_theta_jet(f, n, n - 1), want) is None, n
 
 
 @pytest.mark.parametrize("q,n,largest", [(2, 24, 3), (3, 27, 1)])

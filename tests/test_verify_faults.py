@@ -8,7 +8,9 @@ checks that decide on numerator polynomials must, under a fault, print
 the witnesses of their canonical-fraction references in tests/oracles.py.
 The inputs sit under lru_cache'd callers, so every test starts and ends
 with empty caches: a clean value cached before the fault would hide it,
-and a faulted value cached during it would leak into later tests.
+and a faulted value cached during it would leak into later tests.  The raw
+K-jets are faulted in one numerator: the bracket rule drives the span
+route, the span combination and the eta route, and the AT jet the AT route.
 """
 
 import pytest
@@ -86,8 +88,18 @@ def _curlyL_bumped(real):
     return fake
 
 
-def _order1_bumped(real):
-    return lambda field, order: _bumped(real(field, order), 1)
+def _b1_in_jet_bumped(real):
+    return lambda field, lo, hi: [b + 1 if j == 1 else b
+                                  for j, b in enumerate(real(field, lo, hi), lo)]
+
+
+def _raw_order1_bumped(real):
+    """A raw K-jet (numerators over one denominator) plus 1 at order 1: the
+    denominator added to numerator 1."""
+    def fake(field, index, order):
+        nums, den = real(field, index, order)
+        return tuple(c + den if k == 1 else c for k, c in enumerate(nums)), den
+    return fake
 
 
 def _d1_bumped(real):
@@ -108,13 +120,16 @@ FAULTS = [
     ("b_transfer", carlitz, "b_rat", _b1_bumped, {"b_vanishing", "b_transfer"}),
     ("pitilde_span", carlitz, "dtheta_pitilde", _span_route_bumped, {"pitilde_span"}),
     ("eta_quotient", carlitz, "curlyL_poly", _curlyL_bumped, {"eta_quotient"}),
-    ("bjet_eta", carlitz, "_b_theta_jet", _order1_bumped, {"bjet_eta_congruence"}),
+    ("pitilde_span", carlitz, "_bracket_theta_jet", _raw_order1_bumped, {"pitilde_span"}),
+    ("bjet_eta", carlitz, "_b_rats", _b1_in_jet_bumped, {"bjet_eta_congruence"}),
     ("eta_sum", carlitz, "D_poly", _d1_bumped, {"eta_sum_one"}),
     ("eta_alpha", carlitz, "at_poly", _alpha_bumped, {"eta_inv_alpha"}),
     ("alpha", carlitz, "at_poly", _alpha_bumped, {"alpha_q_power"}),
     ("coords", carlitz, "z_via_omega", _z_n_bumped,
      {"coords_cross_route", "coords_last_power"}),
-    ("span_combination", carlitz, "_b_theta_jet", _order1_bumped,
+    ("coords", carlitz, "_bracket_theta_jet", _raw_order1_bumped, {"coords_cross_route"}),
+    ("coords", carlitz, "_at_ratio_theta_jet", _raw_order1_bumped, {"coords_cross_route"}),
+    ("span_combination", carlitz, "_bracket_theta_jet", _raw_order1_bumped,
      {"coords_span_combination"}),
 ]
 
@@ -190,11 +205,13 @@ def test_faulted_witness_equals_the_reference(monkeypatch, fresh_caches,
 
 
 def test_span_combination_witness_carries_the_k_coefficients(monkeypatch, fresh_caches):
-    monkeypatch.setattr(carlitz, "_b_theta_jet",
-                        _order1_bumped(carlitz._b_theta_jet))
+    # the raw K-jet is made canonical for the witness only
+    bumped = _raw_order1_bumped(carlitz._bracket_theta_jet)
+    monkeypatch.setattr(carlitz, "_bracket_theta_jet", bumped)
     (cell,) = verify_suite(CTX, "span_combination", **KW).cells
     assert cell.witness.startswith("combination vs (z_n..z_1): order-")
-    assert "; K-coefficients: " in cell.witness
+    want = oracles.raw_to_fractions(bumped(CTX.field, 2, 1)).coeffs
+    assert cell.witness.endswith(f"; K-coefficients: {want!r}")
 
 
 # -- the agreement check ----------------------------------------------------------
