@@ -12,8 +12,8 @@ Two concrete derivations act on polynomials in theta and t:
 
 A jet of a fraction is needed only at t = theta, where
 rings._quotient_jet_at_theta forms it from the polynomial jets of numerator
-and denominator.  compose_substitute is the span route's total substitution
-theta, t |-> theta.
+and denominator.  compose_substitute is the total substitution
+theta, t |-> theta that the bjet_eta cells apply to the transfer coefficients.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def d_t_jet(f: Poly, order: int) -> Jet:
 def compose_substitute(f_jet_theta: Jet) -> Jet:
     """Jet of theta |-> f(theta, theta) from the theta-jet of f(theta, t).
 
-    The span route's total substitution: coefficient m is the sum over
+    The total substitution: coefficient m is the sum over
     i + j = m of d_t^i(d_theta^j f) at t = theta.  For each RatFunc or Poly
     coefficient, _quotient_jet_at_theta forms the t-jet from its substituted
     numerator and denominator jets, so no bivariate fraction is built.
