@@ -4,8 +4,11 @@
 Each coords file is the byte-exact CLI JSON output for one (q, n) grid cell
 of the omega-route period coordinates at u-precision 6n(q-1)+40.  Each
 verify file is the byte-exact report of the full identity suite and the
-Lagrange check (``verify --q Q --n N``) in JSON or CSV.  Run from anywhere;
-paths are anchored to this script's location.
+Lagrange check (``verify --q Q --n N``) in JSON or CSV.  Each fraction
+file is the JSON printout of one bivariate fraction in F_q(theta, t): the
+transfer coefficient b_{2q} (``bj``) or eta_2 (``eta``, as a fraction and as
+an s-expansion).  Run from anywhere; paths are anchored to this script's
+location.
 """
 
 import os
@@ -20,6 +23,16 @@ GRID_N = (1, 2, 3, 4, 5, 6)
 
 # (q, n, format) of the verify reports
 VERIFY_CELLS = ((2, 4, "json"), (3, 4, "json"), (9, 4, "json"), (3, 4, "csv"))
+
+# (file name, CLI arguments) of the bivariate fraction printouts
+FRACTION_CELLS = tuple(
+    [(f"bj_q{q}_j{2 * q}.json",
+      ["bj", "--q", str(q), "--j", str(2 * q), "--json"]) for q in GRID_Q]
+    + [(f"eta_q{q}_l2.json", ["eta", "--q", str(q), "--l", "2", "--json"])
+       for q in GRID_Q]
+    + [("eta_q3_l2_sjet4.json",
+        ["eta", "--q", "3", "--l", "2", "--form", "sjet", "--sjet-order", "4",
+         "--json"])])
 
 
 def golden_dir() -> str:
@@ -60,6 +73,12 @@ def regen() -> None:
         code = main(verify_args(q, n, fmt, path))
         if code != 0:
             raise SystemExit(f"verify q={q} n={n} exited {code}")
+        print(f"wrote {path}")
+    for name, args in FRACTION_CELLS:
+        path = os.path.join(dest, name)
+        code = main(args + ["--out", path])
+        if code != 0:
+            raise SystemExit(f"{name} exited {code}")
         print(f"wrote {path}")
 
 
