@@ -188,10 +188,6 @@ def ser_ratfunc(r: RatFunc) -> dict:
     return {"num": ser_poly(r.num), "den": ser_poly(r.den)}
 
 
-def parse_ratfunc(field: Field, d: dict) -> RatFunc:
-    return RatFunc.make(parse_poly(field, d["num"]), parse_poly(field, d["den"]))
-
-
 def ser_sjet(j: SJet) -> dict:
     return {"order": len(j.coeffs), "coeffs": [ser_ratfunc(c) for c in j.coeffs]}
 

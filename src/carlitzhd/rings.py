@@ -11,9 +11,9 @@ shift-and-adds of one packed int (_partition_counts).
 
 Rational functions are kept in canonical form at all times: numerator and
 denominator coprime, denominator monic under the degree-lexicographic order
-with theta > t.  Over F_q(theta) make, + and * run on the cached dense lists
-of their polynomials.  SJet is a truncated expansion in s = t - theta with
-exact coefficients in K = F_q(theta).
+with theta > t.  make, + and * work over K = F_q(theta) only, on the cached
+dense lists of their polynomials.  SJet is a truncated expansion in
+s = t - theta with exact coefficients in K.
 
 series_mul, series_inverse, series_frobenius and pow_base_p are the one
 truncated-series algebra behind SJet, jets.Jet (a t-series of
@@ -27,9 +27,12 @@ jet of a polynomial quotient N/D is taken only at t = theta, by one
 fraction-free recurrence on the substituted coefficients
 (_quotient_jet_at_theta) instead of a series inverse.
 
-The gcd is a primitive polynomial-remainder-sequence Euclidean algorithm on
-the univariate-in-main-variable view; bivariate content is split off
-recursively via univariate gcds.
+The gcd is Euclid on dense lists in F_q[theta].  A fraction in
+F_q(theta, t) (a transfer coefficient b_j, an eta_l) is a value only: it is
+built canonical by its constructor, then printed, compared, powered,
+inverted, Frobenius-lifted and substituted at t = theta, never added to or
+multiplied with another, so no bivariate gcd is needed; poly_gcd, make, +,
+- and * refuse bivariate operands.
 """
 
 from __future__ import annotations
@@ -809,95 +812,23 @@ _poly_set_field, _poly_set_vars, _poly_set_terms, _poly_set_hash, _poly_set_dv =
     getattr(Poly, name).__set__ for name in Poly.__slots__)
 
 
-# -- gcd machinery ------------------------------------------------------------
+# -- gcd ----------------------------------------------------------------------
 
-def _bi_view(p: Poly, mv: int) -> dict[int, list[int]]:
-    """View a bivariate polynomial as main-var dict of dense other-var polys."""
-    rows: dict[int, dict[int, int]] = {}
-    for e, c in p.terms.items():
-        rows.setdefault(e[mv], {})[e[1 - mv]] = c
-    return {m: _dense(row) for m, row in rows.items()}
-
-
-def _bi_unview(view: dict[int, list[int]], mv: int, field: Field) -> Poly:
-    terms = {}
-    for m, dense in view.items():
-        for j, c in enumerate(dense):
-            if c:
-                e = (m, j) if mv == 0 else (j, m)
-                terms[e] = c
-    return Poly(field, VARS_TT, terms)
-
-
-def _bi_content(view: dict[int, list[int]], f: Field) -> list[int]:
-    g: list[int] = []
-    for dense in view.values():
-        g = _ugcd(g, dense, f)
-        if g == [1]:
-            break
-    return g
-
-
-def _bi_pp(view, content, f: Field):
-    if content == [1]:
-        return view
-    return {m: _udivexact(dense, content, f) for m, dense in view.items()}
-
-
-def _bi_prem(a: dict[int, list[int]], b: dict[int, list[int]], f: Field):
-    """Pseudo-remainder of a by b in the main variable (views)."""
-    db = max(b)
-    lb = b[db]
-    r = {m: list(c) for m, c in a.items()}
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        lr = r.pop(dr)
-        nr: dict[int, list[int]] = {}
-        for m, c in r.items():
-            nr[m] = _umul(c, lb, f)
-        for m, c in b.items():
-            if m == db:
-                continue
-            tgt = m + dr - db
-            prod = _umul(c, lr, f)
-            nr[tgt] = _uadd(nr.get(tgt, []), _uscale(prod, f.neg_t[1], f), f)
-        r = {m: c for m, c in nr.items() if c}
-    return r
+def _over_k(vars: tuple[str, ...], op: str) -> None:
+    """Refuse op on F_q[theta, t]: fractions there are values only."""
+    if vars != VARS_T:
+        raise ConstraintViolated(
+            f"{op} takes operands in F_q[theta]; fractions in F_q(theta, t) are values only")
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic (deglex) gcd; primitive PRS for the bivariate case."""
+    """Monic gcd of two polynomials in F_q[theta], by Euclid on their dense views."""
     if a.field != b.field:
         raise FieldMismatch("gcd of polynomials over different fields")
     if a.vars != b.vars:
         raise ConstraintViolated("gcd of polynomials in different variables")
-    f = a.field
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    if a.is_constant() or b.is_constant():
-        return Poly.one(f, a.vars)
-    if a.vars == VARS_T:
-        return Poly.from_dense(f, _ugcd(a._view(), b._view(), f))
-    # pick the main variable with the smaller worst-case degree
-    d0 = max(a.degree(0), b.degree(0))
-    d1 = max(a.degree(1), b.degree(1))
-    mv = 0 if d0 <= d1 else 1
-    va, vb = _bi_view(a, mv), _bi_view(b, mv)
-    ca, cb = _bi_content(va, f), _bi_content(vb, f)
-    gc = _ugcd(ca, cb, f)
-    pa, pb = _bi_pp(va, ca, f), _bi_pp(vb, cb, f)
-    while pb:
-        r = _bi_prem(pa, pb, f)
-        if r:
-            r = _bi_pp(r, _bi_content(r, f), f)
-        pa, pb = pb, r
-    if gc != [1]:
-        pa = {m: _umul(row, gc, f) for m, row in pa.items()}
-    return _bi_unview(pa, mv, f).monic()
+    _over_k(a.vars, "poly_gcd")
+    return Poly.from_dense(a.field, _ugcd(a._view(), b._view(), a.field))
 
 
 def poly_divexact(a: Poly, b: Poly) -> Poly:
@@ -931,7 +862,7 @@ class RatFunc:
     """Canonical fraction of polynomials: coprime, monic denominator (deglex).
 
     Construct through make()/from_poly(); the raw constructor trusts its
-    arguments.
+    arguments, and is the only way to build a fraction in F_q(theta, t).
     """
 
     __slots__ = ("field", "vars", "num", "den", "_hash")
@@ -951,16 +882,11 @@ class RatFunc:
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
         num._compat(den)
+        _over_k(num.vars, "RatFunc.make")
         if num.is_zero():
             return cls(num, Poly.one(num.field, num.vars))
-        if len(num.vars) == 1:
-            n, d, _ = _ucancel(num._view(), den._view(), num.field)
-            return cls._of_dense(num.field, n, d)
-        g = poly_gcd(num, den)
-        if not (g.is_constant()):
-            num = poly_divexact(num, g)
-            den = poly_divexact(den, g)
-        return cls._monic(num, den)
+        n, d, _ = _ucancel(num._view(), den._view(), num.field)
+        return cls._of_dense(num.field, n, d)
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
@@ -998,6 +924,7 @@ class RatFunc:
             raise FieldMismatch("rational functions over different fields")
         if self.vars != other.vars:
             raise ConstraintViolated("rational functions in different variables")
+        _over_k(self.vars, "fraction arithmetic")
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -1008,18 +935,15 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if len(self.vars) == 1:
-            # b = b1 g and d = d1 g with g = gcd(b, d); a d1 + c b1 shares
-            # with b1 d1 g only factors of g
-            f = self.field
-            b1, d1, g = _ucancel(b._view(), d._view(), f)
-            num = _uadd(_umul(a._view(), d1, f), _umul(c._view(), b1, f), f)
-            if not num:
-                return RatFunc.zero(f, self.vars)
-            num, g, _ = _ucancel(num, g, f)
-            return RatFunc._of_dense(f, num, _umul(b1, _umul(d1, g, f), f))
-        return RatFunc.make(a * d + c * b, b * d)
+        # b = b1 g and d = d1 g with g = gcd(b, d); a d1 + c b1 shares with
+        # b1 d1 g only factors of g
+        a, b, c, d, f = self.num, self.den, other.num, other.den, self.field
+        b1, d1, g = _ucancel(b._view(), d._view(), f)
+        num = _uadd(_umul(a._view(), d1, f), _umul(c._view(), b1, f), f)
+        if not num:
+            return RatFunc.zero(f, self.vars)
+        num, g, _ = _ucancel(num, g, f)
+        return RatFunc._of_dense(f, num, _umul(b1, _umul(d1, g, f), f))
 
     __radd__ = __add__
 
@@ -1054,13 +978,11 @@ class RatFunc:
         self._compat(other)
         if self.is_zero() or other.is_zero():
             return RatFunc.zero(self.field, self.vars)
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if len(self.vars) == 1:  # a/b, c/d coprime: only a, d and c, b share factors
-            f = self.field
-            a, d, _ = _ucancel(a._view(), d._view(), f)
-            c, b, _ = _ucancel(c._view(), b._view(), f)
-            return RatFunc._of_dense(f, _umul(a, c, f), _umul(b, d, f))
-        return RatFunc.make(a * c, b * d)
+        # a/b, c/d coprime: only a, d and c, b share factors
+        a, b, c, d, f = self.num, self.den, other.num, other.den, self.field
+        a, d, _ = _ucancel(a._view(), d._view(), f)
+        c, b, _ = _ucancel(c._view(), b._view(), f)
+        return RatFunc._of_dense(f, _umul(a, c, f), _umul(b, d, f))
 
     __rmul__ = __mul__
 

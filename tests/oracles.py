@@ -5,8 +5,17 @@ Toeplitz matrix with entry (i, j) = c_{j-i}, so jet products are matrix
 products; the tests check `carlitzhd.jets` against this plain matrix
 product.  The jet of a fraction in (theta, t), kept bivariate, is the
 reference for the jets of fractions that `carlitzhd` takes only at
-t = theta.  An `SJet` expansion of a rational function around t = theta and
-the series inverse of an `SJet` serve as references for `eta_sjet` and the
+t = theta.
+
+`carlitzhd` builds a fraction in F_q(theta, t) canonical by construction
+and never combines it with another, so its `poly_gcd`, `RatFunc.make`, +
+and * refuse bivariate operands.  The primitive polynomial-remainder-sequence
+gcd that `rings` ran before is kept here as the reference gcd (`prs_gcd`);
+`prs_make` makes a pair canonical through it, and `PrsFrac` is a `RatFunc`
+whose +, -, * and / run through `prs_make` in either variable set.
+
+An `SJet` expansion of a rational function around t = theta and the series
+inverse of an `SJet` serve as references for `eta_sjet` and the
 quotient-jet recurrence.  The factor-by-factor evaluation of the alternating
 interpolation expression, with its own sampler, is the reference for
 `verify_lagrange`.
@@ -46,6 +55,8 @@ from carlitzhd import (
     VARS_TT,
     CheckCell,
     DegreeMismatch,
+    DivisionByZero,
+    FqElem,
     Jet,
     NonUnitConstantTerm,
     Poly,
@@ -62,13 +73,20 @@ from carlitzhd import (
     taylor_shift,
 )
 from carlitzhd.carlitz import _LAGRANGE_NOTE, _first_gap, _pow_at_least
+from carlitzhd.cli import parse_poly
 from carlitzhd.errors import ConstraintViolated, PrecisionExhausted
 from carlitzhd.jets import _ring_is_zero, compose_substitute, d_t_jet, d_theta_jet
 from carlitzhd.rings import (
+    _dense,
     _exact_zero,
     _poly_hasse,
     _quotient_jet_at_theta,
     _quotient_jet_numerators,
+    _uadd,
+    _udivexact,
+    _ugcd,
+    _umul,
+    _uscale,
     series_inverse,
 )
 
@@ -165,17 +183,185 @@ def to_rho_matrix(jet: Jet) -> RhoMatrix:
     return RhoMatrix.from_jet(jet)
 
 
+# -- bivariate fractions: the reference gcd and arithmetic ------------------------
+
+
+def _bi_view(p: Poly, mv: int) -> dict[int, list[int]]:
+    """View a bivariate polynomial as main-var dict of dense other-var polys."""
+    rows: dict[int, dict[int, int]] = {}
+    for e, c in p.terms.items():
+        rows.setdefault(e[mv], {})[e[1 - mv]] = c
+    return {m: _dense(row) for m, row in rows.items()}
+
+
+def _bi_unview(view: dict[int, list[int]], mv: int, field) -> Poly:
+    terms = {}
+    for m, dense in view.items():
+        for j, c in enumerate(dense):
+            if c:
+                e = (m, j) if mv == 0 else (j, m)
+                terms[e] = c
+    return Poly(field, VARS_TT, terms)
+
+
+def _bi_content(view: dict[int, list[int]], f) -> list[int]:
+    g: list[int] = []
+    for dense in view.values():
+        g = _ugcd(g, dense, f)
+        if g == [1]:
+            break
+    return g
+
+
+def _bi_pp(view, content, f):
+    if content == [1]:
+        return view
+    return {m: _udivexact(dense, content, f) for m, dense in view.items()}
+
+
+def _bi_prem(a: dict[int, list[int]], b: dict[int, list[int]], f):
+    """Pseudo-remainder of a by b in the main variable (views)."""
+    db = max(b)
+    lb = b[db]
+    r = {m: list(c) for m, c in a.items()}
+    while r:
+        dr = max(r)
+        if dr < db:
+            break
+        lr = r.pop(dr)
+        nr: dict[int, list[int]] = {}
+        for m, c in r.items():
+            nr[m] = _umul(c, lb, f)
+        for m, c in b.items():
+            if m == db:
+                continue
+            tgt = m + dr - db
+            prod = _umul(c, lr, f)
+            nr[tgt] = _uadd(nr.get(tgt, []), _uscale(prod, f.neg_t[1], f), f)
+        r = {m: c for m, c in nr.items() if c}
+    return r
+
+
+def prs_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic (deglex) gcd: `poly_gcd` in F_q[theta], and in F_q[theta, t] the
+    primitive PRS on the univariate-in-main-variable view, with the content
+    split off by univariate gcds."""
+    if a.vars == VARS_T:
+        return poly_gcd(a, b)
+    f = a.field
+    if a.is_zero():
+        return b.monic()
+    if b.is_zero():
+        return a.monic()
+    if a.is_constant() or b.is_constant():
+        return Poly.one(f, a.vars)
+    # pick the main variable with the smaller worst-case degree
+    d0 = max(a.degree(0), b.degree(0))
+    d1 = max(a.degree(1), b.degree(1))
+    mv = 0 if d0 <= d1 else 1
+    va, vb = _bi_view(a, mv), _bi_view(b, mv)
+    ca, cb = _bi_content(va, f), _bi_content(vb, f)
+    gc = _ugcd(ca, cb, f)
+    pa, pb = _bi_pp(va, ca, f), _bi_pp(vb, cb, f)
+    while pb:
+        r = _bi_prem(pa, pb, f)
+        if r:
+            r = _bi_pp(r, _bi_content(r, f), f)
+        pa, pb = pb, r
+    if gc != [1]:
+        pa = {m: _umul(row, gc, f) for m, row in pa.items()}
+    return _bi_unview(pa, mv, f).monic()
+
+
+def prs_make(num: Poly, den: Poly) -> "PrsFrac":
+    """The canonical fraction num/den through `prs_gcd`, in either variable set."""
+    if den.is_zero():
+        raise DivisionByZero("rational function with zero denominator")
+    if num.is_zero():
+        return PrsFrac(num, Poly.one(num.field, num.vars))
+    g = prs_gcd(num, den)
+    if not g.is_constant():
+        num, den = poly_divexact(num, g), poly_divexact(den, g)
+    return PrsFrac._monic(num, den)
+
+
+class PrsFrac(RatFunc):
+    """A canonical fraction whose +, -, * and / run through `prs_make`.
+
+    It equals and hashes as the `RatFunc` with the same numerator and
+    denominator; the gcd-free operations are those of `RatFunc`, with the
+    result kept a `PrsFrac`.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, x) -> "PrsFrac":
+        if isinstance(x, RatFunc):
+            return cls(x.num, x.den)
+        return cls.from_poly(x)
+
+    def _coerce(self, other):
+        if isinstance(other, (RatFunc, Poly)):
+            return PrsFrac.of(other)
+        if isinstance(other, (int, FqElem)):
+            return PrsFrac.const(self.field, other, self.vars)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return prs_make(self.num * other.den + other.num * self.den,
+                        self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PrsFrac(-self.num, self.den)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return prs_make(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "PrsFrac":
+        return PrsFrac.of(RatFunc.inverse(self))
+
+    def __pow__(self, k: int):
+        return PrsFrac.of(RatFunc.__pow__(self, k))
+
+    def frobenius_power(self, k: int = 1) -> "PrsFrac":
+        return PrsFrac.of(RatFunc.frobenius_power(self, k))
+
+
+def parse_ratfunc(field, d: dict) -> PrsFrac:
+    """The inverse of `cli.ser_ratfunc`, canonical through `prs_make`."""
+    return prs_make(parse_poly(field, d["num"]), parse_poly(field, d["den"]))
+
+
 def fraction_jet(f, var: int, order: int) -> Jet:
     """Jet of a fraction (or polynomial) of F_q[theta, t] under d_theta (var
     0) or d_t (var 1), kept in F_q(theta, t).
 
     The bivariate route, which `carlitzhd` never takes: the series product of
     the numerator's jet and the inverse of the denominator's, each
-    coefficient a canonical bivariate fraction.
+    coefficient a canonical `PrsFrac`.
     """
-    if isinstance(f, Poly):
-        f = RatFunc.from_poly(f)
-    num, den = (Jet([RatFunc.from_poly(_poly_hasse(g, var, k)) for k in range(order + 1)])
+    f = PrsFrac.of(f)
+    num, den = (Jet([PrsFrac.from_poly(_poly_hasse(g, var, k)) for k in range(order + 1)])
                 for g in (f.num, f.den))
     return num * den.inverse()
 
@@ -475,14 +661,14 @@ def eta_inv_pow_theta_jet(field, lm: int, npow: int, order: int):
 def at_ratio_theta_jet(field, n: int, order: int):
     """Jet of alpha_n/Gamma_n at t = theta in canonical fractions: the
     Frobenius image of the jet of R_{n/q} when q | n, else the quotient jet
-    after the bivariate gcd of alpha_n with Gamma_n."""
+    after the reference gcd of alpha_n with Gamma_n."""
     if n % field.q == 0:
         jet = at_ratio_theta_jet(field, n // field.q, order // field.q)
         return carlitz._frobenius_lift(jet, order, field.e,
                                        lambda _: RatFunc.zero(field, VARS_T))
     alpha, gam = carlitz.at_poly(field, n)
     if not gam.is_constant():
-        g = poly_gcd(alpha, gam.lift_tt())
+        g = prs_gcd(alpha, gam.lift_tt())
         alpha, gam = poly_divexact(alpha, g), poly_divexact(gam, g.drop_t())
     return ratio_theta_jet(alpha, gam, order)
 

@@ -11,7 +11,7 @@ import time
 from functools import lru_cache
 
 from conftest import force_b1_to_one, record_summary
-from oracles import fraction_jet, to_rho_matrix
+from oracles import fraction_jet, prs_make, to_rho_matrix
 
 from carlitzhd import (
     CarlitzCtx,
@@ -85,11 +85,14 @@ def rand_poly(rng, field, vars=VARS_TT, max_deg=3, terms=3):
 
 
 def rand_ratfunc(rng, field, vars=VARS_TT):
+    """A canonical fraction; in (theta, t) a reference PrsFrac, whose +, -
+    and * run the bivariate gcd that RatFunc refuses."""
     num = rand_poly(rng, field, vars=vars)
+    make = RatFunc.make if vars == VARS_T else prs_make
     while True:
         den = rand_poly(rng, field, vars=vars, max_deg=2, terms=2)
         if not den.is_zero():
-            return RatFunc.make(num, den)
+            return make(num, den)
 
 
 def rand_ratfunc_nonzero(rng, field, vars=VARS_TT):

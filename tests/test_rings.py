@@ -18,14 +18,16 @@ from carlitzhd import (
     USeries,
     VARS_T,
     VARS_TT,
+    b_rat,
     binom_mod_p,
+    eta_rat,
     field_new,
     poly_divexact,
     poly_gcd,
     taylor_shift,
 )
 
-from oracles import sjet_from_ratfunc, sjet_inverse
+from oracles import PrsFrac, prs_make, sjet_from_ratfunc, sjet_inverse
 
 SEED = 1729
 
@@ -47,10 +49,11 @@ def rand_poly_nonzero(rng, field, vars=VARS_T, max_deg=4, terms=4):
 
 
 def rand_ratfunc(rng, field, vars=VARS_T):
-    return RatFunc.make(
-        rand_poly(rng, field, vars, 3, 3),
-        rand_poly_nonzero(rng, field, vars, 3, 3),
-    )
+    num, den = rand_poly(rng, field, vars, 3, 3), rand_poly_nonzero(rng, field, vars, 3, 3)
+    if vars == VARS_T:
+        return RatFunc.make(num, den)
+    r = prs_make(num, den)  # make refuses (theta, t); the value is a plain RatFunc
+    return RatFunc(r.num, r.den)
 
 
 # -- Poly ----------------------------------------------------------------------
@@ -441,16 +444,66 @@ def test_scalar_equality_is_transitive(q):
                     assert a == c, (a, b, c)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_bivariate_fractions_are_values_only(q):
+    # poly_gcd, make, +, - and * (and / through *) refuse F_q[theta, t] with
+    # one line; ==, hash, repr, **, inverse, frobenius_power and
+    # eval_t_at_theta need no gcd and give the reference's values, the
+    # canonical forms that the bivariate gcd gave
+    f = field_new(*{4: (2, 2)}.get(q, (q,)))
+    values = [b_rat(f, j) for j in (0, 1, q, 2 * q)] + [eta_rat(f, l) for l in (1, 2)]
+    x = Poly.monomial(f, (1, 1), vars=VARS_TT)
+    refused = [
+        lambda r: poly_gcd(r.num, r.den),
+        lambda r: poly_gcd(r.num, Poly.zero(f, VARS_TT)),
+        lambda r: RatFunc.make(r.num, r.den),
+        lambda r: RatFunc.make(Poly.zero(f, VARS_TT), r.den),
+        lambda r: r + r, lambda r: r + 0, lambda r: 1 + r, lambda r: r + x,
+        lambda r: r - r, lambda r: r - 1, lambda r: 1 - r,
+        lambda r: r * r, lambda r: r * 1, lambda r: x * r, lambda r: r / x,
+    ]
+    for r in values:
+        for op in refused:
+            with pytest.raises(ConstraintViolated) as info:
+                op(r)
+            assert "\n" not in str(info.value)
+        ref = PrsFrac.of(r)
+        twin = RatFunc(r.num, r.den)
+        assert r == twin == ref and hash(r) == hash(twin) == hash(ref)
+        assert r != ref + 1 and len({r, twin, ref}) == 1
+        assert repr(r) == repr(prs_make(r.num, r.den))
+        want = PrsFrac.one(f, VARS_TT)
+        for k in range(4):
+            assert type(r ** k) is RatFunc and r ** k == want, k
+            want = want * ref
+        if not r.is_zero():
+            inv = prs_make(r.den, r.num)
+            assert type(r.inverse()) is RatFunc and r.inverse() == inv
+            assert r ** -2 == inv * inv
+        frob = PrsFrac.one(f, VARS_TT)
+        for _ in range(f.p):
+            frob = frob * ref
+        assert type(r.frobenius_power(1)) is RatFunc and r.frobenius_power(1) == frob
+        at = r.eval_t_at_theta()
+        assert at.vars == VARS_T
+        assert at == prs_make(r.num.eval_t_at_theta(), r.den.eval_t_at_theta())
+    # univariate fractions keep their arithmetic
+    one = RatFunc.one(f)
+    th = Poly.monomial(f, (1,))
+    assert RatFunc.make(th * th, th) == one * th and one + one - one == one
+    assert poly_gcd(th * th, th) == th
+
+
 def test_ratfunc_eval_t_at_theta_and_pole():
     f = field_new(3)
     t = Poly.monomial(f, (0, 1), vars=VARS_TT)
     th = Poly.monomial(f, (1, 0), vars=VARS_TT)
-    r = RatFunc.make(t * t, th + Poly.one(f, VARS_TT))
+    r = prs_make(t * t, th + Poly.one(f, VARS_TT))
     got = r.eval_t_at_theta()
     assert got == RatFunc.make(Poly.monomial(f, (2,)),
                                Poly.monomial(f, (1,)) + Poly.one(f))
     with pytest.raises(PoleAtTheta):
-        RatFunc.make(Poly.one(f, VARS_TT), t - th).eval_t_at_theta()
+        prs_make(Poly.one(f, VARS_TT), t - th).eval_t_at_theta()
     assert (t * t).eval_t_at_theta() == Poly.monomial(f, (2,))
 
 
@@ -501,8 +554,8 @@ def test_taylor_shift_is_ring_homomorphism():
 
 def test_sjet_from_ratfunc_explicit():
     f = field_new(3)
-    one_over_t = RatFunc.make(Poly.one(f, VARS_TT),
-                              Poly.monomial(f, (0, 1), vars=VARS_TT))
+    one_over_t = prs_make(Poly.one(f, VARS_TT),
+                          Poly.monomial(f, (0, 1), vars=VARS_TT))
     s = sjet_from_ratfunc(one_over_t, 3)
     # 1/t = 1/theta - s/theta^2 + s^2/theta^3 - ...
     for k in range(3):
@@ -516,7 +569,7 @@ def test_sjet_from_ratfunc_pole_raises():
     t = Poly.monomial(f, (0, 1), vars=VARS_TT)
     th = Poly.monomial(f, (1, 0), vars=VARS_TT)
     with pytest.raises(PoleAtTheta):
-        sjet_from_ratfunc(RatFunc.make(Poly.one(f, VARS_TT), t - th), 4)
+        sjet_from_ratfunc(prs_make(Poly.one(f, VARS_TT), t - th), 4)
 
 
 def test_sjet_mul_inverse_roundtrip():
@@ -529,7 +582,7 @@ def test_sjet_mul_inverse_roundtrip():
         den = rand_poly_nonzero(rng, f, VARS_TT, 3, 3)
         if den.eval_t_at_theta().is_zero():
             continue
-        s = sjet_from_ratfunc(RatFunc.make(num, den), order)
+        s = sjet_from_ratfunc(prs_make(num, den), order)
         if s.coeffs[0].is_zero():
             continue
         assert s * sjet_inverse(s) == one
@@ -553,7 +606,7 @@ def test_sjet_frobenius_power():
         if den.eval_t_at_theta().is_zero():
             continue
         s = sjet_from_ratfunc(
-            RatFunc.make(rand_poly(rng, f, VARS_TT, 2, 2), den), order)
+            prs_make(rand_poly(rng, f, VARS_TT, 2, 2), den), order)
         assert s.frobenius_power(1) == s ** 3
 
 

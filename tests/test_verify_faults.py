@@ -70,8 +70,14 @@ def _z_n_bumped(real):
     return fake
 
 
+def _plus_one(b):
+    """b + 1 for a canonical b in F_q(theta, t), with no gcd: it is canonical
+    as gcd(num + den, den) = gcd(num, den) = 1."""
+    return RatFunc(b.num + b.den, b.den)
+
+
 def _b1_bumped(real):
-    return lambda field, j: real(field, j) + 1 if j == 1 else real(field, j)
+    return lambda field, j: _plus_one(real(field, j)) if j == 1 else real(field, j)
 
 
 def _span_route_bumped(real):
@@ -89,7 +95,7 @@ def _curlyL_bumped(real):
 
 
 def _b1_in_jet_bumped(real):
-    return lambda field, lo, hi: [b + 1 if j == 1 else b
+    return lambda field, lo, hi: [_plus_one(b) if j == 1 else b
                                   for j, b in enumerate(real(field, lo, hi), lo)]
 
 
