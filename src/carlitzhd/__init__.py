@@ -36,7 +36,6 @@ from .rings import (
 )
 from .jets import (
     Jet,
-    compose_substitute,
     d_t_jet,
     d_theta_jet,
 )
@@ -92,7 +91,7 @@ __all__ = [
     "VARS_T", "VARS_TT", "Poly", "RatFunc", "SJet",
     "poly_divexact", "poly_gcd", "taylor_shift",
     # jets
-    "Jet", "compose_substitute", "d_t_jet", "d_theta_jet",
+    "Jet", "d_t_jet", "d_theta_jet",
     # useries
     "INF_PREC", "TPoly", "USeries", "d_theta_useries", "embed_k", "hasse_du",
     "theta_series", "useries_agree", "useries_diff_witness",

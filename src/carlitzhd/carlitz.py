@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache, reduce
+from itertools import groupby
 
 from .binomials import binom_mod_p
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .gf import Field
-from .jets import Jet, compose_substitute, d_t_jet, d_theta_jet
+from .jets import Jet, d_t_jet, d_theta_jet
 from .rings import (
     VARS_T,
     VARS_TT,
@@ -32,12 +33,11 @@ from .rings import (
     RatFunc,
     SJet,
     _partition_counts,
-    _quotient_jet_at_theta,
     _quotient_jet_numerators,
     poly_divexact,
     poly_gcd,
     pow_base_p,
-    taylor_shift,
+    series_mul,
 )
 from .useries import (
     INF_PREC,
@@ -960,22 +960,59 @@ def _cells_eta_quotient(field: Field, lmax: int, order: int) -> list[CheckCell]:
     return cells
 
 
+def _transfer_jets(field: Field, order: int) -> tuple[list[Poly], list[Poly]]:
+    """The total substitution c of (b_0, ..., b_order) as two polynomial jets
+    at t = theta, M and Dt with c * Dt = M.
+
+    Every b_j denominator divides D = prod_i (theta^{q^i} - t)^(order // q^i),
+    the bracket powers of its _bracket_series, so b_j = N_j/D with no gcd;
+    then M_m = sum_{i+j=m} d_t^i N_j and Dt_i = d_t^i D.
+    """
+    q = field.q
+    den = _brackets(field, VARS_TT, [((q ** i, 0), (0, 1))
+                                     for i in range(1, _pow_at_least(q, order + 1))
+                                     for _ in range(order // q ** i)])
+    big_m = [Poly.zero(field)] * (order + 1)
+    for j, b in enumerate(_b_rats(field, 0, order)):
+        if not b.is_zero():
+            nj = b.num * poly_divexact(den, b.den)
+            for i, c in enumerate(d_t_jet(nj, order - j).coeffs, j):
+                big_m[i] = big_m[i] + c.eval_t_at_theta()
+    return big_m, [c.eval_t_at_theta() for c in d_t_jet(den, order).coeffs]
+
+
 def _cells_bjet_eta(field: Field, nmax: int) -> list[CheckCell]:
     """The total substitution of the b_rat jet against the quotient jet of
     eta_{l-1}: the check that ties b_rat, and so the Omega transfer cells, to
-    the bracket rule that the routes run."""
-    cells = []
-    q = field.q
-    big = compose_substitute(Jet(_b_rats(field, 0, nmax - 1))) if nmax >= 1 else None
-    for n in range(1, nmax + 1):
-        l = minimal_l(q, n)
-        lhs = big.truncated(n - 1)
-        rhs = _quotient_jet_at_theta(d_theta_jet(_eta_num(field, l - 1), n - 1).coeffs,
-                                     d_theta_jet(L_poly(field, l - 1), n - 1).coeffs)
-        witness = _first_gap("transfer jet vs eta jet", lhs, rhs)
-        cells.append(CheckCell("bjet_eta_congruence", {"n": n, "l": l},
-                               witness is None, witness))
+    the bracket rule that the routes run.
+
+    The transfer jet is M/Dt (_transfer_jets) and the eta jet Ntheta/Ltheta,
+    the theta-jets of eta_{l-1}'s numerator and of L_{l-1}; Dt_0, Ltheta_0
+    are nonzero, so the two agree mod X^n exactly when M * Ltheta =
+    Ntheta * Dt mod X^n.  A jet of smaller n is a prefix, so each depth l is
+    compared once, at its largest n; only a failing cell builds fractions.
+    """
+    cells, zero = [], Poly.zero(field)
+    big_m, dt = _transfer_jets(field, nmax - 1)
+    for l, ns in groupby(range(1, nmax + 1), lambda n: minimal_l(field.q, n)):
+        ns = list(ns)
+        n = ns[-1]
+        nth = [c.eval_t_at_theta() for c in d_theta_jet(_eta_num(field, l - 1), n - 1).coeffs]
+        lth = list(d_theta_jet(L_poly(field, l - 1), n - 1).coeffs)
+        lhs, rhs = series_mul(big_m[:n], lth, lambda: zero), series_mul(nth, dt[:n], lambda: zero)
+        k = next((k for k in range(n) if lhs[k] != rhs[k]), n)
+        witness = None if k == n else _first_gap(
+            "transfer jet vs eta jet", _quotient_fractions(big_m[:k + 1], dt[:k + 1]),
+            _quotient_fractions(nth[:k + 1], lth[:k + 1]))
+        cells += [CheckCell("bjet_eta_congruence", {"n": m, "l": l}, k >= m,
+                            None if k >= m else witness) for m in ns]
     return cells
+
+
+def _quotient_fractions(nums: list[Poly], dens: list[Poly]) -> list[RatFunc]:
+    """The quotient jet of two polynomial jets as canonical C_k / D^(k+1)."""
+    cs, dpow = _quotient_jet_numerators(nums, dens)
+    return [RatFunc.make(c, dpow(k + 1)) for k, c in enumerate(cs)]
 
 
 def _cell_eta_sum(field: Field, M: int) -> CheckCell:
@@ -1013,7 +1050,7 @@ def _cell_eta_sum(field: Field, M: int) -> CheckCell:
     sums = [sum(col, RatFunc.zero(field))
             for col in zip(*(_fractions(num, den, M) for num, den, _ in terms))]
     witness = _first_gap("s-expansion of the sum vs 1", sums,
-                         SJet.constant(field, M, 1).coeffs)
+                         [RatFunc.one(field)] + [RatFunc.zero(field)] * (M - 1))
     return CheckCell("eta_sum_one", {"M": M, "terms": l + 1}, witness is None, witness)
 
 
@@ -1032,8 +1069,8 @@ def _cells_eta_alpha(field: Field, nmax: int) -> list[CheckCell]:
         l = _pow_at_least(q, n + 1)
         num, den = _eta_inv_pow_num(field, l, M, n)
         alpha, gam = at_poly(field, n)
-        shifted = {k: c.num for k, c in enumerate(taylor_shift(alpha, M).coeffs)
-                   if not c.is_zero()}
+        jet = [c.eval_t_at_theta() for c in d_t_jet(alpha, M - 1).coeffs]
+        shifted = {k: c for k, c in enumerate(jet) if not c.is_zero()}
         witness = None
         if {k: c * gam for k, c in num.items()} != {k: c * den for k, c in shifted.items()}:
             witness = _first_gap(f"eta_{l}^-{n} vs alpha_{n}/Gamma_{n}",

@@ -10,21 +10,18 @@ Two concrete derivations act on polynomials in theta and t:
     d_theta: theta |-> theta + X, t |-> t
     d_t:     t |-> t + X, theta |-> theta
 
-A jet of a fraction is needed only at t = theta, where
-rings._quotient_jet_at_theta forms it from the polynomial jets of numerator
-and denominator.  compose_substitute is the total substitution
-theta, t |-> theta that the bjet_eta cells apply to the transfer coefficients.
+They take polynomials only: no routine here forms the jet of a fraction.
+A check on the jet of a quotient N/D compares the polynomial jets of N and
+D by cross-multiplication, as the verify cells in carlitz do.
 """
 
 from __future__ import annotations
 
 from .errors import ConstraintViolated, DegreeMismatch, NonUnitConstantTerm
 from .rings import (
-    VARS_T,
     Poly,
     RatFunc,
     _poly_hasse,
-    _quotient_jet_at_theta,
     pow_base_p,
     series_frobenius,
     series_inverse,
@@ -168,28 +165,3 @@ def d_theta_jet(f: Poly, order: int) -> Jet:
 def d_t_jet(f: Poly, order: int) -> Jet:
     """Jet of the polynomial f under t |-> t + X, theta fixed."""
     return _jet_of(f, 1, order)
-
-
-def compose_substitute(f_jet_theta: Jet) -> Jet:
-    """Jet of theta |-> f(theta, theta) from the theta-jet of f(theta, t).
-
-    The total substitution: coefficient m is the sum over
-    i + j = m of d_t^i(d_theta^j f) at t = theta.  For each RatFunc or Poly
-    coefficient, _quotient_jet_at_theta forms the t-jet from its substituted
-    numerator and denominator jets, so no bivariate fraction is built.
-    """
-    order = f_jet_theta.order
-    field = f_jet_theta[0].field
-    out = [RatFunc.zero(field, VARS_T) for _ in range(order + 1)]
-    for j in range(order + 1):
-        cj = f_jet_theta[j]
-        if cj.is_zero():
-            continue
-        if isinstance(cj, Poly):
-            cj = RatFunc.from_poly(cj)
-        num, den = ([_poly_hasse(g, 1, i) for i in range(order - j + 1)]
-                    for g in (cj.num, cj.den))
-        for i, term in enumerate(_quotient_jet_at_theta(num, den)):
-            if not term.is_zero():
-                out[i + j] = out[i + j] + term
-    return Jet(out)

@@ -22,10 +22,11 @@ useries.USeries; pow_base_p is also Poly's (and so RatFunc's) power.  They
 skip a term only when a factor is an exact zero, so a coefficient that is
 zero only up to its precision still caps the precision of every term it
 enters.  Each coefficient of a product is one sum of products: one _udot
-for USeries (USeries.sum_of_products), a fold of + for any other ring.  The
-jet of a polynomial quotient N/D is taken only at t = theta, by one
-fraction-free recurrence on the substituted coefficients
-(_quotient_jet_at_theta) instead of a series inverse.
+for USeries (USeries.sum_of_products), a fold of + for any other ring.  No
+routine returns a jet of fractions: the jet c of a quotient N/D at t = theta
+is kept as the numerators C_k = c_k * D^(k+1) of one fraction-free
+recurrence on the substituted coefficients (_quotient_jet_numerators), and a
+check that needs canonical c_k builds them only for its witness.
 
 The gcd is Euclid on dense lists in F_q[theta].  A fraction in
 F_q(theta, t) (a transfer coefficient b_j, an eta_l) is a value only: it is
@@ -1189,24 +1190,6 @@ def _quotient_jet_numerators(nums: list[Poly], dens: list[Poly]):
                 acc = acc - es[i] * cs[k - i]
         cs.append(acc)
     return cs, dpow
-
-
-def _quotient_jet_at_theta(nums: list[Poly], dens: list[Poly]) -> list[RatFunc]:
-    """The jet N/D at t = theta, for polynomial jets N, D of one derivation:
-    the canonical C_k / D^{k+1} of the recurrence on the substituted
-    coefficients, which is the substituted jet of N/D (a ring homomorphism).
-    PoleAtTheta if D(theta, theta) = 0, for D = dens[0]; empty jets give an
-    empty jet."""
-    den = [d.eval_t_at_theta() for d in dens]
-    if den and den[0].is_zero():
-        raise PoleAtTheta(f"denominator {dens[0]!r} vanishes at t = theta")
-    num = [n.eval_t_at_theta() for n in nums]
-    if all(d.is_zero() for d in den[1:]):  # then c_k = N_k / D: no D^k to cancel
-        return [RatFunc.make(n, den[0]) for n in num]
-    cs, dpow = _quotient_jet_numerators(num, den)
-    zero = RatFunc.zero(den[0].field, VARS_T)
-    return [zero if c.is_zero() else RatFunc.make(c, dpow(k + 1))
-            for k, c in enumerate(cs)]
 
 
 # -- truncated expansions in s = t - theta ------------------------------------

@@ -440,17 +440,20 @@ def _embed_over(nums, den, prec) -> list[USeries]:
     """embed_k of num/den for each polynomial num in theta, with no gcd: one
     inverse of den, to the precision that the numerator of least valuation
     needs, serves them all.  A zero, a numerator equal to den and a monomial
-    den give exact Laurent polynomials."""
+    den give exact Laurent polynomials; a monomial c u^v is a scale by 1/c
+    and a shift by -v, with no inverse and no product."""
     field = den.field
     series = [_poly_series(c, field) for c in nums]
     d = _poly_series(den, field)
-    vals = [s.valuation() for c, s in zip(nums, series) if not (c.is_zero() or c == den)]
     if len(d.coeffs) == 1:
-        inv, prec = d.inverse(), INF_PREC
+        unit = field.from_index(d.coeffs[0]).inverse()
+        over = lambda s: s.scale(unit).shift(-d.min_exp)
     else:
+        vals = [s.valuation() for c, s in zip(nums, series) if not (c.is_zero() or c == den)]
         inv = d.inverse(abs_prec=prec - min(vals)) if vals else None
+        over = lambda s: (s * inv).with_prec(prec)
     one = USeries.one(field)
-    return [s if c.is_zero() else one if c == den else (s * inv).with_prec(prec)
+    return [s if c.is_zero() else one if c == den else over(s)
             for c, s in zip(nums, series)]
 
 

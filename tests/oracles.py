@@ -4,8 +4,10 @@ A jet (c_0, ..., c_n) acts on jets of the same order as the upper-triangular
 Toeplitz matrix with entry (i, j) = c_{j-i}, so jet products are matrix
 products; the tests check `carlitzhd.jets` against this plain matrix
 product.  The jet of a fraction in (theta, t), kept bivariate, is the
-reference for the jets of fractions that `carlitzhd` takes only at
-t = theta.
+reference for the jets of fractions at t = theta.  `carlitzhd` forms no jet
+of fractions; the canonical quotient jet at t = theta
+(`quotient_jet_at_theta`) and the total substitution of a theta-jet
+(`compose_substitute`), which it ran before, are kept here.
 
 `carlitzhd` builds a fraction in F_q(theta, t) canonical by construction
 and never combines it with another, so its `poly_gcd`, `RatFunc.make`, +
@@ -20,8 +22,8 @@ quotient-jet recurrence.  The factor-by-factor evaluation of the alternating
 interpolation expression, with its own sampler, is the reference for
 `verify_lagrange`.
 
-Four verify checks (`eta_quotient`, `eta_sum_one`, `eta_inv_alpha` and the
-Lagrange check) decide on numerator polynomials over a known denominator;
+Five verify checks (`eta_quotient`, `bjet_eta_congruence`, `eta_sum_one`,
+`eta_inv_alpha` and the Lagrange check) decide on numerator polynomials;
 their earlier forms, which decide in canonical F_q(theta) with a gcd per
 sum and product, are kept here as references for their cells.  They read
 their inputs through the `carlitz` module, so an input replaced there
@@ -74,13 +76,12 @@ from carlitzhd import (
 )
 from carlitzhd.carlitz import _LAGRANGE_NOTE, _first_gap, _pow_at_least
 from carlitzhd.cli import parse_poly
-from carlitzhd.errors import ConstraintViolated, PrecisionExhausted
-from carlitzhd.jets import _ring_is_zero, compose_substitute, d_t_jet, d_theta_jet
+from carlitzhd.errors import ConstraintViolated, PoleAtTheta, PrecisionExhausted
+from carlitzhd.jets import _ring_is_zero, d_t_jet, d_theta_jet
 from carlitzhd.rings import (
     _dense,
     _exact_zero,
     _poly_hasse,
-    _quotient_jet_at_theta,
     _quotient_jet_numerators,
     _uadd,
     _udivexact,
@@ -352,6 +353,52 @@ def parse_ratfunc(field, d: dict) -> PrsFrac:
     return prs_make(parse_poly(field, d["num"]), parse_poly(field, d["den"]))
 
 
+# -- jets of fractions at t = theta -----------------------------------------------
+
+
+def quotient_jet_at_theta(nums: list, dens: list) -> list:
+    """The jet N/D at t = theta, for polynomial jets N, D of one derivation:
+    the canonical C_k / D^{k+1} of the recurrence on the substituted
+    coefficients, which is the substituted jet of N/D (a ring homomorphism).
+    PoleAtTheta if D(theta, theta) = 0, for D = dens[0]; empty jets give an
+    empty jet."""
+    den = [d.eval_t_at_theta() for d in dens]
+    if den and den[0].is_zero():
+        raise PoleAtTheta(f"denominator {dens[0]!r} vanishes at t = theta")
+    num = [n.eval_t_at_theta() for n in nums]
+    if all(d.is_zero() for d in den[1:]):  # then c_k = N_k / D: no D^k to cancel
+        return [RatFunc.make(n, den[0]) for n in num]
+    cs, dpow = _quotient_jet_numerators(num, den)
+    zero = RatFunc.zero(den[0].field, VARS_T)
+    return [zero if c.is_zero() else RatFunc.make(c, dpow(k + 1))
+            for k, c in enumerate(cs)]
+
+
+def compose_substitute(f_jet_theta: Jet) -> Jet:
+    """Jet of theta |-> f(theta, theta) from the theta-jet of f(theta, t).
+
+    The total substitution: coefficient m is the sum over
+    i + j = m of d_t^i(d_theta^j f) at t = theta.  For each RatFunc or Poly
+    coefficient, quotient_jet_at_theta forms the t-jet from its substituted
+    numerator and denominator jets, so no bivariate fraction is built.
+    """
+    order = f_jet_theta.order
+    field = f_jet_theta[0].field
+    out = [RatFunc.zero(field, VARS_T) for _ in range(order + 1)]
+    for j in range(order + 1):
+        cj = f_jet_theta[j]
+        if cj.is_zero():
+            continue
+        if isinstance(cj, Poly):
+            cj = RatFunc.from_poly(cj)
+        num, den = ([_poly_hasse(g, 1, i) for i in range(order - j + 1)]
+                    for g in (cj.num, cj.den))
+        for i, term in enumerate(quotient_jet_at_theta(num, den)):
+            if not term.is_zero():
+                out[i + j] = out[i + j] + term
+    return Jet(out)
+
+
 def fraction_jet(f, var: int, order: int) -> Jet:
     """Jet of a fraction (or polynomial) of F_q[theta, t] under d_theta (var
     0) or d_t (var 1), kept in F_q(theta, t).
@@ -370,10 +417,10 @@ def sjet_from_ratfunc(f: RatFunc, order: int) -> SJet:
     """Expansion of a rational function around t = theta (no pole allowed).
 
     The Taylor coefficients d_t^k of numerator and denominator go through
-    _quotient_jet_at_theta, so the expansion never inverts a series.
+    quotient_jet_at_theta, so the expansion never inverts a series.
     """
     num, den = ([_poly_hasse(g, 1, k) for k in range(order)] for g in (f.num, f.den))
-    return SJet(f.field, _quotient_jet_at_theta(num, den))
+    return SJet(f.field, quotient_jet_at_theta(num, den))
 
 
 def sjet_inverse(s: SJet) -> SJet:
@@ -418,7 +465,7 @@ def lagrange_factorwise(field, s: int, trials: int, seed: int, max_degree: int):
     return out
 
 
-# -- canonical-fraction references for four verify checks ------------------------
+# -- canonical-fraction references for five verify checks ------------------------
 
 
 def eta_inv_pow_sjet(field, l: int, M: int, npow: int) -> SJet:
@@ -441,6 +488,22 @@ def eta_inv_pow_sjet(field, l: int, M: int, npow: int) -> SJet:
                 coeffs[k * e] = RatFunc.const(field, bc) * base ** k
         out = out * SJet(field, coeffs)
     return out
+
+
+def bjet_eta_cells(field, nmax: int) -> list:
+    """The bjet_eta cells from the total substitution of the b jet and the
+    quotient jet of eta_{l-1}, both in canonical fractions, one per cell."""
+    cells = []
+    big = compose_substitute(Jet(carlitz._b_rats(field, 0, nmax - 1))) if nmax >= 1 else None
+    for n in range(1, nmax + 1):
+        l = carlitz.minimal_l(field.q, n)
+        rhs = quotient_jet_at_theta(
+            d_theta_jet(carlitz._eta_num(field, l - 1), n - 1).coeffs,
+            d_theta_jet(carlitz.L_poly(field, l - 1), n - 1).coeffs)
+        witness = _first_gap("transfer jet vs eta jet", big.truncated(n - 1), rhs)
+        cells.append(CheckCell("bjet_eta_congruence", {"n": n, "l": l},
+                               witness is None, witness))
+    return cells
 
 
 def eta_quotient_cells(field, lmax: int, order: int) -> list:
@@ -602,7 +665,7 @@ def b_rat_by_recurrence(field, j: int):
 def ratio_theta_jet(num, den, order: int):
     """theta-jet of num/den to the given order at t = theta, in canonical
     fractions: one quotient jet of the polynomial jets."""
-    return Jet(_quotient_jet_at_theta(d_theta_jet(num, order).coeffs,
+    return Jet(quotient_jet_at_theta(d_theta_jet(num, order).coeffs,
                                       d_theta_jet(den, order).coeffs))
 
 

@@ -11,7 +11,7 @@ import time
 from functools import lru_cache
 
 from conftest import force_b1_to_one, record_summary
-from oracles import fraction_jet, prs_make, to_rho_matrix
+from oracles import compose_substitute, fraction_jet, prs_make, to_rho_matrix
 
 from carlitzhd import (
     CarlitzCtx,
@@ -22,7 +22,6 @@ from carlitzhd import (
     VARS_T,
     VARS_TT,
     binom_mod_p,
-    compose_substitute,
     d_theta_useries,
     dtheta_pitilde,
     embed_k,

@@ -14,7 +14,6 @@ from carlitzhd import (
     VARS_T,
     VARS_TT,
     binom_mod_p,
-    compose_substitute,
     d_t_jet,
     d_theta_jet,
     field_new,
@@ -22,7 +21,7 @@ from carlitzhd import (
 )
 from carlitzhd.jets import _ring_zero_like
 
-from oracles import RhoMatrix, fraction_jet, prs_make, to_rho_matrix
+from oracles import RhoMatrix, compose_substitute, fraction_jet, prs_make, to_rho_matrix
 
 SEED = 1729
 

@@ -7,7 +7,10 @@ combination and at npow = -1 for the transfer jet of the span route, and the
 raw quotient jet of the AT polynomials (`carlitz._at_ratio_theta_jet`).
 `tests/oracles.py` keeps the canonical builders they replaced.  Each raw jet
 must equal its reference in K, by cross-multiplication, and embed to the
-very u-series that the reference's coefficients embed to one by one.
+very u-series that the reference's coefficients embed to one by one.  The
+transfer side of the bjet_eta cells (`carlitz._transfer_jets`, two
+polynomial jets M and Dt with c * Dt = M) must equal the total substitution
+of the b jet, and a passing cell must make no fraction.
 """
 
 import pytest
@@ -27,8 +30,15 @@ from carlitzhd import (
     z_via_eta,
 )
 from carlitzhd import carlitz
-from carlitzhd.carlitz import _at_ratio_theta_jet, _bracket_theta_jet, _theta_gcd
-from carlitzhd.useries import _embed_over
+from carlitzhd.carlitz import (
+    _at_ratio_theta_jet,
+    _b_rats,
+    _bracket_theta_jet,
+    _theta_gcd,
+    _transfer_jets,
+)
+from carlitzhd.rings import _quotient_jet_numerators
+from carlitzhd.useries import USeries, _embed_over, _poly_series, embed_k
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
           9: (3, 2)}
@@ -64,6 +74,25 @@ def test_raw_at_jet_equals_the_canonical_jet(q):
     for n in range(1, q * q + 2):
         assert oracles.raw_jet_gap(_at_ratio_theta_jet(f, n, n - 1),
                                    oracles.at_ratio_theta_jet(f, n, n - 1)) is None, n
+
+
+def _quotient_as_raw(nums, dens):
+    """The quotient jet nums/dens of two polynomial jets as a raw K-jet: the
+    recurrence's C_k * D^(order-k) over D^(order+1), D = dens[0]."""
+    cs, dpow = _quotient_jet_numerators(nums, dens)
+    order = len(cs) - 1
+    return [c * dpow(order - k) for k, c in enumerate(cs)], dpow(order + 1)
+
+
+@pytest.mark.parametrize("q,nmax", [(2, 6), (3, 9), (4, 12), (5, 15), (9, 27), (2, 32)])
+def test_transfer_jets_equal_the_substituted_b_jet(q, nmax):
+    # the bjet_eta cells' transfer side M/Dt, over one bracket power product
+    # D for each order, is the total substitution of (b_0, ..., b_order)
+    f = field_new(*FIELDS[q])
+    want = oracles.compose_substitute(Jet(_b_rats(f, 0, nmax - 1)))
+    for n in range(1, nmax + 1):
+        raw = _quotient_as_raw(*_transfer_jets(f, n - 1))
+        assert oracles.raw_jet_gap(raw, want.truncated(n - 1)) is None, n
 
 
 def test_raw_k_jets_at_q2_n63():
@@ -115,6 +144,30 @@ def test_embedding_keeps_a_monomial_denominator_exact():
     got = Jet(_embed_over(*raw, 40))
     assert got == oracles.embed_jet(oracles.raw_to_fractions(raw), 40)
     assert all(c.is_exact() for c in got.coeffs)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_embedding_over_a_monomial_is_a_shift_and_a_scale(monkeypatch, q):
+    # c * theta^k is c * (-1)^k u^(-k(q-1)): each numerator is shifted and
+    # scaled, with no series inverse, to the series embed_k gives the
+    # canonical fraction and the old inverse-and-product rule gave
+    f = field_new(*FIELDS[q])
+    theta, c = Poly.monomial(f, (1,)), f.from_index(f.q - 1)
+    nums = [theta ** 5 + 1, theta + c, Poly.zero(f), Poly.one(f), theta ** 2 * c]
+
+    def no_inverse(self, abs_prec=None):
+        raise AssertionError("USeries.inverse called")
+
+    for den in (Poly.const(f, c), theta ** 2 * c, theta ** 4):
+        want = [embed_k(RatFunc.make(num, den), 40) for num in nums]
+        by_inverse = [_poly_series(num, f) * _poly_series(den, f).inverse()
+                      for num in nums]
+        monkeypatch.setattr(USeries, "inverse", no_inverse)
+        got = _embed_over(nums, den, 40)
+        monkeypatch.undo()
+        for g, w, b in zip(got, want, by_inverse):
+            assert (g.min_exp, g.coeffs, g.abs_prec) == (w.min_exp, w.coeffs, w.abs_prec)
+            assert (g.min_exp, g.coeffs, g.abs_prec) == (b.min_exp, b.coeffs, b.abs_prec)
 
 
 # -- the AT gcd over the t-rows --------------------------------------------------------
@@ -176,3 +229,20 @@ def test_verify_builds_only_canonical_fractions(fractions_made, q):
     for num, den in made:
         r = oracles.prs_make(num, den)
         assert (r.num, r.den) == (num, den)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_passing_bjet_eta_cells_make_no_fraction(monkeypatch, q):
+    # the cells decide on polynomial jets; canonical fractions are built
+    # for a failing cell's witness only
+    f = field_new(*FIELDS[q])
+    for cache in [g for g in vars(carlitz).values() if hasattr(g, "cache_clear")]:
+        cache.cache_clear()
+
+    def refused(*args):
+        raise AssertionError("a fraction was made or added")
+
+    monkeypatch.setattr(RatFunc, "make", classmethod(refused))
+    monkeypatch.setattr(RatFunc, "__add__", refused)
+    rep = verify_suite(CarlitzCtx(f, uprec=40, jet_order=3 * q), "bjet_eta")
+    assert rep.all_passed and len(rep.cells) == 3 * q

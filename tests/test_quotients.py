@@ -1,7 +1,8 @@
 """The exact quotient builders against independent references.
 
 Every jet of a quotient runs one fraction-free recurrence at t = theta,
-`rings._quotient_jet_at_theta`.  It, the `eta_quotient` cell and
+`rings._quotient_jet_numerators`.  Its canonical form
+(`oracles.quotient_jet_at_theta`), the `eta_quotient` cell and
 `sjet_from_ratfunc` are checked against the generic route, a jet of
 `RatFunc` coefficients times the series inverse of another, and `at_poly`
 (one exact cofactor per term) against the recursion that carries
@@ -49,13 +50,13 @@ from carlitzhd.carlitz import (
     _eta_num,
 )
 from carlitzhd.jets import d_t_jet, d_theta_jet
-from carlitzhd.rings import _quotient_jet_at_theta
 
 from oracles import (
     at_ratio_theta_jet,
     b_rat_by_recurrence,
     eta_inv_pow_theta_jet,
     prs_make,
+    quotient_jet_at_theta,
     ratio_theta_jet,
     raw_jet_gap,
     sjet_from_ratfunc,
@@ -75,7 +76,7 @@ def generic_ratio(num_jet: Jet, den_jet: Jet) -> Jet:
 
 def ratio(num_jet: Jet, den_jet: Jet) -> Jet:
     """num/den at t = theta by the recurrence, for two polynomial jets."""
-    return Jet(_quotient_jet_at_theta(num_jet.coeffs, den_jet.coeffs))
+    return Jet(quotient_jet_at_theta(num_jet.coeffs, den_jet.coeffs))
 
 
 def at_jets(q: int, n: int) -> tuple[Jet, Jet]:

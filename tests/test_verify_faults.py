@@ -185,6 +185,9 @@ REWORKED = [
     (lambda: carlitz._cells_eta_quotient(CTX.field, 3, 4),
      lambda: oracles.eta_quotient_cells(CTX.field, 3, 4),
      carlitz, "curlyL_poly", _curlyL_bumped),
+    (lambda: carlitz._cells_bjet_eta(CTX.field, 10),
+     lambda: oracles.bjet_eta_cells(CTX.field, 10),
+     carlitz, "_b_rats", _b1_in_jet_bumped),
     (lambda: [carlitz._cell_eta_sum(CTX.field, 17)],
      lambda: [oracles.eta_sum_cell(CTX.field, 17)],
      carlitz, "D_poly", _d1_bumped),
