@@ -300,15 +300,10 @@ def D_poly(field: Field, m: int) -> Poly:
 def Gamma_poly(field: Field, m: int) -> Poly:
     """Factorial prod_j D_j^{m_j} over the base-q digits of m; m >= 1 only."""
     if m < 1:
-        raise ConstraintViolated(
-            f"the factorial is defined for indices >= 1, got {m}"
-        )
-    q = field.q
-    out = Poly.one(field, VARS_T)
-    j = 0
+        raise ConstraintViolated(f"the factorial is defined for indices >= 1, got {m}")
+    out, j = Poly.one(field, VARS_T), 0
     while m:
-        d = m % q
-        m //= q
+        m, d = divmod(m, field.q)
         if d:
             out = out * D_poly(field, j) ** d
         j += 1
@@ -662,12 +657,8 @@ class PeriodCoords:
         return Jet([self.z[self.n - 1 - j] for j in range(self.n)])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PeriodCoords)
-            and self.n == other.n
-            and self.route == other.route
-            and self.z == other.z
-        )
+        return (isinstance(other, PeriodCoords)
+                and (self.n, self.route, self.z) == (other.n, other.route, other.z))
 
     def __hash__(self):
         return hash((self.n, self.route, self.z))
@@ -700,6 +691,11 @@ def z_via_omega(ctx: CarlitzCtx, n: int) -> PeriodCoords:
     """
     if n < 1:
         raise ConstraintViolated(f"tensor power must be >= 1, got {n}")
+    return _z_omega(ctx, n)
+
+
+@lru_cache(maxsize=None)
+def _z_omega(ctx: CarlitzCtx, n: int) -> PeriodCoords:
     einv = _inverse_power(ctx.field, lambda k: omega_theta_eval_jet(ctx, k), n)
     zjet = einv.scale(ctx.field.elem(-1) ** n)
     return _coords_from_jet(ctx, zjet, "omega")
@@ -720,15 +716,19 @@ def z_via_eta(ctx: CarlitzCtx, n: int, l: int) -> PeriodCoords:
     X^{q^m}, so every l >= l_min gives the same K-jet mod X^n: the bracket
     rule over the q^m <= n - 1 (_bracket_theta_jet at npow = n), whose
     denominator, a product of brackets theta^{q^m} - theta, never vanishes.
+    So l is only validated (minimal_l refuses n < 1): one value per (ctx, n).
     """
-    if n < 1:
-        raise ConstraintViolated(f"tensor power must be >= 1, got {n}")
     if l < minimal_l(ctx.q, n):
         raise ConstraintViolated(
             f"need l >= 1 with q^l >= n, got l={l} for n={n}"
         )
-    ajet = _bracket_theta_jet(ctx.field, n, n - 1)
-    return _coords_from_jet(ctx, _times_period_power(ctx, ajet, n), "eta")
+    return _coords_from_jet(ctx, _eta_jet(ctx, n), "eta")
+
+
+@lru_cache(maxsize=None)
+def _eta_jet(ctx: CarlitzCtx, n: int) -> Jet:
+    """The eta route's product jet, which the span combination shares."""
+    return _times_period_power(ctx, _bracket_theta_jet(ctx.field, n, n - 1), n)
 
 
 def z_via_at(ctx: CarlitzCtx, n: int) -> PeriodCoords:
@@ -857,11 +857,18 @@ def _cells_omega(ctx: CarlitzCtx, t_terms: int) -> list[CheckCell]:
     unit = TPoly(F, {0: -theta_series(F), 1: USeries.one(F)}) * om
     one = TPoly.one(F).jet(t_terms)
     cells = []
-    for name, tag, x in (("omega_inverse", "Omega * Omega^-1 vs 1", om),
-                         ("aw_unit", "(t-theta)*Omega*aw vs 1", unit)):
-        witness = _first_gap(tag, x.jet(t_terms) * x.inverse_tseries(t_terms), one)
+    for name, tag, x, inv in (
+            ("omega_inverse", "Omega * Omega^-1 vs 1", om, _omega_inverse(ctx, t_terms)),
+            ("aw_unit", "(t-theta)*Omega*aw vs 1", unit, unit.inverse_tseries(t_terms))):
+        witness = _first_gap(tag, x.jet(t_terms) * inv, one)
         cells.append(CheckCell(name, {"t_terms": t_terms}, witness is None, witness))
     return cells
+
+
+@lru_cache(maxsize=None)
+def _omega_inverse(ctx: CarlitzCtx, t_terms: int) -> Jet:
+    """Omega^{-1} mod t^t_terms, which the omega and transfer cells share."""
+    return omega_tpoly(ctx).inverse_tseries(t_terms)
 
 
 def _cell_omega_pow(ctx: CarlitzCtx, n: int) -> CheckCell:
@@ -884,17 +891,13 @@ def _cell_omega_pow(ctx: CarlitzCtx, n: int) -> CheckCell:
 
 def _cells_b_transfer(ctx: CarlitzCtx, jmax: int, t_terms: int) -> list[CheckCell]:
     F = ctx.field
-    q = F.q
-    cells = []
-
-    hi = min(q - 1, jmax)
+    hi = min(F.q - 1, jmax)
     vanish = all(b_rat(F, j).is_zero() for j in range(1, hi + 1))
-    cells.append(CheckCell(
-        "b_vanishing", {"range": f"1..{hi}"}, vanish,
-        None if vanish else "a transfer coefficient below index q is nonzero"))
+    cells = [CheckCell("b_vanishing", {"range": f"1..{hi}"}, vanish,
+                       None if vanish else "a transfer coefficient below index q is nonzero")]
 
     # t is theta-free, so d^j acts on each t-coefficient of the inverse
-    winv = omega_tpoly(ctx).inverse_tseries(t_terms)
+    winv = _omega_inverse(ctx, t_terms)
     lhs = [d_theta_useries(c, jmax) for c in winv]
     for j in range(jmax + 1):
         b = b_rat(F, j)
@@ -904,28 +907,28 @@ def _cells_b_transfer(ctx: CarlitzCtx, jmax: int, t_terms: int) -> list[CheckCel
     return cells
 
 
-def _tpoly_from_poly_tt(p: Poly) -> TPoly:
-    """Exact t-polynomial with embedded u-series coefficients."""
-    field = p.field
-    rows: dict[int, dict] = {}
-    for (i, j), c in p.terms.items():
-        rows.setdefault(j, {})[(i,)] = c
-    coeffs = {
-        j: embed_k(Poly(field, VARS_T, r), INF_PREC) for j, r in rows.items()
-    }
-    return TPoly(field, coeffs)
-
-
 def _tseries_times_ratfunc(tser: Jet, b: RatFunc) -> Jet:
     """A t-series mod t^len(tser) times an exact rational function of
     (theta, t), cut at the same length."""
     n = len(tser)
-    prod = tser * _tpoly_from_poly_tt(b.num).jet(n)
-    if b.den.is_constant():
-        return prod
-    # t^0 coefficient of the denominator is an exact monomial, so the
-    # t-series inverse needs no precision target
-    return prod * _tpoly_from_poly_tt(b.den).inverse_tseries(n)
+    prod = tser * _tseries(b.num, n, False)
+    return prod if b.den.is_constant() else prod * _tseries(b.den, n, True)
+
+
+@lru_cache(maxsize=None)
+def _tseries(p: Poly, n: int, invert: bool) -> Jet:
+    """p, or 1/p with invert, mod t^n with embedded u-series coefficients:
+    one per value, as the b_j share the zero numerator and denominators.
+
+    The t^0 coefficient of a b_j denominator is an exact monomial, so the
+    t-series inverse needs no precision target.
+    """
+    rows: dict[int, dict] = {}
+    for (i, j), c in p.terms.items():
+        rows.setdefault(j, {})[(i,)] = c
+    tp = TPoly(p.field, {j: embed_k(Poly(p.field, VARS_T, r), INF_PREC)
+                         for j, r in rows.items()})
+    return tp.inverse_tseries(n) if invert else tp.jet(n)
 
 
 def _cells_span(ctx: CarlitzCtx, n: int) -> list[CheckCell]:
@@ -1080,9 +1083,7 @@ def _cells_eta_alpha(field: Field, nmax: int) -> list[CheckCell]:
 
 
 def _cells_alpha(field: Field, nmax: int) -> list[CheckCell]:
-    cells = []
-    q = field.q
-    e = field.e
+    cells, q, e = [], field.q, field.e
     for n in range(1, nmax + 1):
         try:
             a_n, g_n = at_poly(field, n)
@@ -1100,27 +1101,19 @@ def _cells_alpha(field: Field, nmax: int) -> list[CheckCell]:
 
 
 def _cells_coords(ctx: CarlitzCtx, n: int) -> list[CheckCell]:
-    cells = []
     lmin = minimal_l(ctx.q, n)
-    routes = [
-        z_via_omega(ctx, n),
-        z_via_eta(ctx, n, lmin),
-        z_via_eta(ctx, n, lmin + 1),
-        z_via_at(ctx, n),
-    ]
-    labels = ["omega", f"eta(l={lmin})", f"eta(l={lmin + 1})", "at"]
-    base = routes[0]
-    witness = None
-    for other, label in zip(routes[1:], labels[1:]):
+    base, witness = z_via_omega(ctx, n), None
+    # both eta legs read one value (z_via_eta); the report keeps them both
+    for label, other in ((f"eta(l={lmin})", z_via_eta(ctx, n, lmin)),
+                         (f"eta(l={lmin + 1})", z_via_eta(ctx, n, lmin + 1)),
+                         ("at", z_via_at(ctx, n))):
         witness = witness or _first_gap(f"(z_n..z_1) omega vs {label}",
                                         base.jet(), other.jet(), ctx.uprec)
-    cells.append(CheckCell(
-        "coords_cross_route", {"n": n, "l": [lmin, lmin + 1]}, witness is None, witness))
-
-    pitn = (pitilde(ctx) ** n).with_prec(ctx.uprec)
-    witness = _first_gap("z_n vs period^n", [base.z[-1]], [pitn], ctx.uprec)
-    cells.append(CheckCell("coords_last_power", {"n": n}, witness is None, witness))
-    return cells
+    last = _first_gap("z_n vs period^n", [base.z[-1]],
+                      [(pitilde(ctx) ** n).with_prec(ctx.uprec)], ctx.uprec)
+    return [CheckCell("coords_cross_route", {"n": n, "l": [lmin, lmin + 1]},
+                      witness is None, witness),
+            CheckCell("coords_last_power", {"n": n}, last is None, last)]
 
 
 def _cell_span_combination(ctx: CarlitzCtx, n: int) -> CheckCell:
@@ -1132,14 +1125,12 @@ def _cell_span_combination(ctx: CarlitzCtx, n: int) -> CheckCell:
     transfer jet exhibits z_{n-j} as a K-linear combination of those
     monomials; the check requires the residual against the omega-route
     coordinates to vanish on all retained coefficients.  That inverse power
-    is the bracket rule at npow = n, the eta route's K-jet.
+    is the bracket rule at npow = n, the eta route's K-jet (_eta_jet).
     """
     co = z_via_omega(ctx, n)
-    cjet = _bracket_theta_jet(ctx.field, n, n - 1)
-    combo = _times_period_power(ctx, cjet, n)
-    witness = _first_gap("combination vs (z_n..z_1)", combo, co.jet(), ctx.uprec)
+    witness = _first_gap("combination vs (z_n..z_1)", _eta_jet(ctx, n), co.jet(), ctx.uprec)
     if witness is not None:
-        nums, den = cjet
+        nums, den = _bracket_theta_jet(ctx.field, n, n - 1)
         witness += f"; K-coefficients: {tuple(RatFunc.make(c, den) for c in nums)!r}"
     return CheckCell("coords_span_combination",
                      {"n": n, "monomial_orders": f"0..{n - 1}"}, witness is None, witness)
@@ -1281,11 +1272,16 @@ def _lagrange_numerator(to_b: list[Poly], gaps: dict) -> Poly:
     """E * P * V for P = prod_i (a_i - b), V = prod_{i<k} (a_k - a_i): the
     product side gives V, and term i of the sum, as prod_{k != i} (a_k - a_i)
     is (-1)^i times the gaps with i, gives (-1)^i times the a_k - b, k != i,
-    and the gaps without i."""
+    and the gaps without i.  Each product multiplies only its real factors,
+    with no product by one."""
     one = to_b[0] ** 0
-    num = math.prod(gaps.values(), start=one)
+
+    def prod(fs):
+        return math.prod(fs[1:], start=fs[0]) if fs else one
+
+    num = prod([*gaps.values()])
     for i in range(len(to_b)):
-        term = (math.prod((d for k, d in enumerate(to_b) if k != i), start=one)
-                * math.prod((g for key, g in gaps.items() if i not in key), start=one))
+        term = prod([d for k, d in enumerate(to_b) if k != i]
+                    + [g for key, g in gaps.items() if i not in key])
         num = num + term if i % 2 else num - term
     return num

@@ -67,10 +67,17 @@ def _utrim(c: list[int]) -> list[int]:
     return c
 
 
-def _uadd(a: list[int], b: list[int], f: Field) -> list[int]:
+def _uadd(a: list[int], b: list[int], f: Field, sub: bool = False) -> list[int]:
+    """a + b, or a - b with sub, in one pass; in characteristic 2 they agree."""
+    add = f.add_t
+    if sub and f.p != 2:
+        neg, out = f.neg_t, a + [0] * (len(b) - len(a))
+        for i, x in enumerate(b):
+            out[i] = add[out[i]][neg[x]]
+        return _utrim(out)
     if len(a) < len(b):
         a, b = b, a
-    add, out = f.add_t, list(a)
+    out = list(a)
     for i, x in enumerate(b):
         out[i] = add[out[i]][x]
     return _utrim(out)
@@ -607,14 +614,14 @@ class Poly:
                 f"variable sets differ: {self.vars} vs {other.vars}"
             )
 
-    def __add__(self, other):
+    def __add__(self, other, sub: bool = False):
         other = self._coerce(other)
         if other is NotImplemented:
             return other
         self._compat(other)
         if self._dv is not None and other._dv is not None:
-            return Poly.from_dense(self.field, _uadd(self._dv, other._dv, self.field))
-        out = _accumulate(dict(self.terms), other.terms.items(), self.field)
+            return Poly.from_dense(self.field, _uadd(self._dv, other._dv, self.field, sub))
+        out = _accumulate(dict(self.terms), (-other if sub else other).terms.items(), self.field)
         return Poly(self.field, self.vars, out)
 
     __radd__ = __add__
@@ -623,10 +630,7 @@ class Poly:
         return self._scaled(self.field.neg_t[1])
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -1295,11 +1299,11 @@ def _poly_hasse(f: Poly, var: int, k: int) -> Poly:
     if d is not None:  # univariate, so var is 0
         return Poly.from_dense(f.field, [mul[binom_mod_p(i, k, p)][c] if c else 0
                                          for i, c in enumerate(d[k:], k)])
-    out = {}
+    out, binoms = {}, {i: binom_mod_p(i, k, p) for i in {e[var] for e in f.terms} if i >= k}
     for e, c in f.terms.items():
         i = e[var]
         if i >= k:
-            b = binom_mod_p(i, k, p)
+            b = binoms[i]
             if b:
                 ne = list(e)
                 ne[var] = i - k

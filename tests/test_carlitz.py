@@ -1,5 +1,6 @@
 """Period objects, transfer coefficients, factorial combinatorics, routes."""
 
+import math
 import random
 import sys
 import time
@@ -33,6 +34,7 @@ from carlitzhd import (
     PrecisionExhausted,
     RatFunc,
     SJet,
+    TPoly,
     USeries,
     VARS_TT,
     at_poly,
@@ -588,6 +590,66 @@ def test_eta_route_depth_validation():
         z_via_eta(ctx, 3, 0)
 
 
+def _clear_carlitz_caches():
+    for g in vars(carlitz).values():
+        if hasattr(g, "cache_clear"):
+            g.cache_clear()
+
+
+def test_eta_route_refuses_a_shallow_depth_before_any_cache():
+    f = field_new(2)
+    ctx = CarlitzCtx(f, uprec=50, jet_order=2)
+    _clear_carlitz_caches()
+    with pytest.raises(ConstraintViolated):
+        z_via_eta(ctx, 3, 1)
+    touched = {name: g.cache_info() for name, g in vars(carlitz).items()
+               if hasattr(g, "cache_info")}
+    assert all(i.hits == i.misses == 0 for i in touched.values()), touched
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 6), (4, 4)])
+def test_suite_computes_each_route_value_once(q, n, monkeypatch):
+    # one verify run computes z_via_omega's coordinates once, the eta
+    # route's product once (the span combination shares it), Omega's
+    # t-inverse once, and each b_j denominator's t-inverse once, however many
+    # cells read them
+    f = field_new(*{4: (2, 2)}.get(q, (q,)))
+    ctx = CarlitzCtx(f, uprec=40, jet_order=n)
+    omega_powers, products, inverses = [], [], []
+    real_power, real_times = carlitz._inverse_power, carlitz._times_period_power
+    real_inverse = TPoly.inverse_tseries
+    monkeypatch.setattr(carlitz, "_inverse_power",
+                        lambda field, jet_at, m: omega_powers.append(m)
+                        or real_power(field, jet_at, m))
+    monkeypatch.setattr(carlitz, "_times_period_power",
+                        lambda c, kjet, m: products.append(kjet) or real_times(c, kjet, m))
+    monkeypatch.setattr(TPoly, "inverse_tseries",
+                        lambda x, k: inverses.append((x, k)) or real_inverse(x, k))
+    _clear_carlitz_caches()
+    assert verify_suite(ctx, "all").all_passed
+    eta_kjet = _bracket_theta_jet(f, n, n - 1)
+    assert omega_powers == [n]
+    assert sum(k is eta_kjet for k in products) == 1
+    assert len(products) == 2  # and the AT route's
+    t_terms = ctx.cutoff + 1
+    assert sum(x is omega_tpoly(ctx) for x, _ in inverses) == 1
+    assert (omega_tpoly(ctx), t_terms) in inverses
+    # the inverses are kept alive in the list, so no two share an id
+    assert len({(id(x), k) for x, k in inverses}) == len(inverses)
+
+
+def test_two_suite_runs_on_one_context_agree():
+    ctx = CarlitzCtx(field_new(3), uprec=40, jet_order=4)
+    _clear_carlitz_caches()
+    cold = verify_suite(ctx, "all").to_dict()
+    shared = (carlitz._z_omega, carlitz._eta_jet, carlitz._omega_inverse,
+              carlitz._tseries)
+    misses = [g.cache_info().misses for g in shared]
+    assert verify_suite(ctx, "all").to_dict() == cold
+    # the second run reads every shared value from the first
+    assert [g.cache_info().misses for g in shared] == misses
+
+
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 5), (4, 9)])
 def test_eta_route_depth_is_capped_one_past_the_least(q, n, monkeypatch):
     # factor m of eta_{l-1}(theta + X, theta) is 1 mod X^{q^m}, so every
@@ -596,6 +658,7 @@ def test_eta_route_depth_is_capped_one_past_the_least(q, n, monkeypatch):
     # bracket rule over the q^m <= n - 1
     f = field_new(*{4: (2, 2)}.get(q, (q,)))
     ctx = CarlitzCtx(f, uprec=30, jet_order=n - 1)
+    carlitz._eta_jet.cache_clear()  # a product cached earlier reads no K-jet
     calls, real = [], carlitz._bracket_theta_jet
     monkeypatch.setattr(carlitz, "_bracket_theta_jet",
                         lambda *args: calls.append(args) or real(*args))
@@ -824,6 +887,35 @@ def test_lagrange_sides_equal_the_factorwise_evaluation(p, e, s):
         assert (total.num, total.den) == (rtotal.num, rtotal.den)
         assert prod == total
     assert verify_lagrange(f, s=s, trials=40, seed=1729).all_passed
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 5])
+def test_lagrange_numerator_multiplies_only_real_factors(s, monkeypatch):
+    # the numerator E * P * V is the same value as with products seeded by
+    # one, and each product of m factors makes m - 1 multiplications: 8 per
+    # trial at s = 3, where the seed of one took 15
+    f = field_new(5)
+    a, b = next(_lagrange_tuples(f, s, 1, 1729, 2))
+    to_b, gaps = carlitz._lagrange_differences(a, b)
+    one = Poly.one(f)
+    want = sum((one if i % 2 else -one) * _product_from_one(one, [
+        *(d for k, d in enumerate(to_b) if k != i),
+        *(g for key, g in gaps.items() if i not in key)]) for i in range(s))
+    want = want + _product_from_one(one, gaps.values())
+    products, real = [], Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda x, y: products.append(y) or real(x, y))
+    assert carlitz._lagrange_numerator(to_b, gaps) == want
+    # V has C(s, 2) factors and each term s - 1 + C(s - 1, 2)
+    per_term = s - 1 + math.comb(s - 1, 2)
+    assert len(products) == max(math.comb(s, 2) - 1, 0) + s * max(per_term - 1, 0)
+    assert s != 3 or len(products) == 8
+
+
+def _product_from_one(one, factors):
+    out = one
+    for x in factors:
+        out = out * x
+    return out
 
 
 def test_verify_lagrange_validation():

@@ -200,6 +200,76 @@ def test_divexact_rejects_an_image_quotient_above_the_t_degree_bound():
         poly_divexact(a, b)
 
 
+# -- sums, differences and hyperderivatives of Polys ------------------------------
+
+
+def ref_sub(a: Poly, b: Poly) -> Poly:
+    """a - b term by term through FqElem arithmetic; shares no kernel."""
+    f = a.field
+    out = {e: f.from_index(c) for e, c in a.terms.items()}
+    for e, c in b.terms.items():
+        out[e] = out.get(e, f.zero) - f.from_index(c)
+    return Poly(f, a.vars, {e: c.idx for e, c in out.items() if not c.is_zero()})
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (257, 1), (2, 2), (3, 2)])
+def test_dense_subtraction_takes_one_pass(p, e, monkeypatch):
+    # a - b on dense operands negates inside the one add pass, with no
+    # negated temporary; the top terms may cancel, and either side may be
+    # the longer
+    f = field_new(p, e)
+    rng = random.Random(SEED + 7 * f.q)
+    pairs = []
+    for la, lb in ((30, 30), (40, 12), (12, 40), (1, 25), (25, 1)):
+        a = rand_terms(rng, f, VARS_T, rng.randrange(1, la + 1), la - 1)
+        b = rand_terms(rng, f, VARS_T, rng.randrange(1, lb + 1), lb - 1)
+        pairs += [(a, b), (a, a - Poly.monomial(f, (0,)))]
+    pairs.append((pairs[0][0], pairs[0][0]))
+    want = [ref_sub(a, b) for a, b in pairs]
+    def no_negation(self):
+        raise AssertionError("a dense difference built a negated temporary")
+
+    monkeypatch.setattr(Poly, "__neg__", no_negation)
+    got = [a - b for a, b in pairs]
+    assert got == want
+    assert got[-1].is_zero()
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_sparse_subtraction_matches_term_by_term(p, e):
+    f = field_new(p, e)
+    rng = random.Random(SEED + 11 * f.q)
+    for _ in range(10):
+        a = rand_terms(rng, f, VARS_TT, rng.randrange(1, 30), 12, 6)
+        b = rand_terms(rng, f, VARS_TT, rng.randrange(1, 30), 12, 6)
+        assert a - b == ref_sub(a, b)
+        assert (a - b) + b == a
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (3, 2)])
+def test_bivariate_hasse_takes_one_binomial_per_exponent(p, e, monkeypatch):
+    # the k-th hyperderivative in one variable scales term e by
+    # binom(e[var], k); the binomial is computed once per distinct e[var]
+    f = field_new(p, e)
+    rng = random.Random(SEED + 13 * f.q)
+    calls, real = [], rings.binom_mod_p
+    monkeypatch.setattr(rings, "binom_mod_p",
+                        lambda n, k, m: calls.append((n, k)) or real(n, k, m))
+    for _ in range(5):
+        g = rand_terms(rng, f, VARS_TT, 40, 3 * p + 6, 3 * p + 6)
+        for var in (0, 1):
+            for k in (1, p - 1, p, p + 1):
+                want = {}
+                for ex, c in g.terms.items():
+                    if ex[var] >= k and (b := real(ex[var], k, p)):
+                        want[tuple(x - k * (i == var) for i, x in enumerate(ex))] = (
+                            f.from_index(c) * b).idx
+                calls.clear()
+                assert rings._poly_hasse(g, var, k) == Poly(f, VARS_TT, want)
+                assert sorted(calls) == sorted({(ex[var], k) for ex in g.terms
+                                                if ex[var] >= k})
+
+
 # -- sympy over GF(p) -------------------------------------------------------------
 
 
