@@ -71,7 +71,10 @@ def _uadd(a: list[int], b: list[int], f: Field, sub: bool = False) -> list[int]:
     """a + b, or a - b with sub, in one pass; in characteristic 2 they agree."""
     add = f.add_t
     if sub and f.p != 2:
-        neg, out = f.neg_t, a + [0] * (len(b) - len(a))
+        neg, out = f.neg_t, list(a)
+        if len(b) > len(a):
+            out += [neg[x] for x in b[len(a):]]
+            b = b[:len(a)]
         for i, x in enumerate(b):
             out[i] = add[out[i]][neg[x]]
         return _utrim(out)
@@ -231,6 +234,26 @@ def _uscale(a: list[int], c: int, f: Field) -> list[int]:
         return _utrim(list(a))
     row = f.mul_t[c]
     return _utrim([row[x] for x in a])
+
+
+def _uscale_by_binomial(run, start: int, k: int, f: Field, a: int = 0,
+                        d: int = 1) -> list[int]:
+    """[binom(a + (start + i)/d, k) * run[i] for each i], untrimmed, for d
+    prime to p; (start + i)/d is a p-adic integer.
+
+    By Lucas' rule the binomial mod p reads its top argument only mod p^L
+    once p^L > k, so it depends only on i mod p^L: each residue class of the
+    run is one binomial and one scaled slice.
+    """
+    mod = f.p
+    while mod <= k:
+        mod *= f.p
+    inv = pow(d, -1, mod)
+    out = [0] * len(run)
+    for j in range(min(mod, len(run))):
+        if c := binom_mod_p((a + (start + j) * inv) % mod, k, f.p):
+            out[j::mod] = map(f.mul_t[c].__getitem__, run[j::mod])
+    return out
 
 
 def _ureduce(r: list[int], b: list[int], f: Field, q: list[int] | None = None) -> None:
@@ -855,10 +878,11 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
         return Poly.from_dense(a.field, _udivexact(a._view(), b._view(), a.field))
     stride = a.degree(1) + 1
     quo = _udivexact(_dense(_kron(a, stride)), _dense(_kron(b, stride)), a.field)
-    terms = _unkron({k: c for k, c in enumerate(quo) if c}, stride, 2)
-    if max(j for _, j in terms) > a.degree(1) - b.degree(1):
+    # key k has t-degree k mod stride
+    if any(any(quo[j::stride])
+           for j in range(max(0, a.degree(1) - b.degree(1) + 1), stride)):
         raise ConstraintViolated("polynomial division is not exact")
-    return Poly(a.field, a.vars, terms)
+    return Poly(a.field, a.vars, _unkron({k: c for k, c in enumerate(quo) if c}, stride, 2))
 
 
 # -- rational functions -------------------------------------------------------
@@ -1064,11 +1088,12 @@ def _exact_zero(x) -> bool:
     """The zero rule: only an exact zero may be skipped."""
     if x is None:
         return True
-    test = getattr(x, "is_zero", None)
-    if test is None or not test():
+    # looked up on the type: a Poly's __getattr__ raises for a missing name
+    test = getattr(type(x), "is_zero", None)
+    if test is None or not test(x):
         return False
-    exact = getattr(x, "is_exact_zero", None)
-    return exact is None or exact()
+    exact = getattr(type(x), "is_exact_zero", None)
+    return exact is None or exact(x)
 
 
 def _support(a) -> list:
@@ -1297,8 +1322,7 @@ def _poly_hasse(f: Poly, var: int, k: int) -> Poly:
     mul = f.field.mul_t
     d = f._dv
     if d is not None:  # univariate, so var is 0
-        return Poly.from_dense(f.field, [mul[binom_mod_p(i, k, p)][c] if c else 0
-                                         for i, c in enumerate(d[k:], k)])
+        return Poly.from_dense(f.field, _uscale_by_binomial(d[k:], k, k, f.field))
     out, binoms = {}, {i: binom_mod_p(i, k, p) for i in {e[var] for e in f.terms} if i >= k}
     for e, c in f.terms.items():
         i = e[var]

@@ -13,17 +13,16 @@ entire-function products.  Their t-expansions mod t^n are Jets of USeries
 
 d_theta_useries extends the theta-derivation: on u it acts by
 D_theta(u) = u * (1 + X/theta)^(-1/(q-1)), the branch with constant term u,
-and on a general series by the Taylor identity
-D_theta(f) = sum_k d_u^(k)(f) * (D_theta(u) - u)^k.
-In characteristic p, -1/(q-1) = 1 + q + q^2 + ..., so by Lucas' rule
-binom(-1/(q-1), j) mod p is 1 when every base-q digit of j is 0 or 1, and
-0 otherwise.
+and as 1/theta = -u^(q-1), on u^e by
+D_theta(u^e) = u^e * (1 - X u^(q-1))^(-e/(q-1)).
+-e/(q-1) is a p-adic integer, so by Lucas' rule binom(-e/(q-1), m) mod p
+depends only on e mod p^L once p^L > m: each residue class of a
+coefficient run takes one binomial.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
 
 from .binomials import binom_mod_p
 from .errors import (
@@ -40,6 +39,7 @@ from .rings import (
     _udot,
     _uinverse,
     _umul,
+    _uscale_by_binomial,
     pow_base_p,
     series_mul,
 )
@@ -460,94 +460,30 @@ def _embed_over(nums, den, prec) -> list[USeries]:
 # -- Hasse derivative in u and the theta-derivation ----------------------------
 
 def hasse_du(f: USeries, k: int) -> USeries:
-    """k-th u-hyperderivative: sum_i binom(i, k) c_i u^{i-k}.
-
-    Only the nonzero c_i are visited.  binom(i, k) mod p depends only on
-    i mod p^L once p^L > k, for i of either sign (Vandermonde's identity
-    and Lucas' rule), so each residue's value is computed once.
-    """
+    """k-th u-hyperderivative: sum_i binom(i, k) c_i u^{i-k}."""
     if k < 0:
         raise ConstraintViolated("derivative order must be >= 0")
     if k == 0:
         return f
-    field, cs = f.field, f.coeffs
-    p, mul = field.p, field.mul_t
-    period = p
-    while period <= k:
-        period *= p
-    memo = {}
-    terms = []
-    for i in compress(range(len(cs)), cs):
-        r = (f.min_exp + i) % period
-        b = memo.get(r)
-        if b is None:
-            b = memo[r] = binom_mod_p(r, k, p)
-        if b:
-            terms.append((i, mul[b][cs[i]]))
-    if not terms:
-        return USeries(field, 0, [], f.abs_prec - k)
-    lo = terms[0][0]
-    out = [0] * (terms[-1][0] + 1 - lo)
-    for i, c in terms:
-        out[i - lo] = c
-    return USeries(field, f.min_exp + lo - k, out, f.abs_prec - k)
-
-
-def _binom_neg_inv(j: int, q: int) -> int:
-    """binom(-1/(q-1), j) mod p: 1 if every base-q digit of j is 0 or 1."""
-    while j:
-        j, d = divmod(j, q)
-        if d > 1:
-            return 0
-    return 1
-
-
-def _delta_scalars(field: Field, n: int) -> list[list[int]]:
-    """c[k][m]: X^m coefficient of Delta^k where Delta = D_theta(u) - u.
-
-    Delta's X^j coefficient (j >= 1) is the monomial
-    binom(-1/(q-1), j) * (-1)^j * u^{1 + j(q-1)}; all u-exponents in Delta^k
-    at X^m collapse to k + m(q-1), so only the scalar triangle is needed.
-    """
-    p = field.p
-    b = [0] * (n + 1)
-    for j in range(1, n + 1):
-        if _binom_neg_inv(j, field.q):
-            b[j] = p - 1 if j & 1 else 1
-    c = [[0] * (n + 1) for _ in range(n + 1)]
-    c[0][0] = 1
-    for k in range(1, n + 1):
-        for m in range(k, n + 1):
-            acc = 0
-            for j in range(1, m - k + 2):
-                if b[j] and c[k - 1][m - j]:
-                    acc = (acc + b[j] * c[k - 1][m - j]) % p
-            c[k][m] = acc
-    return c
+    return USeries(f.field, f.min_exp - k,
+                   _uscale_by_binomial(f.coeffs, f.min_exp, k, f.field),
+                   f.abs_prec - k)
 
 
 def d_theta_useries(f: USeries, n: int) -> Jet:
     """Jet of D_theta(f) mod X^{n+1}, coefficients in F_q((u)).
 
-    Realizes D_theta(f) = sum_k d_u^(k)(f) * Delta^k with
-    Delta = D_theta(u) - u and D_theta(u) = u*(1 + X/theta)^{-1/(q-1)}
-    (the branch restricting to the identity at X = 0).
+    D_theta(u^e) = u^e (1 - X u^(q-1))^(-e/(q-1)), so coefficient m is
+    sum_e (-1)^m binom(-e/(q-1), m) c_e u^(e + m(q-1)), known below
+    f.abs_prec + m(q-1); (-1)^m binom(x, m) = binom(m - 1 - x, m).
     """
     if n < 0:
         raise ConstraintViolated("jet order must be >= 0")
-    field = f.field
-    q = field.q
-    c = _delta_scalars(field, n)
-    du = [f]
-    for k in range(1, n + 1):
-        du.append(hasse_du(f, k))
-    # coefficient m sums c[k][m] * du[k] * u^(k + m(q-1)) over k, all
-    # known below f.abs_prec + m(q-1)
+    field, s = f.field, f.field.q - 1
     out = [f]
     for m in range(1, n + 1):
-        parts = [(du[k].min_exp + k + m * (q - 1), field.elem(c[k][m]).idx,
-                  du[k].coeffs) for k in range(1, m + 1) if c[k][m]]
-        out.append(_run_sum(field, parts, f.abs_prec + m * (q - 1)))
+        run = _uscale_by_binomial(f.coeffs, f.min_exp, m, field, m - 1, s)
+        out.append(USeries(field, f.min_exp + m * s, run, f.abs_prec + m * s))
     return Jet(out)
 
 

@@ -34,6 +34,11 @@ used; their earlier forms, the full cutoff product of u-series binomials
 inverted by `USeries.inverse`, and the exact product of t-binomials capped
 afterwards, are the references for `pitilde` and `carlitz._omega_capped`.
 
+The theta-derivation of a u-series takes one binomial per residue class of
+its exponents; its earlier form, the Taylor identity
+D_theta(f) = sum_k d_u^(k)(f) * (D_theta(u) - u)^k over a scalar triangle
+and a base-q digit rule, is the reference for `d_theta_useries`.
+
 The transfer coefficient b_j is the X^j coefficient of a product of bracket
 series; its earlier form, the quotient-jet numerator of 1/P over P^j for
 P = curlyL_{l-1}, peeled back by trial division, is the reference for
@@ -70,6 +75,7 @@ from carlitzhd import (
     binom_mod_p,
     carlitz,
     embed_k,
+    hasse_du,
     poly_divexact,
     poly_gcd,
     taylor_shift,
@@ -623,6 +629,59 @@ def omega_by_product(ctx, budget: int):
     om = om * TPoly(F, {0: USeries.monomial(F, q)})
     return TPoly(F, {k: v if k == 0 else v.with_prec(min(ctx.omega_cap(k), budget))
                      for k, v in om.coeffs.items()})
+
+
+# -- the theta-derivation by the Taylor identity ----------------------------------
+
+
+def binom_neg_inv(j: int, q: int) -> int:
+    """binom(-1/(q-1), j) mod p: 1 if every base-q digit of j is 0 or 1."""
+    while j:
+        j, d = divmod(j, q)
+        if d > 1:
+            return 0
+    return 1
+
+
+def delta_scalars(field, n: int) -> list[list[int]]:
+    """c[k][m]: X^m coefficient of Delta^k where Delta = D_theta(u) - u.
+
+    Delta's X^j coefficient (j >= 1) is the monomial
+    binom(-1/(q-1), j) * (-1)^j * u^{1 + j(q-1)}; all u-exponents in Delta^k
+    at X^m collapse to k + m(q-1), so only the scalar triangle is needed.
+    """
+    p = field.p
+    b = [0] * (n + 1)
+    for j in range(1, n + 1):
+        if binom_neg_inv(j, field.q):
+            b[j] = p - 1 if j & 1 else 1
+    c = [[0] * (n + 1) for _ in range(n + 1)]
+    c[0][0] = 1
+    for k in range(1, n + 1):
+        for m in range(k, n + 1):
+            acc = 0
+            for j in range(1, m - k + 2):
+                if b[j] and c[k - 1][m - j]:
+                    acc = (acc + b[j] * c[k - 1][m - j]) % p
+            c[k][m] = acc
+    return c
+
+
+def d_theta_by_taylor(f: USeries, n: int) -> Jet:
+    """Jet of D_theta(f) mod X^{n+1} by the Taylor identity
+    D_theta(f) = sum_k d_u^(k)(f) * Delta^k, Delta = D_theta(u) - u:
+    coefficient m is the fold of + over the u-hyperderivatives scaled by
+    c[k][m] and shifted by k + m(q-1), known below f.abs_prec + m(q-1)."""
+    field, s = f.field, f.field.q - 1
+    c = delta_scalars(field, n)
+    out = [f]
+    for m in range(1, n + 1):
+        acc = USeries.zero(field, f.abs_prec + m * s)
+        for k in range(1, m + 1):
+            if c[k][m]:
+                acc = acc + hasse_du(f, k).scale(c[k][m]).shift(k + m * s)
+        out.append(acc)
+    return Jet(out)
 
 
 # -- the transfer coefficients by the quotient-jet recurrence ----------------------

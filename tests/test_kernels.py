@@ -7,9 +7,10 @@ and poly_gcd / poly_divexact against sympy over GF(p) where sympy is
 installed, with the oracles' reference PRS gcd (prs_gcd) in place of
 poly_gcd on bivariate operands.  Dense USeries products and Newton
 inverses are checked against the table loop and the recurrence they
-replace, the support-only product, inverse and u-derivative against a
-plain convolution, the dense recurrence and per-coefficient binomials,
-and the period against the dict-series oracle.  Sums of products (_udot,
+replace, the support-only product and inverse against a plain
+convolution and the dense recurrence, the residue-class hyperderivatives
+of USeries and univariate Polys against per-coefficient binomials, and
+the period against the dict-series oracle.  Sums of products (_udot,
 USeries.sum_of_products) are checked against the fold of + over
 schoolbook products, and their slot width against a mutant that sizes it
 from one part.
@@ -268,6 +269,38 @@ def test_bivariate_hasse_takes_one_binomial_per_exponent(p, e, monkeypatch):
                 assert rings._poly_hasse(g, var, k) == Poly(f, VARS_TT, want)
                 assert sorted(calls) == sorted({(ex[var], k) for ex in g.terms
                                                 if ex[var] >= k})
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (3, 2)])
+def test_univariate_hasse_matches_per_coefficient_binomials(p, e):
+    # the dense list takes one binomial per residue class of the degree
+    f = field_new(p, e)
+    rng = random.Random(SEED + 17 * f.q)
+    for _ in range(5):
+        g = rand_terms(rng, f, VARS_T, rng.randrange(1, 40), 3 * p * p + 40)
+        for k in (1, p - 1, p, p + 1, p * p, 3 * p * p + 41):
+            want = {(i - k,): (f.from_index(c) * binom_mod_p(i, k, p)).idx
+                    for (i,), c in g.terms.items() if i >= k}
+            assert rings._poly_hasse(g, 0, k) == Poly(
+                f, VARS_T, {ex: c for ex, c in want.items() if c})
+
+
+def test_exact_zero_reads_no_missing_poly_attribute(monkeypatch):
+    # the zero rule looks its tests up on the type, so a zero Poly costs no
+    # AttributeError raised and caught in Poly.__getattr__
+    f = field_new(3)
+    real = Poly.__getattr__
+
+    def strict(self, name):
+        if name != "terms":
+            raise AssertionError(f"looked up the missing attribute {name}")
+        return real(self, name)
+
+    monkeypatch.setattr(Poly, "__getattr__", strict)
+    assert rings._exact_zero(Poly.zero(f)) and rings._exact_zero(None)
+    assert not rings._exact_zero(Poly.one(f))
+    assert rings._exact_zero(USeries.zero(f))
+    assert not rings._exact_zero(USeries.zero(f, 4))
 
 
 # -- sympy over GF(p) -------------------------------------------------------------

@@ -23,10 +23,9 @@ from carlitzhd import (
     useries_agree,
     useries_diff_witness,
 )
-from carlitzhd.carlitz import _first_gap
-from carlitzhd.useries import _binom_neg_inv
+from carlitzhd.carlitz import CarlitzCtx, _first_gap, pitilde
 
-from oracles import fraction_jet
+from oracles import binom_neg_inv, d_theta_by_taylor, delta_scalars, fraction_jet
 
 SEED = 1729
 
@@ -365,13 +364,30 @@ def test_hasse_du_zero_order_is_identity():
 @pytest.mark.parametrize("q,K", [(2, 10), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3),
                                  (9, 3), (25, 2), (49, 2)])
 def test_binom_neg_inv_digit_rule(q, K):
-    # (q^K - 1)/(q - 1) = 1 + q + ... + q^(K-1) is -1/(q-1) mod q^K, so
-    # below q^K its binomials mod p are those of -1/(q-1) by Lucas' rule
+    # D_theta(u) = u (1 - X u^(q-1))^(-1/(q-1)), and (q^K - 1)/(q - 1) =
+    # 1 + q + ... + q^(K-1) is -1/(q-1) mod q^K, so below q^K its binomials
+    # mod p are those of -1/(q-1) by Lucas' rule: the X^j coefficient is
+    # (-1)^j u^(1 + j(q-1)) when every base-q digit of j is 0 or 1, else 0
     p = next(d for d in range(2, q + 1) if q % d == 0)
+    f = field_new(p, round(math.log(q, p)))
     n = (q ** K - 1) // (q - 1)
-    got = [_binom_neg_inv(j, q) for j in range(q ** K)]
-    assert got == [binom_mod_p(n, j, p) for j in range(q ** K)]
-    assert sum(got) == 2 ** K  # base-q digits in {0, 1}
+    rule = [binom_neg_inv(j, q) for j in range(q ** K)]
+    assert rule == [binom_mod_p(n, j, p) for j in range(q ** K)]
+    assert sum(rule) == 2 ** K  # base-q digits in {0, 1}
+    jet = d_theta_useries(USeries.monomial(f, 1), q ** K - 1)
+    assert jet.coeffs == tuple(
+        USeries.monomial(f, 1 + j * (q - 1), (-1) ** j) if b else USeries.zero(f)
+        for j, b in enumerate(rule))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_d_theta_of_theta_is_theta_plus_x(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    f = field_new(p, round(math.log(q, p)))
+    th = theta_series(f)
+    for n in (1, 2, 7):
+        assert d_theta_useries(th, n) == Jet(
+            [th, USeries.one(f)] + [USeries.zero(f)] * (n - 1))
 
 
 def test_d_theta_useries_of_u_is_minus_u_q():
@@ -459,16 +475,14 @@ def test_d_theta_useries_recompute_overlap():
 
 @pytest.mark.parametrize("q,e", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)])
 def test_d_theta_useries_matches_the_sum_of_shifted_derivatives(q, e):
-    # the one-pass accumulator against the fold of + over scaled, shifted
-    # u-derivatives, exact and at finite precision
-    from carlitzhd.useries import _delta_scalars
-
+    # the Taylor identity's fold of + over scaled, shifted u-derivatives,
+    # exact and at finite precision
     f = field_new(q, e)
     rng = random.Random(SEED + q)
     for prec in (None, 14, 3, -2):
         s = rand_useries(rng, f, -6, 12, prec)
         n = 4
-        c = _delta_scalars(f, n)
+        c = delta_scalars(f, n)
         got = d_theta_useries(s, n)
         assert got[0] == s
         for m in range(1, n + 1):
@@ -477,6 +491,29 @@ def test_d_theta_useries_matches_the_sum_of_shifted_derivatives(q, e):
                 if c[k][m]:
                     want = want + hasse_du(s, k).scale(c[k][m]).shift(k + m * (f.q - 1))
             assert got[m] == want
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                 (3, 2), (13, 1)])
+def test_d_theta_useries_matches_the_taylor_oracle(p, e):
+    # one binomial per residue class against the Taylor identity, on random
+    # Laurent runs (exact and at finite precision), the period and its cube,
+    # zero series and monomials; every order up to 17 is a prefix of order 17
+    f = field_new(p, e)
+    rng = random.Random(SEED + 17 * f.q)
+    series = []
+    for _ in range(20):
+        lo = rng.randrange(-4 * f.q, 8)
+        s = rand_useries(rng, f, lo, lo + rng.randrange(1, 40))
+        series.append(s if rng.random() < 0.4 else s.with_prec(
+            rng.randrange(lo - 2, lo + 45)))
+    period = pitilde(CarlitzCtx(f, uprec=40))
+    series += [period, period ** 3, USeries.zero(f), USeries.zero(f, 9),
+               USeries.monomial(f, -7, f.q - 1), USeries.monomial(f, 5, 1, 12)]
+    for s in series:
+        want = d_theta_by_taylor(s, 17).coeffs
+        for n in (0, 1, 2, 5, 9, 17):
+            assert d_theta_useries(s, n).coeffs == want[:n + 1], (s, n)
 
 
 # -- truncated t-expansions ----------------------------------------------------------
