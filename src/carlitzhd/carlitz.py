@@ -508,7 +508,9 @@ def eta_sjet(field: Field, l: int, M: int) -> SJet:
         raise ConstraintViolated(f"s-order must be >= 1, got {M}")
     if l < 0:
         raise ConstraintViolated(f"eta_l needs l >= 0, got {l}")
-    return SJet(field, _fractions(*_eta_inv_pow_num(field, l, M, -1), M))
+    if field.q ** l < M:
+        raise InsufficientL(f"q^l = {field.q ** l} < {M}; increase l")
+    return SJet(field, _fractions(*_bracket_product(field, M, 1), M))
 
 
 def _s_times(a: dict, b: dict, M: int) -> dict:
@@ -564,14 +566,6 @@ def _bracket_product(field: Field, M: int, npow: int,
              for m in range(1, _pow_at_least(q, M))]
     num, powers = _bracket_series(one, pairs, M, npow, slide)
     return num, math.prod((g ** K for g, K in powers), start=one)
-
-
-def _eta_inv_pow_num(field: Field, l: int, M: int, npow: int) -> tuple[dict, Poly]:
-    """eta_l^{-npow} mod s^M over one denominator: the bracket product of the
-    factors 1 + s^{q^m}/[m] of eta_l, all those with q^m < M as q^l >= M."""
-    if field.q ** l < M:
-        raise InsufficientL(f"q^l = {field.q ** l} < {M}; increase l")
-    return _bracket_product(field, M, -npow)
 
 
 @lru_cache(maxsize=None)
@@ -1070,7 +1064,7 @@ def _cells_eta_alpha(field: Field, nmax: int) -> list[CheckCell]:
     for n in range(1, nmax + 1):
         M = n + 1
         l = _pow_at_least(q, n + 1)
-        num, den = _eta_inv_pow_num(field, l, M, n)
+        num, den = _bracket_product(field, M, -n)
         alpha, gam = at_poly(field, n)
         jet = [c.eval_t_at_theta() for c in d_t_jet(alpha, M - 1).coeffs]
         shifted = {k: c for k, c in enumerate(jet) if not c.is_zero()}

@@ -463,21 +463,16 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     run_lagrange = run_all or args.lagrange or "lagrange" in chosen
 
     cells: list = []
-    meta: dict = {}
     if run_all or suite_names:
         jmax = args.jmax if args.jmax is not None else args.n
         ctx = cfg.ctx(max(args.n, jmax))
-        rep = verify_suite(
+        cells.extend(verify_suite(
             ctx, "all" if run_all else suite_names, n=args.n, jmax=jmax,
-            lmax=args.lmax, sum_order=args.sum_order, t_terms=args.t_terms)
-        cells.extend(rep.cells)
-        meta.update(rep.meta)
+            lmax=args.lmax, sum_order=args.sum_order, t_terms=args.t_terms).cells)
     if run_lagrange:
-        lrep = verify_lagrange(cfg.field(), s=args.s, trials=args.trials,
-                               seed=cfg.seed, max_degree=args.max_degree)
-        cells.extend(lrep.cells)
-        meta.setdefault("lagrange", lrep.meta)
-    report = Report(cells, meta)
+        cells.extend(verify_lagrange(cfg.field(), s=args.s, trials=args.trials,
+                                     seed=cfg.seed, max_degree=args.max_degree).cells)
+    report = Report(cells)
 
     config = cfg.to_dict()
     config["command"] = "verify"

@@ -1,13 +1,14 @@
 """Exact polynomial and rational-function arithmetic over F_q.
 
 Polynomials live in F_q[theta] (dense lists of table indices) or
-F_q[theta, t] (sparse exponent-tuple maps).  A product of dense lists is
-_umul: over a prime field one big-int multiply of the packed lists when the
-cost model (_packs) favours it, else one table loop.  Sparse products and
-exact quotients go through one Kronecker map into F_q[x]: a product is one
-table loop over integer keys, a quotient one dense division.  The
-period's inverse product is a series of partition counts mod p, built by
-shift-and-adds of one packed int (_partition_counts).
+F_q[theta, t] (sparse exponent-tuple maps).  Every product of dense lists
+is one _udot, a sum of products (_umul is its one part): over a prime field
+one big-int multiply per part when the cost model (_packs) favours it, else
+one table loop.  Sparse products and exact quotients go through one
+Kronecker map into F_q[x]: a product is one table loop over integer keys, a
+quotient one dense division.  The period's inverse product is a series of
+partition counts mod p, built by shift-and-adds of one packed int
+(_partition_counts).
 
 Rational functions are kept in canonical form at all times: numerator and
 denominator coprime, denominator monic under the degree-lexicographic order
@@ -22,11 +23,12 @@ useries.USeries; pow_base_p is also Poly's (and so RatFunc's) power.  They
 skip a term only when a factor is an exact zero, so a coefficient that is
 zero only up to its precision still caps the precision of every term it
 enters.  Each coefficient of a product is one sum of products: one _udot
-for USeries (USeries.sum_of_products), a fold of + for any other ring.  No
-routine returns a jet of fractions: the jet c of a quotient N/D at t = theta
-is kept as the numerators C_k = c_k * D^(k+1) of one fraction-free
-recurrence on the substituted coefficients (_quotient_jet_numerators), and a
-check that needs canonical c_k builds them only for its witness.
+for USeries (USeries.sum_of_products, whose one-pair case is USeries *), a
+fold of + for any other ring.  No routine returns a jet of fractions: the
+jet c of a quotient N/D at t = theta is kept as the numerators
+C_k = c_k * D^(k+1) of one fraction-free recurrence on the substituted
+coefficients (_quotient_jet_numerators), and a check that needs canonical
+c_k builds them only for its witness.
 
 The gcd is Euclid on dense lists in F_q[theta].  A fraction in
 F_q(theta, t) (a transfer coefficient b_j, an eta_l) is a value only: it is
@@ -87,47 +89,31 @@ def _uadd(a: list[int], b: list[int], f: Field, sub: bool = False) -> list[int]:
 
 
 def _umul(a, b, f: Field, n: int | None = None) -> list[int]:
-    """The first n coefficients of a*b (all of them by default), trimmed.
-
-    An operand of one term scales the other; otherwise the product is cut,
-    packed or run through _utable as a part of _udot is, without the cost
-    of a list of parts (a one-part _udot was up to 25% slower on operands
-    of a few terms).
-    """
-    if not a or not b:
-        return []
-    if len(a) > len(b):
-        a, b = b, a
-    if n is None or n >= len(a) + len(b) - 1:
-        n = len(a) + len(b) - 1
-    if len(a) == 1:
-        return _uscale(b[:n], a[0], f)
-    if len(a) > n:
-        a = a[:n]
-    if len(b) > n:
-        b = b[:n]
-    na, nb = len(a) - a.count(0), len(b) - b.count(0)
-    if na > nb:
-        a, b, na, nb = b, a, nb, na
-    if f.e == 1 and _packs(na * nb, len(a) + len(b) + n):
-        prod = _packed_dense_mul([(0, a, b)], n, f.p, na)
-        if prod is not None:
-            return _utrim([x % f.p for x in prod])
-    return _utrim(_utable([0] * n, 0, a, b, f))
+    """The first n coefficients of a*b (all by default): a one-part _udot."""
+    return _udot([(0, a, b)], f, len(a) + len(b) - 1 if n is None else n)
 
 
 def _udot(parts, f: Field, n: int) -> list[int]:
     """The first n coefficients of sum x^offset * a * b over the parts
     (offset, a, b), trimmed.
 
-    Each part is cut at n - offset.  Over a prime field a sum that the cost
-    model (_packs) favours takes one big-int multiply per part, each shifted
-    by its offset into one packed sum that is unpacked once; otherwise the
-    table loop of _utable adds every part into one accumulator.
+    One part at offset 0 with a one-term operand is one _uscale of the
+    other.  Otherwise each part is cut at n - offset, a part with no
+    nonzero entry left is skipped, and n is capped at the latest end of a
+    part.  Over a prime field a sum that the cost model (_packs) favours
+    takes one big-int multiply per part, each shifted by its offset into
+    one packed sum that is unpacked once; otherwise the table loop of
+    _utable adds every part into one accumulator.
     """
     if n <= 0:
         return []
-    cut, pairs, slots, nonzero = [], 0, n, 0
+    if len(parts) == 1 and not parts[0][0]:
+        _, a, b = parts[0]
+        if len(a) == 1:
+            return _uscale(b[:n], a[0], f)
+        if len(b) == 1:
+            return _uscale(a[:n], b[0], f)
+    cut, pairs, slots, nonzero, end = [], 0, 0, 0, 0
     for off, a, b in parts:
         m = n - off
         if m <= 0:
@@ -139,11 +125,16 @@ def _udot(parts, f: Field, n: int) -> list[int]:
         na, nb = len(a) - a.count(0), len(b) - b.count(0)
         if na > nb:
             a, b, na, nb = b, a, nb, na
+        if not na:
+            continue
         cut.append((off, a, b))
         pairs += na * nb
         slots += len(a) + len(b)
         nonzero += na
-    if f.e == 1 and _packs(pairs, slots):
+        if off + len(a) + len(b) - 1 > end:
+            end = off + len(a) + len(b) - 1
+    n = min(n, end)
+    if f.e == 1 and cut and _packs(pairs, slots + n):
         prod = _packed_dense_mul(cut, n, f.p, nonzero)
         if prod is not None:
             return _utrim([x % f.p for x in prod])
@@ -362,7 +353,7 @@ _PACK_MIN_PAIRS = 48
 
 
 def _packs(pairs: int, slots: int) -> bool:
-    """Cost model of _umul and _udot: pack when twice the table loop's pairs
+    """Cost model of _udot: pack when twice the table loop's pairs
     reach slots + _PACK_MIN_PAIRS, the fixed cost of a packed product.
 
     pairs counts the products of nonzero entries below n, at most what the

@@ -23,6 +23,7 @@ coefficient run takes one binomial.
 from __future__ import annotations
 
 import math
+import sys
 
 from .binomials import binom_mod_p
 from .errors import (
@@ -38,7 +39,6 @@ from .rings import (
     RatFunc,
     _udot,
     _uinverse,
-    _umul,
     _uscale_by_binomial,
     pow_base_p,
     series_mul,
@@ -205,45 +205,32 @@ class USeries:
             return self.scale(other)
         if not isinstance(other, USeries):
             return NotImplemented
-        self._compat(other)
-        prec = min(
-            self.abs_prec + other.valuation(), other.abs_prec + self.valuation()
-        )
-        if not self.coeffs or not other.coeffs:
-            return USeries.zero(self.field, prec)
-        lo = self.min_exp + other.min_exp
-        # the constructor keeps only the coefficients below prec
-        need = len(self.coeffs) + len(other.coeffs) - 1
-        if prec != INF_PREC:
-            need = min(need, prec - lo)
-        out = _umul(self.coeffs, other.coeffs, self.field, need)
-        return USeries(self.field, lo, out, prec)
+        return USeries.sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
     @staticmethod
     def sum_of_products(pairs) -> "USeries":
-        """sum of x * y over a nonempty list of pairs, as one _udot.
+        """sum of x * y over a nonempty list of pairs, as one _udot; x * y
+        is the sum over the one pair (x, y).
 
         Equal to the fold of + over the products, abs_prec included: the
         sum is known below the least precision of its products, and a zero
         product at a finite precision still caps it.
         """
         f = pairs[0][0].field
-        prec, parts = INF_PREC, []
+        prec, lo, parts = INF_PREC, INF_PREC, []
         for x, y in pairs:
             if x.field is not f and x.field != f or y.field is not f and y.field != f:
                 raise FieldMismatch("series over different fields")
             prec = min(prec, x.abs_prec + y.valuation(), y.abs_prec + x.valuation())
             if x.coeffs and y.coeffs:
                 parts.append((x.min_exp + y.min_exp, x.coeffs, y.coeffs))
+                lo = min(lo, x.min_exp + y.min_exp)
         if not parts:
             return USeries.zero(f, prec)
-        lo = min(e for e, _, _ in parts)
-        if prec == INF_PREC:
-            n = max(e + len(a) + len(b) - 1 for e, a, b in parts) - lo
-        else:
-            n = prec - lo
+        # _udot caps n at the end of the latest-ending product
+        n = min(prec - lo, sys.maxsize)
         return USeries(f, lo, _udot([(e - lo, a, b) for e, a, b in parts], f, n), prec)
 
     def scale(self, c) -> "USeries":

@@ -549,12 +549,14 @@ def test_support_products_match_convolution(p, e):
               for _ in range(2)]
     dense = list(rand_series(rng, f, 90).coeffs)
     single = [rng.randrange(1, f.q)]
+    # empty operands, and one whose cut at n = 1 holds no nonzero entry
     pairs = ((single, dense), (dense, single), (single, sparse[0]),
              (single, [rng.randrange(1, f.q)]), (sparse[0], sparse[1]),
-             (sparse[0], dense), (dense, dense[:37]))
+             (sparse[0], dense), (dense, dense[:37]), ([], dense), (single, []),
+             ([], []), ([0, 0] + single, dense), (dense, [0] + single))
     for a, b in pairs:
         full = len(a) + len(b) - 1
-        for n in (full, full - 1, max(1, full // 2), 1, len(a)):
+        for n in (full, full - 1, max(1, full // 2), 1, len(a), full + 5, 0, -1):
             assert rings._umul(a, b, f, n) == ref_umul(a, b, f, n)
             assert rings._umul(tuple(b), tuple(a), f, n) == ref_umul(a, b, f, n)
         assert rings._umul(a, b, f) == ref_umul(a, b, f, full)
@@ -630,22 +632,29 @@ def rand_pairs(rng, f, npairs, exact):
 def test_sum_of_products_matches_the_fold(p, e, monkeypatch):
     f = field_new(p, e)
     rng = random.Random(SEED + 17 * f.q)
+    cases = [rand_pairs(rng, f, npairs, exact) for npairs in (1, 1, 2, 3, 5, 8)
+             for exact in (True, False) for _ in range(6)]
+    # x * y is the one-pair sum: zero runs at finite precision, one of them
+    # below the product's low exponent, exact monomials, negative min_exp
+    x, y = rand_series(rng, f, 9, -7, 5), rand_series(rng, f, 14, -3)
+    cases += [[(USeries.zero(f, 3), x)], [(y, USeries.zero(f, -100))],
+              [(USeries.monomial(f, -4, f.q - 1), x)], [(y, USeries.monomial(f, 2))],
+              [(USeries.monomial(f, -1), USeries.monomial(f, -2, f.q - 1))], [(x, y)]]
     cut = 0
-    for npairs in (1, 1, 2, 3, 5, 8):
-        for exact in (True, False):
-            for _ in range(6):
-                pairs = rand_pairs(rng, f, npairs, exact)
-                want = ref_fold(pairs)
+    for pairs in cases:
+        want = ref_fold(pairs)
+        assert USeries.sum_of_products(pairs) == want
+        if len(pairs) == 1:
+            assert pairs[0][0] * pairs[0][1] == want
+        assert on_table_loop(
+            monkeypatch, lambda: USeries.sum_of_products(pairs)) == want
+        if e == 1:
+            with monkeypatch.context() as m:
+                m.setattr(rings, "_packs", lambda *args: True)
                 assert USeries.sum_of_products(pairs) == want
-                assert on_table_loop(
-                    monkeypatch, lambda: USeries.sum_of_products(pairs)) == want
-                if e == 1:
-                    with monkeypatch.context() as m:
-                        m.setattr(rings, "_packs", lambda *args: True)
-                        assert USeries.sum_of_products(pairs) == want
-                full = max((x.min_exp + y.min_exp + len(x.coeffs) + len(y.coeffs) - 1
-                            for x, y in pairs if x.coeffs and y.coeffs), default=None)
-                cut += full is not None and want.abs_prec < full
+        full = max((x.min_exp + y.min_exp + len(x.coeffs) + len(y.coeffs) - 1
+                    for x, y in pairs if x.coeffs and y.coeffs), default=None)
+        cut += full is not None and want.abs_prec < full
     assert cut >= 10
 
 
@@ -687,10 +696,12 @@ def test_udot_slot_width_sums_the_parts(monkeypatch):
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (257, 1)])
-def test_udot_matches_separate_products(p, e):
-    # offsets and cuts at n, against a sum of _umul products shifted by hand
+def test_udot_matches_separate_products(p, e, monkeypatch):
+    # offsets and cuts at n, against a sum of reference products shifted by
+    # hand, on the cost model's choice and on each path
     f = field_new(p, e)
     rng = random.Random(SEED + 19 * f.q)
+    cases = []
     for _ in range(40):
         n = rng.randrange(1, 120)
         parts = []
@@ -698,11 +709,29 @@ def test_udot_matches_separate_products(p, e):
             a = list(rand_series(rng, f, rng.randrange(2, 60)).coeffs)
             b = list(rand_series(rng, f, rng.randrange(2, 60)).coeffs)
             parts.append((rng.randrange(0, n + 10), a, b))
-        want = [0] * n
-        for off, a, b in parts:
-            for k, c in enumerate(rings._umul(a, b, f)[:max(0, n - off)], off):
+        cases.append((parts, n))
+    # one-term operands in either position, alone at offset 0 and among other
+    # parts; empty operands; operands with no nonzero entry below the cut; n
+    # past the natural end (49) and n <= 0
+    one, a = [rng.randrange(1, f.q)], list(rand_series(rng, f, 30).coeffs)
+    b = [0] * 6 + one
+    for n in (-1, 0, 1, 5, 49, 60):
+        cases += [([(0, one, a)], n), ([(0, a, one)], n), ([(0, one, one)], n),
+                  ([(0, one, a), (3, a, one), (7, a, one)], n), ([(2, one, a)], n),
+                  ([(0, [], a)], n), ([(0, a, [])], n), ([(4, [], []), (0, a, a)], n),
+                  ([(0, b, a)], n), ([(0, a, b), (1, one, a)], n)]
+    for parts, n in cases:
+        want = [0] * max(0, n)
+        for off, x, y in parts:
+            for k, c in enumerate(ref_umul(x, y, f, n - off), off):
                 want[k] = f.add_t[want[k]][c]
-        assert rings._udot(parts, f, n) == rings._utrim(want)
+        want = rings._utrim(want)
+        assert rings._udot(parts, f, n) == want
+        assert on_table_loop(monkeypatch, lambda: rings._udot(parts, f, n)) == want
+        if e == 1:
+            with monkeypatch.context() as m:
+                m.setattr(rings, "_packs", lambda *args: True)
+                assert rings._udot(parts, f, n) == want
 
 
 def test_jet_products_take_one_sum_per_coefficient(monkeypatch):

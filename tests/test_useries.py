@@ -165,6 +165,8 @@ def test_useries_cross_field_rejected():
     b = USeries.one(field_new(3))
     with pytest.raises(FieldMismatch):
         a + b
+    with pytest.raises(FieldMismatch):
+        a * b
 
 
 # -- arithmetic and precision tracking --------------------------------------------
