@@ -21,6 +21,7 @@ from itertools import groupby
 from .binomials import binom_mod_p
 from .errors import (
     ConstraintViolated,
+    Frozen,
     InsufficientL,
     PrecisionExhausted,
 )
@@ -72,7 +73,7 @@ def _least_cutoff(q: int, need: int, least: int) -> int:
 # -- computation context -------------------------------------------------------
 
 
-class CarlitzCtx:
+class CarlitzCtx(Frozen):
     """Immutable computation context: field, precision target, product cutoff.
 
     uprec is the absolute u-precision of series outputs; jet_order is the
@@ -131,9 +132,6 @@ class CarlitzCtx:
         object.__setattr__(self, "jet_order", jet_order)
         object.__setattr__(self, "cutoff", cutoff)
 
-    def __setattr__(self, *a):
-        raise AttributeError("CarlitzCtx is immutable")
-
     @property
     def q(self) -> int:
         return self.field.q
@@ -163,12 +161,6 @@ class CarlitzCtx:
     def replace(self, **kw) -> "CarlitzCtx":
         """Copy with replacements; cutoff=None re-derives the automatic choice."""
         return CarlitzCtx(**{**dict(zip(self.__slots__, self._key())), **kw})
-
-    def __eq__(self, other):
-        return isinstance(other, CarlitzCtx) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return (f"CarlitzCtx(q={self.q}, uprec={self.uprec}, "
@@ -582,13 +574,19 @@ def _bracket_theta_jet(field: Field, npow: int, order: int) -> tuple:
     return tuple(num.get(j, den - den) for j in range(order + 1)), den
 
 
+def _t_rows(p: Poly) -> dict[int, Poly]:
+    """The t-rows of p in F_q[theta, t]: t-degree j to the coefficient of t^j
+    in F_q[theta]."""
+    rows: dict[int, dict] = {}
+    for (i, j), c in p.terms.items():
+        rows.setdefault(j, {})[(i,)] = c
+    return {j: Poly(p.field, VARS_T, r) for j, r in rows.items()}
+
+
 def _theta_gcd(gam: Poly, alpha: Poly) -> Poly:
     """gcd of gam in F_q[theta] with alpha in F_q[theta, t]: as gam is free
     of t, the univariate gcd of gam with each t-row of alpha."""
-    rows: dict[int, dict] = {}
-    for (i, j), c in alpha.terms.items():
-        rows.setdefault(j, {})[(i,)] = c
-    return reduce(poly_gcd, (Poly(gam.field, VARS_T, r) for r in rows.values()), gam)
+    return reduce(poly_gcd, _t_rows(alpha).values(), gam)
 
 
 @lru_cache(maxsize=None)
@@ -622,7 +620,7 @@ def _at_ratio_theta_jet(field: Field, n: int, order: int) -> tuple:
 # -- period coordinates ----------------------------------------------------------
 
 
-class PeriodCoords:
+class PeriodCoords(Frozen):
     """Coordinates z_1..z_n of a tensor-power period; z[i] is z_{i+1}.
 
     The last coordinate equals the n-th power of the period within tracked
@@ -643,19 +641,12 @@ class PeriodCoords:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "route", route)
 
-    def __setattr__(self, *a):
-        raise AttributeError("PeriodCoords is immutable")
-
     def jet(self) -> Jet:
         """Jet (z_n, z_{n-1}, ..., z_1): coefficient j is z_{n-j}."""
         return Jet([self.z[self.n - 1 - j] for j in range(self.n)])
 
-    def __eq__(self, other):
-        return (isinstance(other, PeriodCoords)
-                and (self.n, self.route, self.z) == (other.n, other.route, other.z))
-
-    def __hash__(self):
-        return hash((self.n, self.route, self.z))
+    def _key(self) -> tuple:
+        return self.n, self.route, self.z
 
     def __repr__(self):
         return f"PeriodCoords(n={self.n}, route={self.route!r})"
@@ -755,10 +746,12 @@ def dtheta_pitilde(ctx: CarlitzCtx, n: int, route: str = "direct") -> Jet:
 # -- verification report types ----------------------------------------------------
 
 
-class CheckCell:
+class CheckCell(Frozen):
     """One verified identity instance: name, parameters, outcome, witness."""
 
     __slots__ = ("identity", "params", "passed", "witness")
+    # equal and hashed by identity: the params dict gives no hashable key
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, identity: str, params: dict, passed: bool,
                  witness: str | None = None):
@@ -766,9 +759,6 @@ class CheckCell:
         object.__setattr__(self, "params", dict(params))
         object.__setattr__(self, "passed", bool(passed))
         object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CheckCell is immutable")
 
     def to_dict(self) -> dict:
         d = {
@@ -785,17 +775,16 @@ class CheckCell:
         return f"[{mark}] {self.identity} {self.params}"
 
 
-class Report:
+class Report(Frozen):
     """Outcome of a verification run; failures are data, not exceptions."""
 
     __slots__ = ("cells", "meta")
+    # equal and hashed by identity, as a CheckCell: meta is a dict
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, cells, meta: dict | None = None):
         object.__setattr__(self, "cells", tuple(cells))
         object.__setattr__(self, "meta", dict(meta or {}))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Report is immutable")
 
     @property
     def all_passed(self) -> bool:
@@ -917,11 +906,7 @@ def _tseries(p: Poly, n: int, invert: bool) -> Jet:
     The t^0 coefficient of a b_j denominator is an exact monomial, so the
     t-series inverse needs no precision target.
     """
-    rows: dict[int, dict] = {}
-    for (i, j), c in p.terms.items():
-        rows.setdefault(j, {})[(i,)] = c
-    tp = TPoly(p.field, {j: embed_k(Poly(p.field, VARS_T, r), INF_PREC)
-                         for j, r in rows.items()})
+    tp = TPoly(p.field, {j: embed_k(r, INF_PREC) for j, r in _t_rows(p).items()})
     return tp.inverse_tseries(n) if invert else tp.jet(n)
 
 

@@ -1,8 +1,32 @@
-"""Exception types shared across the package.
+"""Exception types and the value-type base shared across the package.
 
 Every failure mode that callers are expected to catch has its own class so the
-CLI can map them to exit codes without string matching.
+CLI can map them to exit codes without string matching.  Frozen is the base of
+the immutable value types (field elements, polynomials, fractions, series,
+jets, contexts, coordinates and reports): it holds their assignment guard and
+their equality and hash.
 """
+
+
+class Frozen:
+    """Immutable value: assignment raises; equality and hash run over _key().
+
+    Constructors store their slots through object.__setattr__ or the bound
+    slot setters, which the guard does not see.  A value equals only a value
+    of its own type with an equal key.  Types whose values equal values of
+    other types (Poly, RatFunc, FqElem) define their own __eq__/__hash__.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class CarlitzhdError(Exception):

@@ -17,6 +17,7 @@ from .errors import (
     ConstraintViolated,
     DivisionByZero,
     FieldMismatch,
+    Frozen,
     NonPrimeCharacteristic,
     ReducibleModulus,
 )
@@ -253,7 +254,7 @@ def field_new(p: int, e: int = 1, modulus: tuple[int, ...] | None = None) -> Fie
     return f
 
 
-class FqElem:
+class FqElem(Frozen):
     """An element of a Field; immutable, hashable, canonical."""
 
     __slots__ = ("field", "idx")
@@ -261,9 +262,6 @@ class FqElem:
     def __init__(self, field: Field, idx: int):
         _elem_set_field(self, field)
         _elem_set_idx(self, idx)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FqElem is immutable")
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -356,5 +354,5 @@ class FqElem:
 
 
 # the slot setters, bound once for the constructor: they skip the name lookup
-# of object.__setattr__ and the immutability guard of __setattr__
+# of object.__setattr__ and the immutability guard of Frozen.__setattr__
 _elem_set_field, _elem_set_idx = FqElem.field.__set__, FqElem.idx.__set__

@@ -17,7 +17,7 @@ D by cross-multiplication, as the verify cells in carlitz do.
 
 from __future__ import annotations
 
-from .errors import ConstraintViolated, DegreeMismatch, NonUnitConstantTerm
+from .errors import ConstraintViolated, DegreeMismatch, Frozen, NonUnitConstantTerm
 from .rings import (
     Poly,
     RatFunc,
@@ -31,7 +31,7 @@ from .rings import (
 
 # -- the jet container --------------------------------------------------------
 
-class Jet:
+class Jet(Frozen):
     """Coefficient vector (c_0, ..., c_n) of a truncated derivation image.
 
     Works over any coefficient ring whose elements support +, -, *, and
@@ -48,9 +48,6 @@ class Jet:
         if not coeffs:
             raise DegreeMismatch("a jet needs at least the order-0 coefficient")
         _jet_set_coeffs(self, coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Jet is immutable")
 
     @property
     def order(self) -> int:
@@ -117,11 +114,8 @@ class Jet:
         return pow_base_p(self, k, c0.field.p,
                           lambda: Jet([c0 ** 0] + [self._zero()] * self.order))
 
-    def __eq__(self, other):
-        return isinstance(other, Jet) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    def _key(self) -> tuple:
+        return self.coeffs
 
     def __repr__(self):
         return "Jet(" + ", ".join(repr(c) for c in self.coeffs) + ")"

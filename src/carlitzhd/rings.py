@@ -50,6 +50,7 @@ from .errors import (
     DegreeMismatch,
     DivisionByZero,
     FieldMismatch,
+    Frozen,
     PoleAtTheta,
 )
 from .gf import Field, FqElem
@@ -464,7 +465,7 @@ def _accumulate(terms: dict, items, f: Field) -> dict:
 _MAX_DENSE_DEGREE = 1 << 22
 
 
-class Poly:
+class Poly(Frozen):
     """Polynomial over F_q in theta (1 var) or theta, t (2 vars).
 
     A univariate polynomial is stored as its trimmed dense list of field-table
@@ -502,9 +503,6 @@ class Poly:
         terms = {(i,): c for i, c in enumerate(self._dv) if c}
         _poly_set_terms(self, terms)
         return terms
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
 
     # construction helpers
 
@@ -826,7 +824,7 @@ class Poly:
 
 # the slot setters, bound once: a constructor stores through them directly,
 # without the name lookup of object.__setattr__ and past the immutability
-# guard of __setattr__
+# guard of Frozen.__setattr__
 _poly_set_field, _poly_set_vars, _poly_set_terms, _poly_set_hash, _poly_set_dv = (
     getattr(Poly, name).__set__ for name in Poly.__slots__)
 
@@ -878,7 +876,7 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
 
 # -- rational functions -------------------------------------------------------
 
-class RatFunc:
+class RatFunc(Frozen):
     """Canonical fraction of polynomials: coprime, monic denominator (deglex).
 
     Construct through make()/from_poly(); the raw constructor trusts its
@@ -893,9 +891,6 @@ class RatFunc:
         _rf_set_num(self, num)
         _rf_set_den(self, den)
         _rf_set_hash(self, None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatFunc is immutable")
 
     @classmethod
     def make(cls, num: Poly, den: Poly) -> "RatFunc":
@@ -1214,7 +1209,7 @@ def _quotient_jet_numerators(nums: list[Poly], dens: list[Poly]):
 
 # -- truncated expansions in s = t - theta ------------------------------------
 
-class SJet:
+class SJet(Frozen):
     """Truncated series in s = t - theta with exact coefficients in F_q(theta).
 
     coeffs[k] is the coefficient of s^k; the object represents the class
@@ -1226,9 +1221,6 @@ class SJet:
     def __init__(self, field: Field, coeffs):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SJet is immutable")
 
     @property
     def order(self) -> int:
@@ -1288,15 +1280,8 @@ class SJet:
         return pow_base_p(self, k, self.field.p, lambda: SJet.constant(
             self.field, self.order, self.coeffs[0] ** 0))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SJet)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
+    def _key(self) -> tuple:
+        return self.field, self.coeffs
 
     def __repr__(self):
         bits = [f"({c!r})*s^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero()]

@@ -30,6 +30,7 @@ from .errors import (
     ConstraintViolated,
     DivisionByZero,
     FieldMismatch,
+    Frozen,
     PrecisionExhausted,
 )
 from .gf import Field, FqElem
@@ -55,7 +56,7 @@ def _as_prec(p) -> int | float:
     return p
 
 
-class USeries:
+class USeries(Frozen):
     """Laurent series in u, known modulo u^abs_prec.
 
     coeffs is a dense run of field-table indices starting at exponent
@@ -86,9 +87,6 @@ class USeries:
         _us_set_min_exp(self, min_exp)
         _us_set_coeffs(self, coeffs)
         _us_set_abs_prec(self, abs_prec)
-
-    def __setattr__(self, *a):
-        raise AttributeError("USeries is immutable")
 
     # -- constructors ----------------------------------------------------------
 
@@ -295,17 +293,8 @@ class USeries:
     def __pow__(self, k: int):
         return pow_base_p(self, k, self.field.p, lambda: USeries.one(self.field))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, USeries)
-            and self.field == other.field
-            and self.min_exp == other.min_exp
-            and self.coeffs == other.coeffs
-            and self.abs_prec == other.abs_prec
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.min_exp, self.coeffs, self.abs_prec))
+    def _key(self) -> tuple:
+        return self.field, self.min_exp, self.coeffs, self.abs_prec
 
     def __repr__(self):
         bits = []
@@ -476,7 +465,7 @@ def d_theta_useries(f: USeries, n: int) -> Jet:
 
 # -- polynomials in t over USeries ---------------------------------------------
 
-class TPoly:
+class TPoly(Frozen):
     """Polynomial in t whose coefficients are u-series.
 
     coeffs maps t-degree to USeries; absent degrees are exactly zero.  Each
@@ -491,9 +480,6 @@ class TPoly:
                  if v is not None and not v.is_exact_zero()}
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TPoly is immutable")
 
     @classmethod
     def one(cls, field: Field) -> "TPoly":
@@ -566,15 +552,8 @@ class TPoly:
         return TPoly(self.field, {i * pk: v.frobenius_power(k)
                                   for i, v in self.coeffs.items()})
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, frozenset(self.coeffs.items())))
+    def _key(self) -> tuple:
+        return self.field, frozenset(self.coeffs.items())
 
     def __repr__(self):
         bits = [f"({v!r})*t^{k}" for k, v in sorted(self.coeffs.items())]

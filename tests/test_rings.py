@@ -5,16 +5,21 @@ import random
 import pytest
 
 from carlitzhd import (
+    CarlitzCtx,
+    CheckCell,
     ConstraintViolated,
     DivisionByZero,
     FieldMismatch,
     FqElem,
     Jet,
     L_poly,
+    PeriodCoords,
     PoleAtTheta,
     Poly,
     RatFunc,
+    Report,
     SJet,
+    TPoly,
     USeries,
     VARS_T,
     VARS_TT,
@@ -419,6 +424,29 @@ def test_equal_values_hash_equal(q):
     assert Poly.one(f) != other and other != Poly.one(f)
     assert len({RatFunc.one(f), other}) == 2
     assert len({Poly.one(f), other}) == 2
+    # the types that compare by key: a value built twice is equal and hashes
+    # alike, and never equals a value of another type, in either order
+    keyed = [_keyed_values(f), _keyed_values(f)]
+    for a, b in zip(*keyed):
+        assert a is not b and a == b and hash(a) == hash(b), a
+    for a in keyed[0]:
+        for b in keyed[1] + values:
+            if type(b) is not type(a):
+                assert a != b and b != a, (a, b)
+    # a check cell or report is equal only to itself: its params or meta are
+    # a dict, so it hashes by identity
+    for make in (lambda: CheckCell("x", {"q": q}, True),
+                 lambda: Report([CheckCell("x", {"q": q}, True)], {"q": q})):
+        a, b = make(), make()
+        assert a == a and a != b and len({a, b}) == 2
+
+
+def _keyed_values(f):
+    """One value of each type that compares by key, built afresh."""
+    u = USeries(f, -1, [1, 0, 1], 9)
+    r = RatFunc.const(f, 1)
+    return [CarlitzCtx(f, uprec=20), PeriodCoords(2, (u, u), "omega"),
+            Jet([u, u]), SJet(f, [r, r]), u, TPoly(f, {0: u, 3: u})]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -626,20 +654,24 @@ def test_sjet_scale_and_order_mismatch():
 def _values():
     """One value of each immutable type, with every slot set: a Poly built
     from terms, one built from its dense list (terms unset until read), a
-    bivariate Poly, a RatFunc with a cached hash, a USeries, an FqElem and a
-    Jet."""
+    bivariate Poly, a RatFunc with a cached hash, a USeries, an FqElem, a
+    Jet, and then one of each type that compares by key or by identity."""
     f = field_new(3, 2)
     x = Poly.from_items(f, [((2,), 1), ((0,), f.from_index(5))])
     r = RatFunc.make(Poly.one(f), x)
     hash(r)
+    cell = CheckCell("x", {"q": 9}, False, "witness")
     return [x, Poly.from_dense(f, [0, 1]), Poly.monomial(f, (1, 2)), r,
-            USeries(f, -1, [1, 2], 7), FqElem(f, 4), Jet([x, x])]
+            USeries(f, -1, [1, 2], 7), FqElem(f, 4), Jet([x, x]),
+            *(v for v in _keyed_values(f) if type(v) not in (Jet, USeries)),
+            cell, Report([cell], {"q": 9})]
 
 
 @pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
 def test_assigning_any_slot_raises(value):
     before = repr(value)
     for name in type(value).__slots__:
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError) as info:
             setattr(value, name, None)
+        assert str(info.value) == f"{type(value).__name__} is immutable"
     assert repr(value) == before
